@@ -10,7 +10,7 @@ function, and watches the three columns agree.
 """
 from weaksort import TRIPLES, counting_sequence, count_via_recurrence
 from weaksort.perms import format_perm
-from weaksort.series import gf_catalog, integer_coefficients
+from weaksort.series import gf_catalog
 
 N = 8
 
@@ -31,7 +31,7 @@ print(f"  n=9..14: {seq[9:15]}")
 print(f"  n=30:    {seq[30]}")
 print()
 
-coeffs = integer_coefficients(gf_catalog("main", 30))
+coeffs = list(gf_catalog("main", 30).coeffs)
 print("Series coefficients of (1-5x+(1+x)sqrt(1-4x))/(1-5x+(1-x)sqrt(1-4x)):")
 print(f"  n=0..8:  {coeffs[:9]}")
 assert coeffs == seq

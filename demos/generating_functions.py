@@ -3,19 +3,19 @@ The generating-function catalog
 ===============================
 
 Every series in the package is assembled from sqrt(1-4x), whose
-coefficients are -2 times Catalan numbers, using exact rational
+coefficients are -2 times Catalan numbers, using exact integer
 arithmetic.  This script extracts coefficients from the catalog, verifies
 the kernel-method identity numerically, and evaluates the bivariate series
 that refines the fifth triple's avoiders by number of components.
 """
 from weaksort.recurrence import verify_kernel_identity
-from weaksort.series import gf_catalog, integer_coefficients, sqrt_one_minus_4x
+from weaksort.series import gf_catalog, sqrt_one_minus_4x
 
-print("sqrt(1-4x) =", integer_coefficients(sqrt_one_minus_4x(7)), "...")
+print("sqrt(1-4x) =", list(sqrt_one_minus_4x(7).coeffs), "...")
 print()
 
 for name in ("main", "schroder_le1peak_per_comp", "class5_indec"):
-    coeffs = integer_coefficients(gf_catalog(name, 10))
+    coeffs = list(gf_catalog(name, 10).coeffs)
     print(f"{name:28s} {coeffs}")
 print()
 
@@ -26,7 +26,7 @@ print()
 biv = gf_catalog("class5_bivariate", 8)
 print("avoiders of the fifth triple by length n and components k:")
 for n in range(1, 9):
-    row = [int(biv.coefficient(n, k)) for k in range(1, n + 1)]
+    row = [biv.coefficient(n, k) for k in range(1, n + 1)]
     print(f"  n={n}: {row}")
 print()
 

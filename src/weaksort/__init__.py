@@ -7,7 +7,7 @@ Submodules
 perms       permutations, pattern containment, the eight symmetries
 counting    pruned enumeration and the exhaustive triple classification
 recurrence  first-two-entry table recurrences for the first three triples
-series      exact rational power series and the generating-function catalog
+series      exact integer power series and the generating-function catalog
 schroder    Schroder paths, bounding staircases, and the bijections
 class5      structure theorem and direct counting for the fifth triple
 oeis        b-file client with bundled offline fixtures
@@ -29,7 +29,7 @@ from .perms import (
 )
 from .counting import counting_sequence, enumerate_avoiders, wilf_search
 from .recurrence import count_via_recurrence, verify_kernel_identity
-from .series import gf_catalog, integer_coefficients
+from .series import gf_catalog
 from .schroder import enumerate_paths, path_to_perm, perm_to_path
 from .class5 import count_avoiders, count_indecomposable, decompose
 
@@ -51,7 +51,6 @@ __all__ = [
     "enumerate_paths",
     "extrema",
     "gf_catalog",
-    "integer_coefficients",
     "orbit",
     "parse_perm",
     "path_to_perm",

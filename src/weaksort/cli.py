@@ -12,7 +12,8 @@ Command-line surface.
     weaksort oeis       --id A006318
     weaksort verify
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error.
+Exit codes: 0 success, 1 a verification check failed or the input was
+rejected, 2 usage error.
 Identical invocations produce byte-identical output.  All data commands
 support --format table|csv|json where it makes sense.
 """
@@ -148,15 +149,12 @@ def _cmd_series(args: argparse.Namespace) -> int:
             for n in range(f.order + 1)
             for k in range(len(f.coeffs[n]))
         ]
-        for _, _, c in triples:
-            if c.denominator != 1:
-                raise ValueError(f"non-integer coefficient {c} in {args.name}")
         if args.format == "json":
             print(
                 json.dumps(
                     {
                         "name": args.name,
-                        "terms": [[n, k, int(c)] for n, k, c in triples if c],
+                        "terms": [[n, k, c] for n, k, c in triples if c],
                     }
                 )
             )
@@ -164,14 +162,13 @@ def _cmd_series(args: argparse.Namespace) -> int:
             print("n,k,value")
             for n, k, c in triples:
                 if c:
-                    print(f"{n},{k},{int(c)}")
+                    print(f"{n},{k},{c}")
         else:
             for n, k, c in triples:
                 if c:
-                    print(n, k, int(c))
+                    print(n, k, c)
         return 0
-    coeffs = series.integer_coefficients(f)
-    _emit_terms(args.name, list(enumerate(coeffs)), args.format)
+    _emit_terms(args.name, list(enumerate(f.coeffs)), args.format)
     return 0
 
 

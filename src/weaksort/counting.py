@@ -157,18 +157,6 @@ def triple_orbits() -> dict[tuple[Perm, ...], int]:
     return orbits
 
 
-def _matches_prefix(patterns: PatternSet, target: Sequence[int]) -> bool:
-    """Counting sequence equals the target prefix, aborting on first mismatch."""
-    if target[0] != 1:
-        return False
-    level: list[Perm] = [()]
-    for n in range(1, len(target)):
-        level = [child for q in level for child in _children(q, patterns)]
-        if len(level) != target[n]:
-            return False
-    return True
-
-
 def wilf_search(nmax: int, target: Sequence[int]) -> WilfSearchReport:
     """
     Find every symmetry orbit of triples of 4-letter patterns whose counting
@@ -183,8 +171,14 @@ def wilf_search(nmax: int, target: Sequence[int]) -> WilfSearchReport:
         raise ValueError(f"target must supply counts for n=0..{nmax}")
     prefix = tuple(target[: nmax + 1])
     orbits = triple_orbits()
+    # _levels is a generator, so all() stops enumerating at the first mismatch
     matches = sorted(
-        rep for rep in orbits if _matches_prefix(frozenset(rep), prefix)
+        rep
+        for rep in orbits
+        if all(
+            len(level) == t
+            for level, t in zip(_levels(frozenset(rep), nmax), prefix)
+        )
     )
     return WilfSearchReport(
         target=prefix,

@@ -43,10 +43,17 @@ def parse_perm(text: str) -> Perm:
     """
     Parse space-separated one-line notation ("" gives the empty permutation).
 
+    Each entry must be a run of ASCII digits; int() alone would also take
+    underscores ("1_2"), signs and non-ASCII digits.
+
     >>> parse_perm("3 1 4 2")
     (3, 1, 4, 2)
     """
-    return as_perm(int(tok) for tok in text.split())
+    tokens = text.split()
+    for tok in tokens:
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"not an ASCII decimal entry: {tok!r}")
+    return as_perm(int(tok) for tok in tokens)
 
 
 def format_perm(p: Perm) -> str:
@@ -56,10 +63,6 @@ def format_perm(p: Perm) -> str:
 def parse_pattern_set(text: str) -> PatternSet:
     """Parse a semicolon-separated list of one-line permutations."""
     return frozenset(parse_perm(part) for part in text.split(";") if part.strip())
-
-
-def format_pattern_set(patterns: PatternSet) -> str:
-    return "; ".join(format_perm(t) for t in sorted(patterns))
 
 
 # --------------------------------------------------------------------------
@@ -244,10 +247,6 @@ def components(p: Perm) -> tuple[Perm, ...]:
             comps.append(standardize(p[start:i + 1]))
             start = i + 1
     return tuple(comps)
-
-
-def is_indecomposable(p: Perm) -> bool:
-    return len(components(p)) == 1
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """
-Truncated formal power series with exact rational coefficients, and the
-catalog of generating functions used across the package.
+Truncated formal power series with integer coefficients, and the catalog
+of generating functions used across the package.
 
-A Series holds coefficients c_0..c_N as Fractions; N is the truncation
-order.  Arithmetic truncates to the smaller operand order.  Everything is
-exact: no floating point enters anywhere, so integrality of a coefficient
-is itself a meaningful check (`integer_coefficients` enforces it).
+A Series holds coefficients c_0..c_N as ints; N is the truncation order.
+Arithmetic truncates to the smaller operand order.  Every generating
+function in the catalog has integer coefficients, so division is exact
+integer long division: a quotient coefficient that is not an integer
+raises ValueError naming it, which makes the integrality of every
+coefficient a check performed by construction.
 
 The key primitive is sqrt(1-4x), whose coefficients are known in closed
 form: c_0 = 1 and c_n = -2 * Catalan(n-1).  Every generating function in
@@ -20,11 +22,8 @@ truncated in x but exact polynomials in y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable, Sequence
 
 
 def catalan(n: int) -> int:
@@ -49,11 +48,21 @@ def gen_catalan(n: int, k: int) -> int:
     return (k + 1) * comb(2 * n + k + 1, n) // (2 * n + k + 1)
 
 
+def _exact(num: int, den: int, n: int, k: int | None = None) -> int:
+    """num / den, raising ValueError naming the x^n (y^k) coefficient unless
+    the division is exact."""
+    q, r = divmod(num, den)
+    if r:
+        term = f"x^{n}" if k is None else f"x^{n} y^{k}"
+        raise ValueError(f"coefficient of {term} is not an integer: {num}/{den}")
+    return q
+
+
 @dataclass(frozen=True)
 class Series:
     """A power series truncated at order len(coeffs)-1."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if not self.coeffs:
@@ -63,7 +72,7 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
     def truncate(self, order: int) -> "Series":
@@ -86,10 +95,10 @@ class Series:
         return Series(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Series(tuple(c * other for c in self.coeffs))
         N = min(self.order, other.order)
-        out = [Fraction(0)] * (N + 1)
+        out = [0] * (N + 1)
         for i, ci in enumerate(self.coeffs[: N + 1]):
             if ci:
                 for j in range(N + 1 - i):
@@ -100,38 +109,39 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "Series") -> "Series":
-        """Long division; the divisor needs a nonzero constant term."""
-        if not isinstance(other, Series):
-            return self * Fraction(1, other)
-        if other.coeffs[0] == 0:
+    def __truediv__(self, other: "Series | int") -> "Series":
+        """
+        Exact long division by a series with nonzero constant term, or by a
+        nonzero int.  Raises ValueError if a quotient coefficient is not an
+        integer.
+        """
+        if isinstance(other, int):
+            return Series(tuple(_exact(c, other, n) for n, c in enumerate(self.coeffs)))
+        c0 = other.coeffs[0]
+        if c0 == 0:
             raise ZeroDivisionError(
                 f"division by a series with zero constant term: {other.coeffs[:4]}..."
             )
         N = min(self.order, other.order)
-        out = [Fraction(0)] * (N + 1)
+        out = [0] * (N + 1)
         for n in range(N + 1):
             s = self.coeffs[n]
             for k in range(1, n + 1):
                 if other.coeffs[k]:
                     s -= other.coeffs[k] * out[n - k]
-            out[n] = s / other.coeffs[0]
+            out[n] = _exact(s, c0, n)
         return Series(tuple(out))
 
     def shift(self, k: int = 1) -> "Series":
         """Multiply by x^k (same truncation order; top coefficients drop off)."""
-        return Series((Fraction(0),) * k + self.coeffs[: self.order + 1 - k])
-
-
-def from_fractions(values: Iterable[Scalar], order: int) -> Series:
-    vals = [Fraction(v) for v in values]
-    if len(vals) < order + 1:
-        vals += [Fraction(0)] * (order + 1 - len(vals))
-    return Series(tuple(vals[: order + 1]))
+        return Series((0,) * k + self.coeffs[: self.order + 1 - k])
 
 
 def from_ints(values: Iterable[int], order: int) -> Series:
-    return from_fractions(values, order)
+    """The series with the given leading coefficients, zero-padded or cut to
+    the truncation order."""
+    vals = tuple(values)[: order + 1]
+    return Series(vals + (0,) * (order + 1 - len(vals)))
 
 
 def zero(order: int) -> Series:
@@ -146,22 +156,9 @@ def x(order: int) -> Series:
     return from_ints([0, 1], order)
 
 
-def integer_coefficients(f: Series) -> list[int]:
-    """Coefficients as ints, raising if any fails to reduce to an integer."""
-    out = []
-    for n, c in enumerate(f.coeffs):
-        if c.denominator != 1:
-            raise ValueError(f"coefficient of x^{n} is not an integer: {c}")
-        out.append(c.numerator)
-    return out
-
-
 def sqrt_one_minus_4x(order: int) -> Series:
     """sqrt(1-4x): c_0 = 1, c_n = -2*Catalan(n-1).  Exact by construction."""
-    return Series(
-        (Fraction(1),)
-        + tuple(Fraction(-2 * catalan(n - 1)) for n in range(1, order + 1))
-    )
+    return Series((1,) + tuple(-2 * catalan(n - 1) for n in range(1, order + 1)))
 
 
 def catalan_series(order: int) -> Series:
@@ -184,11 +181,11 @@ def invert_transform(f: Series) -> Series:
 # --------------------------------------------------------------------------
 # bivariate series (x truncated, y exact polynomial)
 
-YPoly = tuple[Fraction, ...]
+YPoly = tuple[int, ...]
 
 
-def _ypoly(values: Sequence[Scalar]) -> YPoly:
-    vals = [Fraction(v) for v in values]
+def _ypoly(values: Sequence[int]) -> YPoly:
+    vals = list(values)
     while len(vals) > 1 and vals[-1] == 0:
         vals.pop()
     return tuple(vals)
@@ -206,7 +203,7 @@ def _yneg(p: YPoly) -> YPoly:
 
 
 def _ymul(p: YPoly, q: YPoly) -> YPoly:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -225,14 +222,14 @@ class BivariateSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int, k: int) -> Fraction:
+    def coefficient(self, n: int, k: int) -> int:
         """The coefficient of x^n y^k."""
         row = self.coeffs[n]
-        return row[k] if k < len(row) else Fraction(0)
+        return row[k] if k < len(row) else 0
 
     def at_y1(self) -> Series:
         """Evaluate y = 1, collapsing to a univariate series in x."""
-        return Series(tuple(sum(row, Fraction(0)) for row in self.coeffs))
+        return Series(tuple(sum(row) for row in self.coeffs))
 
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
         N = min(self.order, other.order)
@@ -248,9 +245,9 @@ class BivariateSeries:
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         N = min(self.order, other.order)
-        out = [(Fraction(0),)] * (N + 1)
+        out = [(0,)] * (N + 1)
         for i in range(N + 1):
-            if self.coeffs[i] == (Fraction(0),):
+            if self.coeffs[i] == (0,):
                 continue
             for j in range(N + 1 - i):
                 term = _ymul(self.coeffs[i], other.coeffs[j])
@@ -259,9 +256,10 @@ class BivariateSeries:
 
     def __truediv__(self, other: "BivariateSeries") -> "BivariateSeries":
         """
-        Long division in x.  Only the case actually needed is supported: the
-        divisor's x^0 coefficient must be a nonzero constant (a degree-0
-        polynomial in y), which is invertible without rational functions.
+        Exact long division in x.  Only the case actually needed is
+        supported: the divisor's x^0 coefficient must be a nonzero constant
+        (a degree-0 polynomial in y), by which each y-coefficient is divided
+        exactly; a remainder raises ValueError naming the coefficient.
         """
         c0 = other.coeffs[0]
         if len(c0) != 1 or c0[0] == 0:
@@ -275,13 +273,13 @@ class BivariateSeries:
             s = self.coeffs[n]
             for k in range(1, n + 1):
                 s = _yadd(s, _yneg(_ymul(other.coeffs[k], out[n - k])))
-            out.append(tuple(c / c0[0] for c in s))
+            out.append(tuple(_exact(c, c0[0], n, k) for k, c in enumerate(s)))
         return BivariateSeries(tuple(out))
 
 
-def bivariate_from_rows(rows: Sequence[Sequence[Scalar]], order: int) -> BivariateSeries:
+def bivariate_from_rows(rows: Sequence[Sequence[int]], order: int) -> BivariateSeries:
     padded = [_ypoly(row) for row in rows[: order + 1]]
-    padded += [(Fraction(0),)] * (order + 1 - len(padded))
+    padded += [(0,)] * (order + 1 - len(padded))
     return BivariateSeries(tuple(padded))
 
 
@@ -292,7 +290,7 @@ def embed(f: Series) -> BivariateSeries:
 
 def y_times(f: Series) -> BivariateSeries:
     """Multiply a univariate series by y."""
-    return BivariateSeries(tuple((Fraction(0), c) for c in f.coeffs))
+    return BivariateSeries(tuple((0, c) for c in f.coeffs))
 
 
 # --------------------------------------------------------------------------
@@ -351,7 +349,7 @@ def gf_catalog(name: str, order: int = DEFAULT_ORDER):
         den = from_ints([1, -5], N) + from_ints([1, -1], N) * sq
         return num / den
     if name == "indec_le1peak":
-        return (ones + xs + xs / sq - sq) * Fraction(1, 2)
+        return (ones + xs + xs / sq - sq) / 2
     if name == "schroder_le1peak_per_comp":
         den = from_ints([1, -5], N) + from_ints([1, -1], N) * sq
         return (sq * 2) / den

@@ -156,6 +156,12 @@ def test_data_errors_exit_1(capsys):
     assert "limit" in err
 
 
+def test_bijection_rejects_non_ascii_digits(capsys):
+    code, out, err = run(capsys, "bijection", "--input", "2 \u0661")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
 def test_verify_exit_codes(capsys, monkeypatch):
     from weaksort import acceptance
 

@@ -49,6 +49,14 @@ def test_parse_and_format_roundtrip():
         parse_perm("1 3")
 
 
+@pytest.mark.parametrize(
+    "text", ["1 2 3 4 5 6 7 8 9 10 11 1_2", "2 \u0661", "+1", "2 -1", "1 2.0"]
+)
+def test_parse_perm_rejects_non_digit_tokens(text):
+    with pytest.raises(ValueError, match="not an ASCII decimal entry"):
+        parse_perm(text)
+
+
 def test_contains_examples():
     # 2,4,3 inside 2431 is ordered like 132
     assert contains((2, 4, 3, 1), (1, 3, 2))

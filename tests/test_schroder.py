@@ -97,10 +97,10 @@ def test_indecomposable_censuses():
 
 def test_le1_peak_per_component_counts():
     # equals the coefficient list of the component-constrained series
-    from weaksort.series import gf_catalog, integer_coefficients
+    from weaksort.series import gf_catalog
 
     counts = [count_le1_peak_per_component(n) for n in range(9)]
-    assert counts == integer_coefficients(gf_catalog("schroder_le1peak_per_comp", 8))
+    assert counts == list(gf_catalog("schroder_le1peak_per_comp", 8).coeffs)
 
 
 def test_staircase_of_worked_example():

@@ -42,7 +42,7 @@ for n in range(1, 8):
 print()
 
 print("peak census of Schroder 4-paths (no peak = Catalan, one peak = binom):")
-print(f"  {peak_census(4)}")
+print(f"  {peak_census(4)[0]}")
 print()
 
 n = 6

@@ -98,10 +98,9 @@ def criterion_7_peak_censuses() -> None:
     """Peak counts over all Schroder n-paths (n <= 9) match the closed
     forms, for all paths and for indecomposable ones."""
     for n in range(1, 10):
-        census = schroder.peak_census(n)
+        census, indec = schroder.peak_census(n)
         assert census.get(0, 0) == series.catalan(n), (n, census)
         assert census.get(1, 0) == comb(2 * n - 1, n - 1), (n, census)
-        indec = schroder.peak_census(n, indecomposable_only=True)
         if n == 1:
             assert indec == {0: 1, 1: 1}, indec
         else:

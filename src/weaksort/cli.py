@@ -28,6 +28,7 @@ from . import acceptance, class5, counting, oeis, recurrence, schroder, series
 from .perms import (
     TRIPLES,
     format_perm,
+    parse_decimal,
     parse_pattern_set,
     parse_perm,
 )
@@ -57,7 +58,7 @@ def _resolve_target(text: str, nmax: int) -> tuple[int, ...]:
     """--target accepts an OEIS id (offline fixture) or comma-separated ints."""
     if text.startswith("A"):
         return oeis.fetch(text, source="offline").prefix(nmax + 1)
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+    return tuple(parse_decimal(tok) for tok in text.replace(",", " ").split())
 
 
 def _class_list(selector: str) -> list[str]:

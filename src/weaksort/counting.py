@@ -11,7 +11,16 @@ since containment persists under extension, pruning is exact.  At depth n the
 standardized prefixes are precisely the avoiders of length n.
 
 Each extension only needs to look for pattern occurrences that use the new
-last entry: the rest of the prefix was already checked.
+last entry: the rest of the prefix was already checked.  Those are found
+once per parent q of length m, for all m+1 children together, as a set of
+forbidden insertion ranks.  Split a pattern tau into its head tau[:-1] and
+its last letter.  For every occurrence of the standardized head in q, let lo
+be the largest value among the head letters that lie below tau[-1] (0 if
+none) and hi the smallest among those above it (m+1 if none).  The child
+with new last rank r ends an occurrence of tau on that head exactly when
+lo < r <= hi: the entries below r keep their values and those from r up are
+bumped.  The windows of all occurrences and all patterns form a bitmask,
+and only the ranks outside it are extended.
 """
 from __future__ import annotations
 
@@ -19,57 +28,49 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .perms import PatternSet, Perm, canonical_form
+from .perms import PatternSet, Perm, canonical_form, occurrences, standardize
 
 #: largest length enumerated without an explicit override (n! blowup guard)
 DEFAULT_LIMIT = 10
 
 
-def _ends_occurrence(seq: Sequence[int], tau: Sequence[int]) -> bool:
-    """Does seq contain an occurrence of tau whose last letter is seq[-1]?"""
-    k = len(tau)
-    m = len(seq)
-    if k == 0:
-        return True
-    if k > m:
-        return False
-    last = seq[-1]
-    t_last = tau[-1]
-    chosen: list[int] = []
-
-    def extend(start: int, j: int) -> bool:
-        if j == k - 1:
-            return True
-        for i in range(start, m - (k - j - 1)):
-            v = seq[i]
-            if (v < last) != (tau[j] < t_last):
-                continue
-            if all((seq[c] < v) == (tau[t] < tau[j]) for t, c in enumerate(chosen)):
-                chosen.append(i)
-                if extend(i + 1, j + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0, 0)
-
-
-def _children(prefix: Perm, patterns: PatternSet) -> Iterable[Perm]:
+def _children(prefix: Perm, heads: list[tuple[Perm, int, int]]) -> Iterable[Perm]:
     """Clean standardized extensions of a clean standardized prefix."""
     m = len(prefix)
+    # bit r set: the child with new last rank r ends an occurrence
+    forbidden = 0
+    for head, lo_at, hi_at in heads:
+        for occ in occurrences(prefix, head):
+            lo = prefix[occ[lo_at]] if lo_at >= 0 else 0
+            hi = prefix[occ[hi_at]] if hi_at >= 0 else m + 1
+            forbidden |= (1 << (hi + 1)) - (1 << (lo + 1))
     for rank in range(1, m + 2):
-        child = tuple(v if v < rank else v + 1 for v in prefix) + (rank,)
-        if not any(_ends_occurrence(child, tau) for tau in patterns):
-            yield child
+        if not forbidden >> rank & 1:
+            yield tuple(v if v < rank else v + 1 for v in prefix) + (rank,)
 
 
 def _levels(patterns: PatternSet, nmax: int) -> Iterable[list[Perm]]:
     """Avoiders of each length 0..nmax, one list per length."""
-    # the root survives unless some pattern is itself empty
-    level: list[Perm] = [] if any(len(t) == 0 for t in patterns) else [()]
+    if () in patterns:
+        # the empty pattern occurs in every permutation, the empty one included
+        for _ in range(nmax + 1):
+            yield []
+        return
+    # each pattern as its standardized head and the head letters that bound
+    # the window: the largest below the last letter (head rank s, where s
+    # letters lie below it) and the smallest above it (rank s+1); -1 if none
+    heads = []
+    for tau in patterns:
+        tau = standardize(tau)
+        head = standardize(tau[:-1])
+        s = tau[-1] - 1
+        lo_at = head.index(s) if s >= 1 else -1
+        hi_at = head.index(s + 1) if s + 1 <= len(head) else -1
+        heads.append((head, lo_at, hi_at))
+    level: list[Perm] = [()]
     yield level
     for _ in range(nmax):
-        level = [child for q in level for child in _children(q, patterns)]
+        level = [child for q in level for child in _children(q, heads)]
         yield level
 
 

@@ -10,12 +10,18 @@ A pattern is itself a permutation; p contains the pattern tau when some
 subsequence of p is order-isomorphic to tau.  Pattern sets are frozensets of
 patterns, acted on entrywise by the dihedral group of order eight generated
 by reverse, complement, and inverse.
+
+All containment goes through one kernel, `occurrences`, which lists the
+occurrences of a pattern as 0-based position tuples in lexicographic order:
+patterns of length 3 and 4 run as nested loops over positions, any other
+length through a pruned backtracker.  `find_occurrence`, `contains` and
+`avoids` read its first result.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 PatternSet = frozenset[Perm]
@@ -39,21 +45,28 @@ def as_perm(seq: Iterable[int]) -> Perm:
     return p
 
 
+def parse_decimal(token: str) -> int:
+    """
+    A non-negative integer written as a run of ASCII digits; int() alone
+    would also take underscores ("1_2"), signs and non-ASCII digits.
+
+    >>> parse_decimal("21")
+    21
+    """
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not an ASCII decimal entry: {token!r}")
+    return int(token)
+
+
 def parse_perm(text: str) -> Perm:
     """
-    Parse space-separated one-line notation ("" gives the empty permutation).
-
-    Each entry must be a run of ASCII digits; int() alone would also take
-    underscores ("1_2"), signs and non-ASCII digits.
+    Parse space-separated one-line notation ("" gives the empty permutation);
+    each entry must pass `parse_decimal`.
 
     >>> parse_perm("3 1 4 2")
     (3, 1, 4, 2)
     """
-    tokens = text.split()
-    for tok in tokens:
-        if not (tok.isascii() and tok.isdigit()):
-            raise ValueError(f"not an ASCII decimal entry: {tok!r}")
-    return as_perm(int(tok) for tok in tokens)
+    return as_perm([parse_decimal(tok) for tok in text.split()])
 
 
 def format_perm(p: Perm) -> str:
@@ -69,42 +82,99 @@ def parse_pattern_set(text: str) -> PatternSet:
 # containment
 
 
-def find_occurrence(p: Sequence[int], tau: Sequence[int]) -> tuple[int, ...] | None:
+def occurrences(p: Sequence[int], tau: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """
-    Positions (1-based, increasing) of an occurrence of tau in p, or None.
+    Every occurrence of tau in p as increasing 0-based positions, in
+    lexicographic order.
 
-    Backtracks over candidate positions, pruning any partial choice that is
-    not order-isomorphic to the matching prefix of tau.  Patterns of interest
-    here have length at most 4, so the worst case is mild.
+    Patterns of length 3 and 4 run as plain nested loops over positions, each
+    loop comparing its entry against the pattern's precomputed pairwise `<`
+    flags and dropping the partial choice as soon as order-isomorphism
+    breaks.  Other lengths go through a generic backtracker with the same
+    pruning.
 
-    >>> find_occurrence((2, 4, 3, 1), (1, 3, 2))
-    (1, 2, 3)
+    >>> list(occurrences((2, 4, 3, 1), (1, 3, 2)))
+    [(0, 1, 2)]
+    >>> list(occurrences((3, 1, 2), (2, 1)))
+    [(0, 1), (0, 2)]
     """
     k = len(tau)
+    if k == 3:
+        return _occurrences3(p, tau)
+    if k == 4:
+        return _occurrences4(p, tau)
+    return _occurrences_backtrack(p, tau)
+
+
+def _occurrences3(p: Sequence[int], tau: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    a, b, c = tau
+    ab, ac, bc = a < b, a < c, b < c
     n = len(p)
-    if k == 0:
-        return ()
-    if k > n:
-        return None
+    for i in range(n - 2):
+        x = p[i]
+        for j in range(i + 1, n - 1):
+            y = p[j]
+            if (x < y) != ab:
+                continue
+            for l in range(j + 1, n):
+                z = p[l]
+                if (x < z) == ac and (y < z) == bc:
+                    yield (i, j, l)
+
+
+def _occurrences4(p: Sequence[int], tau: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    a, b, c, d = tau
+    ab, ac, ad, bc, bd, cd = a < b, a < c, a < d, b < c, b < d, c < d
+    n = len(p)
+    for i in range(n - 3):
+        w = p[i]
+        for j in range(i + 1, n - 2):
+            x = p[j]
+            if (w < x) != ab:
+                continue
+            for l in range(j + 1, n - 1):
+                y = p[l]
+                if (w < y) != ac or (x < y) != bc:
+                    continue
+                for o in range(l + 1, n):
+                    z = p[o]
+                    if (w < z) == ad and (x < z) == bd and (y < z) == cd:
+                        yield (i, j, l, o)
+
+
+def _occurrences_backtrack(
+    p: Sequence[int], tau: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    k = len(tau)
+    n = len(p)
     chosen: list[int] = []
 
-    def extend(start: int) -> bool:
+    def extend(start: int) -> Iterator[tuple[int, ...]]:
         j = len(chosen)
         if j == k:
-            return True
+            yield tuple(chosen)
+            return
         # tau has k-j-1 letters left after this one; leave room on the right
         for i in range(start, n - (k - j - 1)):
             v = p[i]
             if all((p[c] < v) == (tau[t] < tau[j]) for t, c in enumerate(chosen)):
                 chosen.append(i)
-                if extend(i + 1):
-                    return True
+                yield from extend(i + 1)
                 chosen.pop()
-        return False
 
-    if extend(0):
-        return tuple(i + 1 for i in chosen)
-    return None
+    return extend(0)
+
+
+def find_occurrence(p: Sequence[int], tau: Sequence[int]) -> tuple[int, ...] | None:
+    """
+    Positions (1-based, increasing) of the lexicographically first occurrence
+    of tau in p, or None.
+
+    >>> find_occurrence((2, 4, 3, 1), (1, 3, 2))
+    (1, 2, 3)
+    """
+    occ = next(occurrences(p, tau), None)
+    return None if occ is None else tuple(i + 1 for i in occ)
 
 
 def contains(p: Sequence[int], tau: Sequence[int]) -> bool:

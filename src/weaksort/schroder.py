@@ -169,20 +169,20 @@ def enumerate_paths(
 
 
 def peak_census(
-    n: int,
-    *,
-    indecomposable_only: bool = False,
-    limit: int = DEFAULT_LIMIT,
-    override: bool = False,
-) -> dict[int, int]:
-    """Number of Schroder n-paths for each peak count."""
+    n: int, *, limit: int = DEFAULT_LIMIT, override: bool = False
+) -> tuple[dict[int, int], dict[int, int]]:
+    """
+    Number of Schroder n-paths for each peak count: over all paths, and over
+    the indecomposable ones, from one pass over the paths.
+    """
     census: dict[int, int] = {}
+    indec: dict[int, int] = {}
     for path in enumerate_paths(n, limit=limit, override=override):
         st = stats(path)
-        if indecomposable_only and not st.indecomposable:
-            continue
         census[st.peaks] = census.get(st.peaks, 0) + 1
-    return census
+        if st.indecomposable:
+            indec[st.peaks] = indec.get(st.peaks, 0) + 1
+    return census, indec
 
 
 def count_le1_peak_per_component(
@@ -453,14 +453,23 @@ def perm_to_path(p: Perm) -> SchroderPath:
     The bijection from {3214, 4213}-avoiders of length n to Schroder paths
     of size n-1.  Rejects inputs containing either pattern, reporting a
     witness occurrence.
+
+    Membership is tested by the staircase round trip: p avoids both patterns
+    exactly when it is the lexicographically least permutation with its
+    bounding staircase.  Only a rejected input is searched for a witness.
     """
-    for tau in ((3, 2, 1, 4), (4, 2, 1, 3)):
-        occ = find_occurrence(p, tau)
-        if occ is not None:
-            raise ValueError(
-                f"input contains {''.join(map(str, tau))} at positions {occ}"
-            )
-    return staircase_to_schroder(perm_to_staircase(p))
+    st = perm_to_staircase(p)
+    if staircase_to_perm(st) != p:
+        for tau in ((3, 2, 1, 4), (4, 2, 1, 3)):
+            occ = find_occurrence(p, tau)
+            if occ is not None:
+                raise ValueError(
+                    f"input contains {''.join(map(str, tau))} at positions {occ}"
+                )
+        raise AssertionError(
+            f"{p} is not least for its staircase yet avoids 3214 and 4213"
+        )
+    return staircase_to_schroder(st)
 
 
 def path_to_perm(path: SchroderPath) -> Perm:

@@ -63,6 +63,15 @@ def test_search_explicit_target_terms(capsys):
     assert len(json.loads(out)["matches"]) == 5
 
 
+@pytest.mark.parametrize("term", ["2_1", "\uff121", "+21"])
+def test_search_rejects_non_ascii_digit_target_terms(capsys, term):
+    code, out, err = run(
+        capsys, "search", "--target", f"1,1,2,6,{term},79,309", "--n", "6"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
 def test_series_csv(capsys):
     code, out, _ = run(capsys, "series", "--name", "main", "--n", "8", "--format", "csv")
     assert code == 0

@@ -47,6 +47,8 @@ def test_counting_sequence_values():
 def test_empty_pattern_forbids_everything():
     # the empty pattern occurs in every permutation, the empty one included
     assert counting_sequence(frozenset({()}), 3) == [0, 0, 0, 0]
+    assert counting_sequence(frozenset({(), (2, 1)}), 3) == [0, 0, 0, 0]
+    assert enumerate_avoiders(0, [()]) == enumerate_avoiders_filter(0, [()]) == []
 
 
 def test_counting_sequence_guard():
@@ -68,6 +70,31 @@ def test_pruned_equals_filter_on_sampled_orbits():
             assert enumerate_avoiders(n, patterns) == enumerate_avoiders_filter(
                 n, patterns
             ), (rep, n)
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [
+        {(1,)},
+        {(1, 2)},
+        {(2, 1)},
+        {(1, 3, 2)},
+        {(2, 3, 1), (3, 1, 2)},
+        {(2, 4, 1, 5, 3)},
+        {(1, 2, 3, 4, 5), (5, 4, 1, 2, 3)},
+        {(2, 1), (1, 2, 3)},
+        {(1, 3, 2), (2, 4, 1, 3)},
+        {(3, 1, 2), (1, 4, 2, 5, 3)},
+        {(1, 2), (3, 1, 4, 2), (2, 4, 1, 5, 3)},
+    ],
+)
+def test_pruned_equals_filter_on_other_lengths(patterns):
+    # lengths 1, 2, 3 and 5, alone and mixed: the generic occurrence path
+    # and the forbidden-rank windows at their extremes
+    for n in range(8):
+        assert enumerate_avoiders(n, patterns) == enumerate_avoiders_filter(
+            n, patterns
+        ), (patterns, n)
 
 
 def test_counting_invariant_under_symmetry():

@@ -34,7 +34,7 @@ def test_fixtures_agree_with_computed_values():
     flat = list(triangle.terms)
     at = 0
     for n in range(7):
-        census = peak_census(n)
+        census, _ = peak_census(n)
         row = flat[at : at + n + 1]
         assert row == [census.get(k, 0) for k in range(n + 1)], n
         at += n + 1

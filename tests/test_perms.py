@@ -23,6 +23,7 @@ from weaksort.perms import (
     format_perm,
     inverse,
     is_permutation,
+    occurrences,
     orbit,
     parse_perm,
     reverse,
@@ -71,6 +72,60 @@ def test_find_occurrence_positions():
     occ = find_occurrence((2, 4, 3, 1), (1, 3, 2))
     assert occ == (1, 2, 3)
     assert find_occurrence((1, 2, 3), (3, 2, 1)) is None
+
+
+def reference_find_occurrence(p, tau):
+    """The backtracking matcher that preceded the `occurrences` kernel."""
+    k = len(tau)
+    n = len(p)
+    if k == 0:
+        return ()
+    if k > n:
+        return None
+    chosen = []
+
+    def extend(start):
+        j = len(chosen)
+        if j == k:
+            return True
+        for i in range(start, n - (k - j - 1)):
+            v = p[i]
+            if all((p[c] < v) == (tau[t] < tau[j]) for t, c in enumerate(chosen)):
+                chosen.append(i)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if extend(0):
+        return tuple(i + 1 for i in chosen)
+    return None
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_find_occurrence_matches_reference_backtracker(k):
+    # the nested-loop kernel returns the same first witness, |p| <= 8
+    taus = list(all_perms(k))
+    for n in range(9):
+        for p in all_perms(n):
+            for tau in taus:
+                expected = reference_find_occurrence(p, tau)
+                assert find_occurrence(p, tau) == expected, (p, tau)
+
+
+@pytest.mark.parametrize("nmax, lengths", [(7, (3, 4)), (6, (0, 1, 2, 5))])
+def test_occurrences_equal_brute_force(nmax, lengths):
+    # every occurrence, in lexicographic order, against filtering all
+    # position subsets; lengths 3 and 4 take the nested loops, the others
+    # the generic backtracker
+    for n in range(nmax + 1):
+        for p in all_perms(n):
+            found = {tau: [] for k in lengths for tau in all_perms(k)}
+            for k in lengths:
+                for c in itertools.combinations(range(n), k):
+                    found[standardize([p[i] for i in c])].append(c)
+            for tau, expected in found.items():
+                assert list(occurrences(p, tau)) == expected, (p, tau)
 
 
 def test_avoids_examples():

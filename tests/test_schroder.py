@@ -1,10 +1,13 @@
 """Schroder paths, bounding staircases, and the bijections between them."""
+import ast
+import random
 from math import comb
 
 import pytest
 
+from weaksort import schroder
 from weaksort.counting import enumerate_avoiders
-from weaksort.perms import SCHRODER_PAIR, TRIPLES, all_perms, avoids
+from weaksort.perms import SCHRODER_PAIR, TRIPLES, all_perms, avoids, standardize
 from weaksort.schroder import (
     BoundingStaircase,
     SchroderPath,
@@ -75,22 +78,25 @@ def test_enumeration_guard():
 
 def test_peak_census_formulas():
     for n in range(1, 8):
-        census = peak_census(n)
+        census, _ = peak_census(n)
         assert census[0] == CATALAN[n]
         assert census[1] == comb(2 * n - 1, n - 1)
         assert sum(census.values()) == SCHRODER[n]
 
 
 def test_peak_census_n2():
-    assert peak_census(2) == {0: 2, 1: 3, 2: 1}
-    assert peak_census(3)[0] == 5
-    assert peak_census(3)[1] == 10
+    census, _ = peak_census(2)
+    assert census == {0: 2, 1: 3, 2: 1}
+    census, _ = peak_census(3)
+    assert census[0] == 5
+    assert census[1] == 10
 
 
 def test_indecomposable_censuses():
-    assert peak_census(1, indecomposable_only=True) == {0: 1, 1: 1}
+    _, census = peak_census(1)
+    assert census == {0: 1, 1: 1}
     for n in range(2, 9):
-        census = peak_census(n, indecomposable_only=True)
+        _, census = peak_census(n)
         assert census[0] == CATALAN[n - 1], n
         assert census[1] == comb(2 * n - 3, n - 2), n
 
@@ -151,7 +157,7 @@ def test_lexleast_reconstruction_of_worked_staircase():
 
 def test_lexleast_characterizes_avoidance():
     # p avoids {3214, 4213} iff it is the least permutation with its staircase
-    for n in range(1, 7):
+    for n in range(1, 9):
         for p in all_perms(n):
             fixed = staircase_to_perm(perm_to_staircase(p)) == p
             assert fixed == avoids(p, SCHRODER_PAIR), p
@@ -189,6 +195,52 @@ def test_perm_to_path_rejects_with_witness():
         perm_to_path(WORKED_PERM)  # 5,4,2,7 sits at those positions
     with pytest.raises(ValueError, match="4213"):
         perm_to_path((4, 2, 1, 3))
+
+
+def random_path(rng, size):
+    """A random Schroder path of the given size (not uniformly drawn)."""
+    steps = []
+    h = 0
+    budget = size
+    while budget:
+        step = rng.choice("NDE" if h else "ND")
+        steps.append(step)
+        if step == "E":
+            h -= 1
+        else:
+            budget -= 1
+            h += step == "N"
+    return SchroderPath("".join(steps) + "E" * h)
+
+
+def test_perm_to_path_rejects_planted_4213_at_length_100():
+    # an avoider of length 96 skew-summed above 4213 contains 4213 but not
+    # 3214: a "321" before a larger entry would have to sit inside one block
+    rng = random.Random(4213)
+    q = path_to_perm(random_path(rng, 95))
+    p = tuple(v + 4 for v in q) + (4, 2, 1, 3)
+    assert avoids(p, [(3, 2, 1, 4)])
+    with pytest.raises(ValueError, match="contains 4213 at positions") as exc:
+        perm_to_path(p)
+    witness = ast.literal_eval(str(exc.value).rsplit("positions ", 1)[1])
+    assert standardize([p[i - 1] for i in witness]) == (4, 2, 1, 3)
+
+
+def test_perm_to_path_never_accepts_a_failed_round_trip(monkeypatch):
+    # an avoider whose staircase round trip fails has no witness to report
+    monkeypatch.setattr(schroder, "staircase_to_perm", lambda st: ())
+    with pytest.raises(AssertionError, match="avoids 3214 and 4213"):
+        perm_to_path((2, 1, 3))
+
+
+def test_bijection_roundtrip_fuzz_large():
+    # path -> perm -> path on seeded random paths of size 20 to 200
+    rng = random.Random(20)
+    for _ in range(60):
+        path = validate_path(random_path(rng, rng.randint(20, 200)).steps)
+        perm = path_to_perm(path)
+        assert len(perm) == path.size + 1
+        assert perm_to_path(perm) == path, path.steps
 
 
 def test_bijection_roundtrip():

@@ -120,7 +120,7 @@ def criterion_8_class5_formula() -> None:
             ok, _ = class5.check_structure(p)
             assert ok == avoids(p, patterns), p
     for n in range(4, 8):
-        built = list(_all_constructions(n))
+        built = class5.constructions(n)
         stratum = [
             p
             for p in counting.enumerate_avoiders(n, patterns)
@@ -128,36 +128,6 @@ def criterion_8_class5_formula() -> None:
         ]
         assert len(built) == len(set(built)), f"duplicate construction at n={n}"
         assert sorted(built) == stratum, n
-
-
-def _all_constructions(n: int):
-    """Every assembled avoider with 3 <= upper length <= n-1."""
-    for a in range(3, n):
-        b = n - a
-        uppers = [
-            q
-            for q in counting.enumerate_avoiders(a, [(2, 1, 3)])
-            if q[-1] == 1 and class5.decompose(q).k >= 3
-        ]
-        lowers = counting.enumerate_avoiders(b, [(3, 2, 1)])
-        for upper in uppers:
-            k = class5.decompose(upper).k
-            for i in range(b + 1):
-                for lower in lowers:
-                    if not class5._tail_increasing(lower, i):
-                        continue
-                    for dist in _compositions(i, k - 1):
-                        yield class5.construct(n, upper, lower, dist)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def criterion_9_indecomposable_and_bivariate() -> None:

@@ -21,10 +21,15 @@ p avoids the triple exactly when four conditions hold:
 Counting by a = |upper|, k = #keys, i = |lower tail| turns the
 characterization into the closed formula `count_avoiders`, built from
 generalized Catalan numbers C_{n,k} (see `series.gen_catalan`) and the
-counts `keyed_213_count` / `tail_321_count`.  `construct` inverts the
-analysis: it assembles the unique avoider from a choice of upper pattern,
-lower permutation, and block distribution, and is a bijection onto the
-avoiders with 3 <= a <= n-1.
+counts `keyed_213_count` / `tail_321_count`.  `count_avoiders(n)` and
+`count_indecomposable(n)` each fill one table of C_{m,k} over the triangle
+m + k <= n from `gen_catalan` at the start of the call (about 7.5k entries
+at n = 120) and read every factor from it, instead of recomputing a
+binomial of 360-bit arguments per term; the table lives only for that call.
+`construct` inverts the analysis: it assembles the unique avoider from a
+choice of upper pattern, lower permutation, and block distribution, and is
+a bijection onto the avoiders with 3 <= a <= n-1; `constructions(n)`
+assembles every one of them.
 """
 from __future__ import annotations
 
@@ -152,6 +157,20 @@ def check_structure(p: Perm) -> tuple[bool, str | None]:
 # counting ingredients
 
 
+def _catalan_rows(n: int) -> list[list[int]]:
+    """The triangle of generalized Catalan numbers with m + k <= n, as rows
+    by m: rows[m][k + 1] = C_{m,k} for -1 <= k <= n - m."""
+    return [[gen_catalan(m, k) for k in range(-1, n - m + 1)] for m in range(n + 1)]
+
+
+def _keyed_sum(row: list[int], n: int, k: int) -> int:
+    """
+    sum_j binom(k-2, j-1) * C_{n-k, k-2-j} with row[t] = C_{n-k, t-1}.
+    The binomial vanishes for j >= k, so j runs over 1..min(n, k)-1 only.
+    """
+    return sum(comb(k - 2, j - 1) * row[k - 1 - j] for j in range(1, min(n, k)))
+
+
 def keyed_213_count(n: int, k: int) -> int:
     """
     Number of 213-avoiding permutations of 1..n ending in 1 that have k key
@@ -159,9 +178,7 @@ def keyed_213_count(n: int, k: int) -> int:
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
-    return sum(
-        _comb0(k - 2, j - 1) * gen_catalan(n - k, k - 2 - j) for j in range(1, n)
-    )
+    return _keyed_sum([gen_catalan(n - k, t - 1) for t in range(k - 1)], n, k)
 
 
 def keyed_213_count_by_max_position(n: int, j: int, k: int) -> int:
@@ -242,12 +259,13 @@ def count_avoiders(n: int) -> int:
         raise ValueError("n must be >= 0")
     if n <= 2:
         return (1, 1, 2)[n]
+    rows = _catalan_rows(n)
     total = 3 * catalan(n - 1)
     for a in range(3, n):
         for k in range(3, a + 1):
-            tail_factor = gen_catalan(n - a, k - 1)
+            tail_factor = rows[n - a][k]  # C_{n-a, k-1}
             if tail_factor:
-                total += tail_factor * keyed_213_count(a, k)
+                total += tail_factor * _keyed_sum(rows[a - k], a, k)
     return total
 
 
@@ -265,16 +283,17 @@ def count_indecomposable(n: int) -> int:
         raise ValueError("n must be >= 1")
     if n <= 2:
         return 1
+    rows = _catalan_rows(n)
     total = catalan(n - 2) + catalan(n - 1)
     for a in range(3, n):
         b = n - a
         for k in range(3, a + 1):
             inner = sum(
-                gen_catalan(b - i, i - 1) * _comb0(i + k - 2, i)
+                rows[b - i][i] * _comb0(i + k - 2, i)  # C_{b-i, i-1}
                 for i in range(b + 1)
             )
             if inner:
-                total += keyed_213_count(a, k) * inner
+                total += _keyed_sum(rows[a - k], a, k) * inner
     return total
 
 
@@ -347,6 +366,45 @@ def construct(
             block_index += 1
         out.append(shifted[pos - 1])
     return tuple(out)
+
+
+def constructions(n: int) -> list[Perm]:
+    """
+    Every avoider of length n with 3 <= a <= n-1, assembled by `construct`
+    from each upper pattern (213-avoider ending in 1 with at least 3 keys),
+    each lower permutation (321-avoider) and each distribution of its
+    increasing tail over the non-first keys.  `construct` being a
+    bijection onto that stratum, each avoider should appear once; criterion
+    8 of `weaksort verify` checks exactly that.
+    """
+    out: list[Perm] = []
+    for a in range(3, n):
+        b = n - a
+        lowers = enumerate_avoiders(b, [(3, 2, 1)])
+        for upper in enumerate_avoiders(a, [(2, 1, 3)]):
+            if upper[-1] != 1:
+                continue
+            k = decompose(upper).k
+            if k < 3:
+                continue
+            for i in range(b + 1):
+                for lower in lowers:
+                    if not _tail_increasing(lower, i):
+                        continue
+                    for dist in _compositions(i, k - 1):
+                        out.append(construct(n, upper, lower, dist))
+    return out
+
+
+def _compositions(total: int, parts: int):
+    """Weak compositions of total into the given number of parts."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def brute_force_count(n: int) -> int:

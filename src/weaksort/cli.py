@@ -55,10 +55,25 @@ def _emit_terms(name: str, pairs: list[tuple[int, int]], fmt: str) -> None:
 
 
 def _resolve_target(text: str, nmax: int) -> tuple[int, ...]:
-    """--target accepts an OEIS id (offline fixture) or comma-separated ints."""
+    """
+    --target accepts an OEIS id (offline fixture) or comma-separated ints.
+    Every set of patterns of length >= 2 has exactly one avoider of length
+    0 and one of length 1, so a target that does not start 1, 1 is indexed
+    from another offset and is rejected rather than matched against nothing.
+    """
     if text.startswith("A"):
-        return oeis.fetch(text, source="offline").prefix(nmax + 1)
-    return tuple(parse_decimal(tok) for tok in text.replace(",", " ").split())
+        seq = oeis.fetch(text, source="offline")
+        head, terms = tuple(seq.terms[:2]), seq.prefix(nmax + 1)
+    else:
+        terms = tuple(parse_decimal(tok) for tok in text.replace(",", " ").split())
+        head = terms[:2]
+    if head != (1, 1)[: len(head)]:
+        raise ValueError(
+            f"target {text} starts {', '.join(map(str, head))}, but avoider counts "
+            "start 1, 1 at lengths 0 and 1; its offset does not match "
+            "permutation length"
+        )
+    return terms
 
 
 def _class_list(selector: str) -> list[str]:

@@ -21,11 +21,17 @@ one level down) and, writing a_{n-2} for the count two levels down:
 
 Prefix sums make one level O(n) arithmetic operations, so a full run to
 nmax costs O(nmax^2).  Entries grow like 5^n; Python integers keep them
-exact.
+exact.  Levels are produced one at a time and only the last two are held
+(level n needs the totals of n-1 and n-2), so a run to nmax = 1000 keeps
+two tables of about a thousand 2300-bit entries, not a thousand tables.
+Each table computes its total once, on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, islice
+from typing import Iterator
 
 from .perms import TRIPLES
 from .counting import enumerate_avoiders
@@ -42,7 +48,7 @@ class RecurrenceTable:
     a: tuple[int, ...]
     b: tuple[int, ...]
 
-    @property
+    @cached_property
     def total(self) -> int:
         """|S_n(T)|, the sum of the a-vector (1 for n = 0)."""
         return sum(self.a) if self.n > 0 else 1
@@ -81,41 +87,41 @@ def advance(table: RecurrenceTable, prev_total: int) -> RecurrenceTable:
     if n < 3:
         raise ValueError("advance applies from n=3 up; seed smaller tables directly")
     cid = table.class_id
-    b = [0] * n
-    run = 0
-    for i in range(1, n - 2):  # interior 1 <= i <= n-3
-        run += table.b[i - 1]
-        b[i - 1] = run
+    # interior 1 <= i <= n-3: prefix sums of the level below
+    b = list(accumulate(islice(table.b, n - 3)))
     if cid == "pi1":
-        b[n - 3] = prev_total      # b_n(n-2)
-        b[n - 2] = 0               # b_n(n-1)
-        b[n - 1] = prev_total      # b_n(n)
+        b += (prev_total, 0, prev_total)   # b_n(n-2), b_n(n-1), b_n(n)
     else:
-        b[n - 3] = prev_total
-        b[n - 2] = prev_total
-        b[n - 1] = 0
-    a = [0] * n
-    run = 0
-    for i in range(1, n - 2):
-        run += table.a[i - 1]
-        a[i - 1] = run + b[i - 1]
-    a[n - 3] = a[n - 2] = a[n - 1] = table.total
+        b += (prev_total, prev_total, 0)
+    a = [run + bi for run, bi in zip(accumulate(islice(table.a, n - 3)), b)]
+    total = table.total
+    a += (total, total, total)             # a_n(n-2), a_n(n-1), a_n(n)
     return RecurrenceTable(cid, n, tuple(a), tuple(b))
+
+
+def _tables(class_id: str) -> Iterator[RecurrenceTable]:
+    """Tables for n = 0, 1, 2, ... without end, holding only the last two."""
+    seeds = seed_tables(class_id)
+    yield from seeds
+    below, table = seeds[1], seeds[2]
+    while True:
+        below, table = table, advance(table, below.total)
+        yield table
 
 
 def tables_upto(class_id: str, nmax: int) -> list[RecurrenceTable]:
     """Tables for n = 0..nmax."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    out = seed_tables(class_id)[: nmax + 1]
-    while len(out) <= nmax:
-        out.append(advance(out[-1], out[-2].total))
-    return out
+    return list(islice(_tables(class_id), nmax + 1))
 
 
 def count_via_recurrence(class_id: str, nmax: int) -> list[int]:
-    """[|S_0(T)|, ..., |S_nmax(T)|] from the recurrence; O(nmax^2) total."""
-    return [t.total for t in tables_upto(class_id, nmax)]
+    """[|S_0(T)|, ..., |S_nmax(T)|] from the recurrence; O(nmax^2) total,
+    with only two levels held at a time."""
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    return [t.total for t in islice(_tables(class_id), nmax + 1)]
 
 
 def empirical_table(n: int, class_id: str) -> RecurrenceTable:
@@ -152,9 +158,12 @@ def verify_kernel_identity(nmax: int):
 
     if nmax < 2:
         raise ValueError("nmax must be >= 2")
-    tabs = tables_upto("pi1", nmax)
-    A = series.from_ints([t.total for t in tabs], nmax)
-    B = series.from_ints([sum(t.b) for t in tabs], nmax)
+    a_totals, b_totals = [], []
+    for t in islice(_tables("pi1"), nmax + 1):
+        a_totals.append(t.total)
+        b_totals.append(sum(t.b))
+    A = series.from_ints(a_totals, nmax)
+    B = series.from_ints(b_totals, nmax)
     sq = series.sqrt_one_minus_4x(nmax)
     x = series.x(nmax)
     one = series.one(nmax)

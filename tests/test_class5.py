@@ -1,10 +1,13 @@
 """Structure theory and direct counting for the fifth triple."""
+from math import comb
+
 import pytest
 
 from weaksort.class5 import (
     brute_force_count,
     check_structure,
     construct,
+    constructions,
     count_avoiders,
     count_by_upper_length,
     count_indecomposable,
@@ -82,6 +85,22 @@ def test_keyed_213_formula_vs_oracle():
             assert keyed_213_count(n, k) == keyed_213_count_brute(n, k), (n, k)
 
 
+def reference_keyed_213_count(n, k):
+    """The keyed sum over the full range j = 1..n-1, terms that vanish for
+    j >= k included, kept as the oracle for the restricted sum."""
+    return sum(
+        (comb(k - 2, j - 1) if 0 <= j - 1 <= k - 2 else 0)
+        * gen_catalan(n - k, k - 2 - j)
+        for j in range(1, n)
+    )
+
+
+def test_keyed_213_count_matches_full_range_sum():
+    for n in range(2, 41):
+        for k in range(-1, n + 3):
+            assert keyed_213_count(n, k) == reference_keyed_213_count(n, k), (n, k)
+
+
 def test_keyed_count_by_max_position_vs_oracle():
     for n in range(2, 8):
         for k in range(2, n + 1):
@@ -118,6 +137,15 @@ def test_count_small_values():
 def test_count_matches_brute_force():
     for n in range(3, 9):
         assert count_avoiders(n) == brute_force_count(n), n
+
+
+def test_closed_formulas_match_series_to_100():
+    main = gf_catalog("main", 100).coeffs
+    indec = gf_catalog("class5_indec", 100).coeffs
+    for n in [*range(41), 60, 80, 100]:
+        assert count_avoiders(n) == main[n], n
+        if n >= 1:
+            assert count_indecomposable(n) == indec[n], n
 
 
 def test_count_by_upper_length():
@@ -188,6 +216,19 @@ def test_construct_spec_example():
         (4, 1, 3, 2),
         (4, 3, 1, 2),
     }
+
+
+def test_constructions_small():
+    assert constructions(3) == []
+    # the middle stratum at n = 4 is exactly the spec example's six avoiders
+    assert sorted(constructions(4)) == [
+        (1, 3, 4, 2),
+        (1, 4, 3, 2),
+        (3, 1, 4, 2),
+        (3, 4, 1, 2),
+        (4, 1, 3, 2),
+        (4, 3, 1, 2),
+    ]
 
 
 def test_construct_decompose_roundtrip():

@@ -72,6 +72,15 @@ def test_search_rejects_non_ascii_digit_target_terms(capsys, term):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("target", ["A006318", "1,2,6,22,90,394,1806"])
+def test_search_rejects_targets_not_starting_1_1(capsys, target):
+    # the Schroder numbers are indexed by size, not by permutation length
+    code, out, err = run(capsys, "search", "--target", target, "--n", "6")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert target in err and "offset" in err
+
+
 def test_series_csv(capsys):
     code, out, _ = run(capsys, "series", "--name", "main", "--n", "8", "--format", "csv")
     assert code == 0

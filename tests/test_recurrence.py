@@ -1,10 +1,13 @@
 """Table recurrences for the first three triples and the kernel identity."""
+import tracemalloc
+
 import pytest
 
 from weaksort.counting import counting_sequence
 from weaksort.perms import TRIPLES
 from weaksort.recurrence import (
     CLASS_IDS,
+    RecurrenceTable,
     advance,
     count_via_recurrence,
     empirical_table,
@@ -12,6 +15,7 @@ from weaksort.recurrence import (
     tables_upto,
     verify_kernel_identity,
 )
+from weaksort.series import gf_catalog
 
 
 def test_seed_tables_first_class():
@@ -103,3 +107,60 @@ def test_growth_needs_bignums():
     # counts pass 2^63 well before n=50; exactness is the whole point
     seq = count_via_recurrence("pi1", 50)
     assert seq[50] > 2**63
+
+
+def reference_advance(table, prev_total):
+    """The one-level step as two explicit prefix-sum loops over a filled
+    vector, kept as the oracle for `advance`."""
+    n = table.n + 1
+    b = [0] * n
+    run = 0
+    for i in range(1, n - 2):
+        run += table.b[i - 1]
+        b[i - 1] = run
+    if table.class_id == "pi1":
+        b[n - 3], b[n - 2], b[n - 1] = prev_total, 0, prev_total
+    else:
+        b[n - 3], b[n - 2], b[n - 1] = prev_total, prev_total, 0
+    a = [0] * n
+    run = 0
+    for i in range(1, n - 2):
+        run += table.a[i - 1]
+        a[i - 1] = run + b[i - 1]
+    a[n - 3] = a[n - 2] = a[n - 1] = sum(table.a)
+    return RecurrenceTable(table.class_id, n, tuple(a), tuple(b))
+
+
+@pytest.mark.parametrize("class_id", CLASS_IDS)
+def test_streamed_tables_match_reference_advance(class_id):
+    tabs = tables_upto(class_id, 200)
+    assert [t.n for t in tabs] == list(range(201))
+    want = seed_tables(class_id)
+    while len(want) <= 200:
+        want.append(reference_advance(want[-1], sum(want[-2].a) if want[-2].n else 1))
+    for got, ref in zip(tabs, want):
+        assert (got.n, got.a, got.b) == (ref.n, ref.a, ref.b), (class_id, got.n)
+        assert got.total == (sum(ref.a) if ref.n else 1)
+    totals = count_via_recurrence(class_id, 200)
+    assert totals == [t.total for t in tabs]
+
+
+def test_recurrence_matches_main_series_to_300():
+    assert count_via_recurrence("pi1", 300) == list(gf_catalog("main", 300).coeffs)
+
+
+def test_count_via_recurrence_holds_two_levels():
+    # all 1001 tables of ~2300-bit entries take about 145 MB; two take ~1.4 MB
+    tracemalloc.start()
+    try:
+        count_via_recurrence("pi1", 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+def test_negative_order_rejected():
+    for fn in (tables_upto, count_via_recurrence):
+        with pytest.raises(ValueError, match="nmax"):
+            fn("pi1", -1)

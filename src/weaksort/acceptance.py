@@ -86,11 +86,7 @@ def criterion_6_bijection_suite() -> None:
             schroder.perm_to_path(p).steps
             for p in counting.enumerate_avoiders(n, TRIPLES["pi4"])
         }
-        le1 = {
-            q.steps
-            for q in schroder.enumerate_paths(n - 1)
-            if all(schroder.stats(c).peaks <= 1 for c in schroder.path_components(q))
-        }
+        le1 = {q.steps for q in schroder.le1_peak_paths(n - 1)}
         assert restricted == le1, n
 
 

@@ -92,24 +92,21 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
 
 
 def counting_sequence(
-    patterns: Iterable[Sequence[int]],
-    nmax: int,
-    *,
-    limit: int = DEFAULT_LIMIT,
-    override: bool = False,
+    patterns: Iterable[Sequence[int]], nmax: int, *, override: bool = False
 ) -> list[int]:
     """
     [|S_0(T)|, ..., |S_nmax(T)|] by pruned enumeration.
 
-    Refuses nmax beyond `limit` (default 10) unless override=True: the cost
-    grows like the counting sequence itself, which may be factorial.
+    Refuses nmax beyond DEFAULT_LIMIT unless override=True (the command
+    line's --limit-override): the cost grows like the counting sequence
+    itself, which may be factorial.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if nmax > limit and not override:
+    if nmax > DEFAULT_LIMIT and not override:
         raise ValueError(
-            f"nmax={nmax} exceeds the enumeration limit {limit}; "
-            "pass override=True to force"
+            f"nmax={nmax} exceeds the enumeration limit {DEFAULT_LIMIT}; "
+            "pass --limit-override (override=True in Python) to force"
         )
     T = frozenset(tuple(t) for t in patterns)
     return [len(level) for level in _levels(T, nmax)]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .perms import Perm, extrema, find_occurrence
 
-#: largest path size enumerated without an override (r_n grows ~ 5.8^n)
+#: largest path size enumerated (r_n grows ~ 5.8^n)
 DEFAULT_LIMIT = 10
 
 SCHRODER_STEPS = frozenset("NDE")
@@ -135,16 +135,12 @@ def path_components(path: SchroderPath) -> list[SchroderPath]:
     return out
 
 
-def enumerate_paths(
-    n: int, *, limit: int = DEFAULT_LIMIT, override: bool = False
-) -> list[SchroderPath]:
-    """All Schroder paths of size n, sorted by step string."""
+def enumerate_paths(n: int) -> list[SchroderPath]:
+    """All Schroder paths of size n <= DEFAULT_LIMIT, sorted by step string."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > limit and not override:
-        raise ValueError(
-            f"n={n} exceeds the enumeration limit {limit}; pass override=True to force"
-        )
+    if n > DEFAULT_LIMIT:
+        raise ValueError(f"n={n} exceeds the enumeration limit {DEFAULT_LIMIT}")
     out: list[str] = []
     prefix: list[str] = []
 
@@ -168,16 +164,14 @@ def enumerate_paths(
     return [SchroderPath(s) for s in sorted(out)]
 
 
-def peak_census(
-    n: int, *, limit: int = DEFAULT_LIMIT, override: bool = False
-) -> tuple[dict[int, int], dict[int, int]]:
+def peak_census(n: int) -> tuple[dict[int, int], dict[int, int]]:
     """
     Number of Schroder n-paths for each peak count: over all paths, and over
     the indecomposable ones, from one pass over the paths.
     """
     census: dict[int, int] = {}
     indec: dict[int, int] = {}
-    for path in enumerate_paths(n, limit=limit, override=override):
+    for path in enumerate_paths(n):
         st = stats(path)
         census[st.peaks] = census.get(st.peaks, 0) + 1
         if st.indecomposable:
@@ -185,15 +179,13 @@ def peak_census(
     return census, indec
 
 
-def count_le1_peak_per_component(
-    n: int, *, limit: int = DEFAULT_LIMIT, override: bool = False
-) -> int:
-    """Number of Schroder n-paths all of whose components have <= 1 peak."""
-    return sum(
-        1
-        for path in enumerate_paths(n, limit=limit, override=override)
+def le1_peak_paths(n: int) -> list[SchroderPath]:
+    """The Schroder n-paths all of whose components have <= 1 peak."""
+    return [
+        path
+        for path in enumerate_paths(n)
         if all(stats(c).peaks <= 1 for c in path_components(path))
-    )
+    ]
 
 
 # --------------------------------------------------------------------------

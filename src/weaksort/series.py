@@ -14,16 +14,19 @@ form: c_0 = 1 and c_n = -2 * Catalan(n-1).  Every generating function in
 the catalog is assembled from it by ring operations, avoiding any generic
 series square root.
 
-BivariateSeries supports the one two-variable generating function needed
-(avoiders by length and number of components): coefficients are stored
-x-major, a polynomial in y for each power of x, since identities are
-truncated in x but exact polynomials in y.
+The one two-variable generating function needed (avoiders of the fifth
+triple by length and number of components) has a denominator linear in y,
+d0 + y*d1 with d0(0) = 2, so it expands as a geometric series in y whose
+y^k coefficient is a univariate Series: no second ring is needed.  Its
+common ratio -d1/d0 is O(x), so the y^k coefficient starts at x^k, and at
+truncation order N the powers y^1..y^N are all there is.  BivariateSeries
+only holds the result, x-major: row n lists the coefficients of x^n y^k.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def catalan(n: int) -> int:
@@ -48,13 +51,12 @@ def gen_catalan(n: int, k: int) -> int:
     return (k + 1) * comb(2 * n + k + 1, n) // (2 * n + k + 1)
 
 
-def _exact(num: int, den: int, n: int, k: int | None = None) -> int:
-    """num / den, raising ValueError naming the x^n (y^k) coefficient unless
-    the division is exact."""
+def _exact(num: int, den: int, n: int) -> int:
+    """num / den, raising ValueError naming the x^n coefficient unless the
+    division is exact."""
     q, r = divmod(num, den)
     if r:
-        term = f"x^{n}" if k is None else f"x^{n} y^{k}"
-        raise ValueError(f"coefficient of {term} is not an integer: {num}/{den}")
+        raise ValueError(f"coefficient of x^{n} is not an integer: {num}/{den}")
     return q
 
 
@@ -144,10 +146,6 @@ def from_ints(values: Iterable[int], order: int) -> Series:
     return Series(vals + (0,) * (order + 1 - len(vals)))
 
 
-def zero(order: int) -> Series:
-    return from_ints([], order)
-
-
 def one(order: int) -> Series:
     return from_ints([1], order)
 
@@ -156,14 +154,25 @@ def x(order: int) -> Series:
     return from_ints([0, 1], order)
 
 
+def _catalans(count: int) -> list[int]:
+    """Catalan(0), ..., Catalan(count-1) by the running product
+    C_{n+1} = C_n * 2(2n+1) / (n+2)."""
+    out = []
+    c = 1
+    for n in range(count):
+        out.append(c)
+        c = c * (4 * n + 2) // (n + 2)
+    return out
+
+
 def sqrt_one_minus_4x(order: int) -> Series:
-    """sqrt(1-4x): c_0 = 1, c_n = -2*Catalan(n-1).  Exact by construction."""
-    return Series((1,) + tuple(-2 * catalan(n - 1) for n in range(1, order + 1)))
+    """sqrt(1-4x) = 1 - 2x C(x): c_0 = 1, c_n = -2*Catalan(n-1)."""
+    return Series((1,) + tuple(-2 * c for c in _catalans(order)))
 
 
 def catalan_series(order: int) -> Series:
     """C(x) = (1 - sqrt(1-4x)) / (2x) = sum Catalan(n) x^n."""
-    return from_ints([catalan(n) for n in range(order + 1)], order)
+    return Series(tuple(_catalans(order + 1)))
 
 
 def invert_transform(f: Series) -> Series:
@@ -179,44 +188,15 @@ def invert_transform(f: Series) -> Series:
 
 
 # --------------------------------------------------------------------------
-# bivariate series (x truncated, y exact polynomial)
-
-YPoly = tuple[int, ...]
-
-
-def _ypoly(values: Sequence[int]) -> YPoly:
-    vals = list(values)
-    while len(vals) > 1 and vals[-1] == 0:
-        vals.pop()
-    return tuple(vals)
-
-
-def _yadd(p: YPoly, q: YPoly) -> YPoly:
-    L = max(len(p), len(q))
-    return _ypoly([
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(L)
-    ])
-
-
-def _yneg(p: YPoly) -> YPoly:
-    return tuple(-c for c in p)
-
-
-def _ymul(p: YPoly, q: YPoly) -> YPoly:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _ypoly(out)
+# bivariate series
 
 
 @dataclass(frozen=True)
 class BivariateSeries:
-    """x-truncated series whose coefficients are polynomials in y."""
+    """x-truncated series in x and y, stored x-major: coeffs[n][k] is the
+    coefficient of x^n y^k, for k <= n."""
 
-    coeffs: tuple[YPoly, ...]
+    coeffs: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
@@ -230,67 +210,6 @@ class BivariateSeries:
     def at_y1(self) -> Series:
         """Evaluate y = 1, collapsing to a univariate series in x."""
         return Series(tuple(sum(row) for row in self.coeffs))
-
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        N = min(self.order, other.order)
-        return BivariateSeries(
-            tuple(_yadd(self.coeffs[i], other.coeffs[i]) for i in range(N + 1))
-        )
-
-    def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        N = min(self.order, other.order)
-        return BivariateSeries(
-            tuple(_yadd(self.coeffs[i], _yneg(other.coeffs[i])) for i in range(N + 1))
-        )
-
-    def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
-        N = min(self.order, other.order)
-        out = [(0,)] * (N + 1)
-        for i in range(N + 1):
-            if self.coeffs[i] == (0,):
-                continue
-            for j in range(N + 1 - i):
-                term = _ymul(self.coeffs[i], other.coeffs[j])
-                out[i + j] = _yadd(out[i + j], term)
-        return BivariateSeries(tuple(out))
-
-    def __truediv__(self, other: "BivariateSeries") -> "BivariateSeries":
-        """
-        Exact long division in x.  Only the case actually needed is
-        supported: the divisor's x^0 coefficient must be a nonzero constant
-        (a degree-0 polynomial in y), by which each y-coefficient is divided
-        exactly; a remainder raises ValueError naming the coefficient.
-        """
-        c0 = other.coeffs[0]
-        if len(c0) != 1 or c0[0] == 0:
-            raise ZeroDivisionError(
-                "bivariate division needs a nonzero constant x^0 coefficient, "
-                f"got {c0}"
-            )
-        N = min(self.order, other.order)
-        out: list[YPoly] = []
-        for n in range(N + 1):
-            s = self.coeffs[n]
-            for k in range(1, n + 1):
-                s = _yadd(s, _yneg(_ymul(other.coeffs[k], out[n - k])))
-            out.append(tuple(_exact(c, c0[0], n, k) for k, c in enumerate(s)))
-        return BivariateSeries(tuple(out))
-
-
-def bivariate_from_rows(rows: Sequence[Sequence[int]], order: int) -> BivariateSeries:
-    padded = [_ypoly(row) for row in rows[: order + 1]]
-    padded += [(0,)] * (order + 1 - len(padded))
-    return BivariateSeries(tuple(padded))
-
-
-def embed(f: Series) -> BivariateSeries:
-    """View a univariate series as a bivariate one (no y dependence)."""
-    return BivariateSeries(tuple((c,) for c in f.coeffs))
-
-
-def y_times(f: Series) -> BivariateSeries:
-    """Multiply a univariate series by y."""
-    return BivariateSeries(tuple((0, c) for c in f.coeffs))
 
 
 # --------------------------------------------------------------------------
@@ -338,7 +257,10 @@ def gf_catalog(name: str, order: int = DEFAULT_ORDER):
         (OEIS A026671 shifted onto the length index).
     class5_bivariate
         Avoiders of the fifth triple by length (x) and number of components
-        (y): 2xy*sqrt(1-4x) / (y-2x-3xy+(2-xy-y)sqrt(1-4x)).
+        (y): 2xy*sqrt(1-4x) / (y-2x-3xy+(2-xy-y)sqrt(1-4x)).  The
+        denominator is d0 + y*d1 with d0 = 2(sqrt(1-4x) - x) and
+        d1 = 1 - 3x - (1+x)sqrt(1-4x), so the y^k coefficient is G*R^(k-1)
+        with G = 2x*sqrt(1-4x)/d0 and R = -d1/d0, both exact divisions.
     """
     N = order
     sq = sqrt_one_minus_4x(N)
@@ -364,10 +286,15 @@ def gf_catalog(name: str, order: int = DEFAULT_ORDER):
     if name == "class5_indec":
         return xs / (ones - xs / sq)
     if name == "class5_bivariate":
-        # numerator 2xy*sqrt; denominator y - 2x - 3xy + (2-xy-y)*sqrt
-        num = y_times((sq * 2).shift())
-        lin = bivariate_from_rows([[0, 1], [-2, -3]], N)
-        fac = bivariate_from_rows([[2, -1], [0, -1]], N)
-        den = lin + fac * embed(sq)
-        return num / den
+        # the denominator is d0 + y*d1, so F = sum_{k>=1} y^k G R^(k-1)
+        d0 = (sq - xs) * 2
+        d1 = from_ints([1, -3], N) - from_ints([1, 1], N) * sq
+        G = (sq * 2).shift() / d0
+        R = -d1 / d0
+        cols = [G]  # cols[k-1] is the y^k coefficient, a series from x^k on
+        for _ in range(1, N):
+            cols.append(cols[-1] * R)
+        return BivariateSeries(
+            tuple((0,) + tuple(c[n] for c in cols[:n]) for n in range(N + 1))
+        )
     raise KeyError(f"unknown series {name!r}; choose from {CATALOG_NAMES}")

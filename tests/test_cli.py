@@ -172,6 +172,7 @@ def test_data_errors_exit_1(capsys):
     code, _, err = run(capsys, "count", "--class", "pi1", "--n", "12")
     assert code == 1
     assert "limit" in err
+    assert "--limit-override" in err
 
 
 def test_bijection_rejects_non_ascii_digits(capsys):

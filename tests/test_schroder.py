@@ -7,13 +7,12 @@ import pytest
 
 from weaksort import schroder
 from weaksort.counting import enumerate_avoiders
-from weaksort.perms import SCHRODER_PAIR, TRIPLES, all_perms, avoids, standardize
+from weaksort.perms import SCHRODER_PAIR, all_perms, avoids, standardize
 from weaksort.schroder import (
     BoundingStaircase,
     SchroderPath,
-    count_le1_peak_per_component,
     enumerate_paths,
-    path_components,
+    le1_peak_paths,
     path_to_perm,
     peak_census,
     perm_to_path,
@@ -105,7 +104,7 @@ def test_le1_peak_per_component_counts():
     # equals the coefficient list of the component-constrained series
     from weaksort.series import gf_catalog
 
-    counts = [count_le1_peak_per_component(n) for n in range(9)]
+    counts = [len(le1_peak_paths(n)) for n in range(9)]
     assert counts == list(gf_catalog("schroder_le1peak_per_comp", 8).coeffs)
 
 
@@ -249,14 +248,3 @@ def test_bijection_roundtrip():
         assert len(avoiders) == SCHRODER[n - 1]
         for p in avoiders:
             assert path_to_perm(perm_to_path(p)) == p
-
-
-def test_restricted_image_has_le1_peak_components():
-    for n in range(1, 7):
-        image = {perm_to_path(p).steps for p in enumerate_avoiders(n, TRIPLES["pi4"])}
-        expected = {
-            q.steps
-            for q in enumerate_paths(n - 1)
-            if all(stats(c).peaks <= 1 for c in path_components(q))
-        }
-        assert image == expected

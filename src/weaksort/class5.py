@@ -190,22 +190,6 @@ def keyed_213_count_by_max_position(n: int, j: int, k: int) -> int:
     return _comb0(k - 2, j - 1) * gen_catalan(n - k, k - 2 - j)
 
 
-def keyed_213_count_brute(n: int, k: int, j: int | None = None) -> int:
-    """
-    Independent oracle for the two counts above, by enumeration of the
-    213-avoiders ending in 1 (optionally restricted to maximum at position j).
-    """
-    total = 0
-    for q in enumerate_avoiders(n, [(2, 1, 3)]):
-        if q[-1] != 1:
-            continue
-        if j is not None and q.index(n) + 1 != j:
-            continue
-        if decompose(q).k == k:
-            total += 1
-    return total
-
-
 def tail_321_count(n: int, i: int) -> int:
     """
     Number of 321-avoiding permutations of 1..n whose last i entries are
@@ -214,12 +198,6 @@ def tail_321_count(n: int, i: int) -> int:
     if not 0 <= i <= n:
         raise ValueError("need 0 <= i <= n")
     return gen_catalan(n - i, i)
-
-
-def tail_321_count_brute(n: int, i: int) -> int:
-    """Oracle for `tail_321_count` by enumeration."""
-    avoiders = enumerate_avoiders(n, [(3, 2, 1)])
-    return sum(1 for q in avoiders if _tail_increasing(q, i))
 
 
 def _tail_increasing(q: Perm, i: int) -> bool:

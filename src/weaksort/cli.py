@@ -16,6 +16,13 @@ Exit codes: 0 success, 1 a verification check failed or the input was
 rejected, 2 usage error.
 Identical invocations produce byte-identical output.  All data commands
 support --format table|csv|json where it makes sense.
+
+Size policy: the three commands that enumerate permutations (count,
+sequence, search) refuse an --n above SIZE_LIMITS with exit 2 unless
+--limit-override is given, because their cost grows with the counting
+sequence, which may be factorial.  This is the only size check; the library
+takes n as given.  series, recurrence, class5 and bijection have polynomial
+cost and no limit.
 """
 from __future__ import annotations
 
@@ -33,8 +40,8 @@ from .perms import (
     parse_perm,
 )
 
-#: n beyond which sequence/search/count demand --limit-override
-SEARCH_DEFAULT_MAX = 8
+#: largest --n each enumerating command runs without --limit-override
+SIZE_LIMITS = {"count": 10, "sequence": 10, "search": 8}
 
 
 def _usage(message: str) -> "SystemExit":
@@ -92,9 +99,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if (args.cls is None) == (args.patterns is None):
         raise _usage("count: give exactly one of --class or --patterns")
     patterns = TRIPLES[args.cls] if args.cls else parse_pattern_set(args.patterns)
-    seq = counting.counting_sequence(
-        patterns, args.n, override=args.limit_override
-    )
+    seq = counting.counting_sequence(patterns, args.n)
     label = args.cls or "custom"
     if args.format == "json":
         print(json.dumps({"name": label, "n": args.n, "count": seq[args.n]}))
@@ -108,12 +113,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
     classes = _class_list(args.classes)
-    rows = {
-        cid: counting.counting_sequence(
-            TRIPLES[cid], args.n, override=args.limit_override
-        )
-        for cid in classes
-    }
+    rows = {cid: counting.counting_sequence(TRIPLES[cid], args.n) for cid in classes}
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
     elif args.format == "csv":
@@ -128,10 +128,6 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    if args.n > SEARCH_DEFAULT_MAX and not args.limit_override:
-        raise _usage(
-            f"search beyond n={SEARCH_DEFAULT_MAX} is costly; pass --limit-override"
-        )
     target = _resolve_target(args.target, args.n)
     report = counting.wilf_search(args.n, target)
     reps = ["; ".join(format_perm(t) for t in rep) for rep in report.matches]
@@ -242,8 +238,7 @@ def _cmd_recurrence(args: argparse.Namespace) -> int:
 
 
 def _cmd_oeis(args: argparse.Namespace) -> int:
-    source = "online" if args.online and not args.offline else "offline"
-    seq = oeis.fetch(args.id, source=source)
+    seq = oeis.fetch(args.id, source="online" if args.online else "offline")
     pairs = [(seq.offset + i, v) for i, v in enumerate(seq.terms)]
     _emit_terms(seq.id, pairs, args.format)
     return 0
@@ -272,21 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", choices=list(TRIPLES))
     p.add_argument("--patterns", help='semicolon-separated, e.g. "3 2 1 4; 4 2 1 3"')
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit-override", action="store_true")
     _add_format(p)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("sequence", help="counting sequences of the five classes")
     p.add_argument("--classes", default="all", help="'all' or comma list like pi1,pi4")
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--limit-override", action="store_true")
     _add_format(p)
     p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("search", help="classify all 2024 triples by counting sequence")
     p.add_argument("--target", default="A111279", help="OEIS id or comma-separated terms")
     p.add_argument("--n", type=int, default=8, help="match counts for 0..n (default 8)")
-    p.add_argument("--limit-override", action="store_true")
     _add_format(p)
     p.set_defaults(func=_cmd_search)
 
@@ -317,19 +309,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oeis", help="terms of a bundled or fetched OEIS sequence")
     p.add_argument("--id", required=True)
-    p.add_argument("--offline", action="store_true", help="force the bundled fixture")
-    p.add_argument("--online", action="store_true", help="fetch and cache the b-file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--offline", action="store_true", help="force the bundled fixture")
+    source.add_argument("--online", action="store_true", help="fetch and cache the b-file")
     _add_format(p)
     p.set_defaults(func=_cmd_oeis)
 
     p = sub.add_parser("verify", help="run the full verification suite")
     p.set_defaults(func=_cmd_verify)
 
+    for cmd, limit in SIZE_LIMITS.items():
+        sub.choices[cmd].add_argument(
+            "--limit-override", action="store_true", help=f"allow --n above {limit}"
+        )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    limit = SIZE_LIMITS.get(args.command)
+    if limit is not None and args.n > limit and not args.limit_override:
+        raise _usage(
+            f"{args.command} --n {args.n} exceeds the size limit {limit}; "
+            "pass --limit-override"
+        )
     try:
         return args.func(args)
     except SystemExit:

@@ -30,9 +30,6 @@ from typing import Iterable, Sequence
 
 from .perms import PatternSet, Perm, canonical_form, occurrences, standardize
 
-#: largest length enumerated without an explicit override (n! blowup guard)
-DEFAULT_LIMIT = 10
-
 
 def _children(prefix: Perm, heads: list[tuple[Perm, int, int]]) -> Iterable[Perm]:
     """Clean standardized extensions of a clean standardized prefix."""
@@ -91,36 +88,18 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
     raise AssertionError("unreachable")
 
 
-def counting_sequence(
-    patterns: Iterable[Sequence[int]], nmax: int, *, override: bool = False
-) -> list[int]:
+def counting_sequence(patterns: Iterable[Sequence[int]], nmax: int) -> list[int]:
     """
     [|S_0(T)|, ..., |S_nmax(T)|] by pruned enumeration.
 
-    Refuses nmax beyond DEFAULT_LIMIT unless override=True (the command
-    line's --limit-override): the cost grows like the counting sequence
-    itself, which may be factorial.
+    The cost grows like the counting sequence itself, which may be
+    factorial; nmax is taken as given (the command line's size limit is in
+    `weaksort.cli`).
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if nmax > DEFAULT_LIMIT and not override:
-        raise ValueError(
-            f"nmax={nmax} exceeds the enumeration limit {DEFAULT_LIMIT}; "
-            "pass --limit-override (override=True in Python) to force"
-        )
     T = frozenset(tuple(t) for t in patterns)
     return [len(level) for level in _levels(T, nmax)]
-
-
-def enumerate_avoiders_filter(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
-    """
-    Independent reference enumeration: filter all n! permutations.  Slow;
-    used to validate the pruned enumeration.
-    """
-    from .perms import all_perms, avoids
-
-    T = [tuple(t) for t in patterns]
-    return [p for p in all_perms(n) if avoids(p, T)]
 
 
 # --------------------------------------------------------------------------

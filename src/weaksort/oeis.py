@@ -25,6 +25,9 @@ from pathlib import Path
 CACHE_ENV = "WEAKSORT_OEIS_CACHE"
 FIXTURE_IDS = ("A111279", "A006318", "A026671", "A060693")
 _ID_RE = re.compile(r"\AA\d{6}\Z")
+#: an index or term: OEIS offsets and terms may be negative, and int() alone
+#: would also take "+5", "1_0" and non-ASCII digits
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,11 @@ def parse_bfile(seq_id: str, text: str) -> OeisSequence:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{seq_id} b-file line {lineno}: expected 'index value'")
-        try:
-            idx, val = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"{seq_id} b-file line {lineno}: {exc}") from exc
+        if not all(_INT_RE.fullmatch(part) for part in parts):
+            raise ValueError(
+                f"{seq_id} b-file line {lineno}: not an integer pair {line!r}"
+            )
+        idx, val = int(parts[0]), int(parts[1])
         if indices and idx != indices[-1] + 1:
             raise ValueError(
                 f"{seq_id} b-file line {lineno}: index {idx} not contiguous"

@@ -292,13 +292,6 @@ def direct_sum(p: Perm, q: Perm) -> Perm:
     return p + tuple(v + m for v in q)
 
 
-def direct_sum_all(parts: Iterable[Perm]) -> Perm:
-    out: Perm = ()
-    for part in parts:
-        out = direct_sum(out, part)
-    return out
-
-
 def components(p: Perm) -> tuple[Perm, ...]:
     """
     The unique maximal decomposition of p as a direct sum of indecomposable
@@ -321,33 +314,28 @@ def components(p: Perm) -> tuple[Perm, ...]:
 
 @dataclass(frozen=True)
 class Extrema:
-    """Left-to-right maxima, right-to-left maxima, and left-to-right minima,
-    each as a tuple of (position, value) pairs in position order."""
+    """Left-to-right maxima and right-to-left maxima, each as a tuple of
+    (position, value) pairs in position order."""
 
     lr_maxima: tuple[tuple[int, int], ...]
     rl_maxima: tuple[tuple[int, int], ...]
-    lr_minima: tuple[tuple[int, int], ...]
 
 
 def extrema(p: Perm) -> Extrema:
     """Positions and values of the extremal entries (empty tuples for n=0)."""
-    lr_max, lr_min, rl_max = [], [], []
+    lr_max, rl_max = [], []
     high = 0
-    low = len(p) + 1
     for i, v in enumerate(p):
         if v > high:
             lr_max.append((i + 1, v))
             high = v
-        if v < low:
-            lr_min.append((i + 1, v))
-            low = v
     high = 0
     for i in range(len(p) - 1, -1, -1):
         if p[i] > high:
             rl_max.append((i + 1, p[i]))
             high = p[i]
     rl_max.reverse()
-    return Extrema(tuple(lr_max), tuple(rl_max), tuple(lr_min))
+    return Extrema(tuple(lr_max), tuple(rl_max))
 
 
 def all_perms(n: int) -> Iterable[Perm]:

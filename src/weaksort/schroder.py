@@ -39,11 +39,7 @@ from dataclasses import dataclass
 
 from .perms import Perm, extrema, find_occurrence
 
-#: largest path size enumerated (r_n grows ~ 5.8^n)
-DEFAULT_LIMIT = 10
-
 SCHRODER_STEPS = frozenset("NDE")
-STAIRCASE_STEPS = frozenset("NES")
 
 
 @dataclass(frozen=True)
@@ -136,11 +132,13 @@ def path_components(path: SchroderPath) -> list[SchroderPath]:
 
 
 def enumerate_paths(n: int) -> list[SchroderPath]:
-    """All Schroder paths of size n <= DEFAULT_LIMIT, sorted by step string."""
+    """
+    All Schroder paths of size n, sorted by step string.  There are r_n of
+    them (the large Schroder numbers, growing like 5.83^n); n is taken as
+    given.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > DEFAULT_LIMIT:
-        raise ValueError(f"n={n} exceeds the enumeration limit {DEFAULT_LIMIT}")
     out: list[str] = []
     prefix: list[str] = []
 
@@ -214,53 +212,6 @@ def perm_to_staircase(p: Perm) -> BoundingStaircase:
         parts.append("E" * (rl[idx][0] - rl[idx - 1][0]))
     parts.append("S" * rl[-1][1])
     return BoundingStaircase("".join(parts))
-
-
-def validate_staircase(steps: str) -> BoundingStaircase:
-    """
-    Parse and check the three staircase properties, rejecting with the
-    position (1-based) of the first violation where one exists.
-    """
-    n = steps.count("N")
-    if n == 0:
-        raise ValueError("a staircase needs at least one N step")
-    for i, ch in enumerate(steps):
-        if ch not in STAIRCASE_STEPS:
-            raise ValueError(f"invalid step {ch!r} at position {i + 1}")
-    if steps.count("E") != n or steps.count("S") != n:
-        raise ValueError(f"step counts differ: need {n} each of N, E, S")
-    seen_s = False
-    h = 0
-    col = 0
-    x_of_nth_n: list[int] = []
-    x_of_sth_s: list[int] = []
-    run_heights: list[int] = []
-    prev = ""
-    for i, ch in enumerate(steps):
-        if ch == "N":
-            if seen_s:
-                raise ValueError(f"N after S at position {i + 1}")
-            x_of_nth_n.append(col)
-            h += 1
-        elif ch == "S":
-            seen_s = True
-            x_of_sth_s.append(col)
-            h -= 1
-        else:
-            if prev != "E":
-                run_heights.append(h)
-            col += 1
-        prev = ch
-    if len(set(run_heights)) != len(run_heights):
-        raise ValueError("two East runs share a height")
-    # property (3): i-th matching N/S pair from the top
-    for i in range(1, n + 1):
-        gap = x_of_sth_s[i - 1] - x_of_nth_n[n - i]
-        if i == 1 and gap != 1:
-            raise ValueError(f"top N/S pair must be exactly 1 apart, got {gap}")
-        if gap < i:
-            raise ValueError(f"N/S pair {i} from the top only {gap} apart")
-    return BoundingStaircase(steps)
 
 
 def _parse_staircase(st: BoundingStaircase):

@@ -77,11 +77,6 @@ class Series:
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError(f"cannot extend truncation {self.order} to {order}")
-        return Series(self.coeffs[: order + 1])
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -173,18 +168,6 @@ def sqrt_one_minus_4x(order: int) -> Series:
 def catalan_series(order: int) -> Series:
     """C(x) = (1 - sqrt(1-4x)) / (2x) = sum Catalan(n) x^n."""
     return Series(tuple(_catalans(order + 1)))
-
-
-def invert_transform(f: Series) -> Series:
-    """
-    1/(1-f), valid when f has zero constant term: composes a class from its
-    indecomposable members.
-    """
-    if f.coeffs[0] != 0:
-        raise ValueError(
-            f"invert transform needs zero constant term, got {f.coeffs[0]}"
-        )
-    return one(f.order) / (one(f.order) - f)
 
 
 # --------------------------------------------------------------------------

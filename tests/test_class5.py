@@ -2,6 +2,7 @@
 from math import comb
 
 import pytest
+from oracles import keyed_213_count_brute, tail_321_count_brute
 
 from weaksort.class5 import (
     brute_force_count,
@@ -13,10 +14,8 @@ from weaksort.class5 import (
     count_indecomposable,
     decompose,
     keyed_213_count,
-    keyed_213_count_brute,
     keyed_213_count_by_max_position,
     tail_321_count,
-    tail_321_count_brute,
 )
 from weaksort.counting import enumerate_avoiders
 from weaksort.perms import TRIPLES, all_perms, avoids, components, contains

@@ -161,18 +161,36 @@ def test_usage_errors_exit_2(capsys):
         main(["class5"])  # none of the three actions
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["search", "--n", "9"])  # needs --limit-override
+        main(["oeis", "--id", "A006318", "--online", "--offline"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["count", "--patterns", "1 2; 2 1", "--n", "11"], 10),
+        (["count", "--class", "pi1", "--n", "12"], 10),
+        (["sequence", "--n", "11"], 10),
+        (["search", "--n", "9"], 8),
+    ],
+    ids=["count-patterns", "count-class", "sequence", "search"],
+)
+def test_size_limit_exits_2(capsys, argv, limit):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"usage error: {argv[0]} --n {argv[-1]} exceeds the size limit {limit}; "
+        "pass --limit-override\n"
+    )
 
 
 def test_data_errors_exit_1(capsys):
     code, _, err = run(capsys, "oeis", "--id", "A000000")
     assert code == 1
     assert "A000000" in err
-    code, _, err = run(capsys, "count", "--class", "pi1", "--n", "12")
-    assert code == 1
-    assert "limit" in err
-    assert "--limit-override" in err
 
 
 def test_bijection_rejects_non_ascii_digits(capsys):

@@ -2,12 +2,12 @@
 import random
 
 import pytest
+from oracles import enumerate_avoiders_filter
 
 from weaksort.counting import (
     WilfSearchReport,
     counting_sequence,
     enumerate_avoiders,
-    enumerate_avoiders_filter,
     triple_orbits,
     wilf_search,
 )
@@ -52,11 +52,11 @@ def test_empty_pattern_forbids_everything():
 
 
 def test_counting_sequence_guard():
-    with pytest.raises(ValueError, match="limit"):
-        counting_sequence(TRIPLES["pi1"], 11)
-    # explicit override lifts the guard
-    seq = counting_sequence(frozenset({(1, 2), (2, 1)}), 12, override=True)
+    # the library takes any nmax >= 0; the size limit lives in the cli
+    seq = counting_sequence(frozenset({(1, 2), (2, 1)}), 12)
     assert seq == [1, 1] + [0] * 11
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        counting_sequence(TRIPLES["pi1"], -1)
 
 
 def test_pruned_equals_filter_on_sampled_orbits():

@@ -61,10 +61,19 @@ def test_parse_bfile_errors():
         oeis.parse_bfile("A000001", "# comment only\n")
 
 
+@pytest.mark.parametrize("line", ["0 1_0", "1 +5", "2 \u0661"])
+def test_parse_bfile_rejects_loose_integers(line):
+    # int() alone would read these as 10, 5 and 1
+    with pytest.raises(ValueError, match="b-file line 2"):
+        oeis.parse_bfile("A000001", f"# header\n{line}\n")
+
+
 def test_parse_bfile_accepts_comments_and_offsets():
     seq = oeis.parse_bfile("A000001", "# header\n3 7\n4 9\n")
     assert seq.offset == 3
     assert seq.terms == (7, 9)
+    seq = oeis.parse_bfile("A000001", "-1 -3\n0 2\n")
+    assert (seq.offset, seq.terms) == (-1, (-3, 2))
 
 
 def test_prefix_guard():

@@ -338,7 +338,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit:
         raise
     except (ValueError, KeyError, ConnectionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

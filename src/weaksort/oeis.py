@@ -24,7 +24,7 @@ from pathlib import Path
 
 CACHE_ENV = "WEAKSORT_OEIS_CACHE"
 FIXTURE_IDS = ("A111279", "A006318", "A026671", "A060693")
-_ID_RE = re.compile(r"\AA\d{6}\Z")
+_ID_RE = re.compile(r"\AA[0-9]{6}\Z")
 #: an index or term: OEIS offsets and terms may be negative, and int() alone
 #: would also take "+5", "1_0" and non-ASCII digits
 _INT_RE = re.compile(r"-?[0-9]+")

@@ -207,42 +207,30 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def _closure() -> dict[str, tuple[str, ...]]:
-    """
-    The dihedral group of order eight as words in the generators r, c, i.
-
-    BFS from the identity gives one shortest word per element; words act left
-    to right ("ri" applies reverse first, then inverse).
-    """
-    gens = {"r": reverse, "c": complement, "i": inverse}
-    probe = [(1, 3, 2), (3, 1, 2), (2, 4, 1, 3), (1, 4, 2, 3)]
-
-    def fingerprint(word: tuple[str, ...]):
-        return tuple(_apply_word(word, q) for q in probe)
-
-    elements = {fingerprint(()): ()}
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for word in frontier:
-            for g in gens:
-                new = word + (g,)
-                fp = fingerprint(new)
-                if fp not in elements:
-                    elements[fp] = new
-                    nxt.append(new)
-        frontier = nxt
-    return {("".join(w) or "e"): w for w in elements.values()}
+_GENERATORS = {"r": reverse, "c": complement, "i": inverse}
 
 
 def _apply_word(word: tuple[str, ...], p: Perm) -> Perm:
     for g in word:
-        p = {"r": reverse, "c": complement, "i": inverse}[g](p)
+        p = _GENERATORS[g](p)
     return p
 
 
-#: name -> generator word for each of the 8 symmetries ("e" is the identity)
-SYMMETRIES: dict[str, tuple[str, ...]] = _closure()
+#: name -> generator word for each of the 8 symmetries ("e" is the identity);
+#: words act left to right ("ri" applies reverse first, then inverse).
+#: Reverse and complement commute, and inverse swaps them by conjugation
+#: (reverse then inverse is inverse then complement), so every element is
+#: r^a c^b i^d with a, b, d in {0, 1}.
+SYMMETRIES: dict[str, tuple[str, ...]] = {
+    "e": (),
+    "r": ("r",),
+    "c": ("c",),
+    "i": ("i",),
+    "rc": ("r", "c"),
+    "ri": ("r", "i"),
+    "ci": ("c", "i"),
+    "rci": ("r", "c", "i"),
+}
 
 
 def apply_symmetry(name: str, patterns: PatternSet) -> PatternSet:

@@ -32,14 +32,20 @@ bijection takes staircases of size n to Schroder paths of size n-1
 (`staircase_to_schroder`); composing the two gives `perm_to_path`, and paths
 whose components each have at most one peak correspond exactly to the
 avoiders of the fourth triple {2314, 3214, 4213}.
+
+One pattern reads the runs of a staircase's step string: it is a list of
+(N or S run, East run) pairs, and the final S run has no East run after it.
 """
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .perms import Perm, extrema, find_occurrence
 
 SCHRODER_STEPS = frozenset("NDE")
+_RUNS = re.compile(r"([NS]+)(E+)")
 
 
 @dataclass(frozen=True)
@@ -198,55 +204,38 @@ def perm_to_staircase(p: Perm) -> BoundingStaircase:
     if len(p) == 0:
         raise ValueError("the empty permutation has no bounding staircase")
     ext = extrema(p)
-    lr = ext.lr_maxima
-    rl = ext.rl_maxima
+    lr, rl = ext.lr_maxima, ext.rl_maxima
+    # one (N, E) run pair per LR maximum and one (S, E) pair per RL maximum;
+    # the sentinels close with the bracket E and with the S run to the floor
+    lr_next = lr[1:] + ((lr[-1][0] + 1, 0),)
+    rl_next = rl[1:] + ((rl[-1][0], 0),)
     parts = []
     prev_v = 0
-    for idx, (q, v) in enumerate(lr):
-        parts.append("N" * (v - prev_v))
-        next_q = lr[idx + 1][0] if idx + 1 < len(lr) else q + 1
-        parts.append("E" * (next_q - q))
+    for (q, v), (next_q, _) in zip(lr, lr_next):
+        parts.append("N" * (v - prev_v) + "E" * (next_q - q))
         prev_v = v
-    for idx in range(1, len(rl)):
-        parts.append("S" * (rl[idx - 1][1] - rl[idx][1]))
-        parts.append("E" * (rl[idx][0] - rl[idx - 1][0]))
-    parts.append("S" * rl[-1][1])
+    for (r, u), (next_r, next_u) in zip(rl, rl_next):
+        parts.append("S" * (u - next_u) + "E" * (next_r - r))
     return BoundingStaircase("".join(parts))
 
 
-def _parse_staircase(st: BoundingStaircase):
-    """LR maxima and RL maxima (position, value) lists encoded by a staircase."""
+def _parse_staircase(st: BoundingStaircase) -> list[int]:
+    """Slots 0..n: each LR or RL maximum's value at its position, else 0."""
     s = st.steps
     first_s = s.index("S")
-    lr: list[tuple[int, int]] = []
+    out = [0] * (st.size + 1)
     h = 0
     pos = 1
-    i = 0
-    while i < first_s:
-        ch = s[i]
-        j = i
-        while j < first_s and s[j] == ch:
-            j += 1
-        if ch == "N":
-            h += j - i
-            lr.append((pos, h))
-        else:
-            pos += j - i
-        i = j
-    rl = [(lr[-1][0], lr[-1][1])]
-    v = h
-    i = first_s
-    while i < len(s):
-        ch = s[i]
-        j = i
-        while j < len(s) and s[j] == ch:
-            j += 1
-        if ch == "S":
-            v -= j - i
-        else:
-            rl.append((rl[-1][0] + (j - i), v))
-        i = j
-    return lr, rl
+    for ns, es in _RUNS.findall(s, 0, first_s):
+        h += len(ns)
+        out[pos] = h
+        pos += len(es)
+    pos -= 1  # back from the bracket E to the column of the maximum
+    for ss, es in _RUNS.findall(s, first_s):
+        h -= len(ss)
+        pos += len(es)
+        out[pos] = h
+    return out
 
 
 def staircase_to_perm(st: BoundingStaircase) -> Perm:
@@ -262,21 +251,14 @@ def staircase_to_perm(st: BoundingStaircase) -> Perm:
     lexicographically least.
     """
     n = st.size
-    lr, rl = _parse_staircase(st)
-    out = [0] * (n + 1)  # 1-based slots
-    used = set()
-    for q, v in lr + rl:
-        out[q] = v
-        used.add(v)
-    avail = sorted(set(range(1, n + 1)) - used)
+    out = _parse_staircase(st)  # 1-based slots
+    avail = sorted(set(range(1, n + 1)).difference(out))
     max_right = 0
     for pos in range(n, 0, -1):
         if out[pos]:
             max_right = max(max_right, out[pos])
             continue
-        k = len(avail) - 1
-        while k >= 0 and avail[k] >= max_right:
-            k -= 1
+        k = bisect_left(avail, max_right) - 1
         if k < 0:
             raise ValueError(f"staircase admits no permutation at slot {pos}")
         out[pos] = avail.pop(k)
@@ -299,30 +281,19 @@ def staircase_to_schroder(st: BoundingStaircase) -> SchroderPath:
     existing East run.
     """
     s = st.steps
-    n = st.size
     first_s = s.index("S")
-    ascent, descent = s[:first_s], s[first_s:]
     run_at: dict[int, int] = {}
-    h = n
-    i = 0
-    while i < len(descent):
-        ch = descent[i]
-        j = i
-        while j < len(descent) and descent[j] == ch:
-            j += 1
-        if ch == "S":
-            h -= j - i
-        else:
-            run_at[h] = j - i
-        i = j
+    h = st.size
+    for ss, es in _RUNS.findall(s, first_s):
+        h -= len(ss)
+        run_at[h] = len(es)
     parts = []
     h = 0
-    for ch in ascent:
+    for ch in s[:first_s]:
         if ch == "N":
             h += 1
             if h in run_at:
-                parts.append("D")
-                parts.append("E" * (run_at[h] - 1))
+                parts.append("D" + "E" * (run_at[h] - 1))
             else:
                 parts.append("N")
         else:
@@ -337,54 +308,32 @@ def schroder_to_staircase(path: SchroderPath) -> BoundingStaircase:
     """
     Inverse of `staircase_to_schroder`: size grows by one.
 
-    Each D becomes an NE corner whose East run (the corner E together with
-    any Es following it) is extracted to the descent at the corner's height;
-    the bracket N E and the S column are appended.
+    One pass over the path: N and D each add an N to the ascent, and a D
+    also opens an East run of length 1 at its height, which the Es right
+    after it lengthen; every other E stays in the ascent.  The bracket N E
+    and the S column, each run after the S that comes down to its height,
+    close the staircase.
     """
-    marked: set[int] = set()
     ascent: list[str] = []
+    runs: dict[int, int] = {}
     h = 0
+    corner = 0  # height of the open run, 0 when none is open
     for ch in path.steps:
         if ch == "N":
             h += 1
             ascent.append("N")
+            corner = 0
         elif ch == "D":
             h += 1
             ascent.append("N")
-            ascent.append("E")
-            marked.add(h)
+            corner = h
+            runs[h] = 1
+        elif corner:
+            runs[corner] += 1
         else:
             ascent.append("E")
-    n = h + 1
-    ascent.append("N")
-    ascent.append("E")
-    # pull the marked runs out of the ascent
-    kept: list[str] = []
-    runs: dict[int, int] = {}
-    h = 0
-    i = 0
-    while i < len(ascent):
-        if ascent[i] == "N":
-            h += 1
-            kept.append("N")
-            i += 1
-            if h in marked:
-                j = i
-                while j < len(ascent) and ascent[j] == "E":
-                    j += 1
-                runs[h] = j - i
-                i = j
-        else:
-            kept.append("E")
-            i += 1
-    descent: list[str] = []
-    h = n
-    while h > 0:
-        descent.append("S")
-        h -= 1
-        if h in runs and h > 0:
-            descent.append("E" * runs[h])
-    return BoundingStaircase("".join(kept) + "".join(descent))
+    descent = "".join("S" + "E" * runs.get(u, 0) for u in range(h, -1, -1))
+    return BoundingStaircase("".join(ascent) + "NE" + descent)
 
 
 # --------------------------------------------------------------------------

@@ -188,9 +188,13 @@ def test_size_limit_exits_2(capsys, argv, limit):
 
 
 def test_data_errors_exit_1(capsys):
-    code, _, err = run(capsys, "oeis", "--id", "A000000")
-    assert code == 1
-    assert "A000000" in err
+    code, out, err = run(capsys, "oeis", "--id", "A000000")
+    assert (code, out) == (1, "")
+    # the message of a KeyError, without the quotes of its repr
+    assert err == (
+        "error: no offline fixture for A000000; "
+        "bundled: A111279, A006318, A026671, A060693\n"
+    )
 
 
 def test_bijection_rejects_non_ascii_digits(capsys):

@@ -50,6 +50,8 @@ def test_malformed_id():
         oeis.fetch("X123456")
     with pytest.raises(ValueError, match="malformed"):
         oeis.fetch("A12345")
+    with pytest.raises(ValueError, match="malformed"):
+        oeis.fetch("A\u0661\u0661\u0661\u0662\u0667\u0669")  # Arabic-Indic digits
 
 
 def test_parse_bfile_errors():

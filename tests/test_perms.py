@@ -166,6 +166,26 @@ def test_symmetries_are_bijections_on_s4():
         assert len(image) == 24, name
 
 
+def test_symmetry_table_is_closed_on_s4():
+    # the eight words are eight distinct maps on S_4, and the composite of
+    # any two of them is again one of the eight
+    s4 = list(all_perms(4))
+
+    def as_map(*names):
+        images = []
+        for p in s4:
+            for name in names:
+                (p,) = apply_symmetry(name, frozenset({p}))
+            images.append(p)
+        return tuple(images)
+
+    maps = {as_map(name) for name in SYMMETRIES}
+    assert len(maps) == 8
+    for first in SYMMETRIES:
+        for second in SYMMETRIES:
+            assert as_map(first, second) in maps, (first, second)
+
+
 def test_involutions_exhaustive():
     # reverse, complement, inverse are involutions for every |p| <= 6
     for n in range(7):

@@ -179,6 +179,16 @@ def test_staircase_path_roundtrip_exhaustive():
         assert images == {p.steps for p in enumerate_paths(n - 1)}
 
 
+def test_path_to_staircase_roundtrip_to_size_7():
+    # every Schroder path of size <= 7 (10,879 of them) goes to a valid
+    # staircase that maps back to the same path
+    for n in range(8):
+        for path in enumerate_paths(n):
+            st = schroder_to_staircase(path)
+            validate_staircase(st.steps)
+            assert staircase_to_schroder(st) == path, path.steps
+
+
 def test_perm_to_path_on_s2():
     assert perm_to_path((1, 2)).steps == "NE"
     assert perm_to_path((2, 1)).steps == "D"

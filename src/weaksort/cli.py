@@ -14,8 +14,9 @@ Command-line surface.
 
 Exit codes: 0 success, 1 a verification check failed or the input was
 rejected, 2 usage error.
-Identical invocations produce byte-identical output.  All data commands
-support --format table|csv|json where it makes sense.
+Identical invocations produce byte-identical output.  count, sequence,
+series, recurrence and oeis take --format table|csv|json; search takes
+--format table|json, because its report has no csv form.
 
 Size policy: the three commands that enumerate permutations (count,
 sequence, search) refuse an --n above SIZE_LIMITS with exit 2 unless
@@ -195,7 +196,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         raise _usage(f"unknown map {args.map!r}; only 'phi' is available")
     if args.input is None:
         raise _usage("bijection --map phi needs --input")
-    print(schroder.perm_to_path(parse_perm(args.input)).steps)
+    print(schroder.perm_to_path(parse_perm(args.input)))
     return 0
 
 
@@ -279,7 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="classify all 2024 triples by counting sequence")
     p.add_argument("--target", default="A111279", help="OEIS id or comma-separated terms")
     p.add_argument("--n", type=int, default=8, help="match counts for 0..n (default 8)")
-    _add_format(p)
+    p.add_argument(
+        "--format", choices=("table", "json"), default="table",
+        help="output format (default %(default)s)",
+    )
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("series", help="coefficients of a catalog generating function")

@@ -5,8 +5,7 @@ avoiders of {3214, 4213}.
 A Schroder path is a lattice path of North (N), diagonal (D) and East (E)
 steps from the origin that never drops below the diagonal y = x and ends on
 it.  Its size is #N + #D; a path of size n ends at (n, n).  Vertices on the
-diagonal split a path into components; a peak is an adjacent NE pair.  Paths
-are serialized as plain step strings like "NDENE".
+diagonal split a path into components; a peak is an adjacent NE pair.
 
 Every permutation has a bounding staircase: the lattice outline that climbs
 through its left-to-right maxima and descends through its right-to-left
@@ -33,6 +32,12 @@ bijection takes staircases of size n to Schroder paths of size n-1
 whose components each have at most one peak correspond exactly to the
 avoiders of the fourth triple {2314, 3214, 4213}.
 
+Paths and staircases are plain step strings, as permutations are plain
+tuples: `SchroderPath` and `Staircase` are aliases of `str`, and every
+function here takes and returns the string itself, such as "NDENE" or
+"NENESS".  A path has path.count("NE") peaks and len(path_components(path))
+components; a staircase has size s.count("N").
+
 One pattern reads the runs of a staircase's step string: it is a list of
 (N or S run, East run) pairs, and the final S run has no East run after it.
 """
@@ -40,53 +45,20 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .perms import Perm, extrema, find_occurrence
+
+SchroderPath = str
+Staircase = str
 
 SCHRODER_STEPS = frozenset("NDE")
 _RUNS = re.compile(r"([NS]+)(E+)")
 
 
-@dataclass(frozen=True)
-class SchroderPath:
-    steps: str
-
-    @property
-    def size(self) -> int:
-        return self.steps.count("N") + self.steps.count("D")
-
-    def __str__(self) -> str:
-        return self.steps
-
-
-@dataclass(frozen=True)
-class BoundingStaircase:
-    steps: str
-
-    @property
-    def size(self) -> int:
-        return self.steps.count("N")
-
-    def __str__(self) -> str:
-        return self.steps
-
-
-@dataclass(frozen=True)
-class PathStats:
-    size: int
-    peaks: int
-    components: int
-
-    @property
-    def indecomposable(self) -> bool:
-        return self.components == 1
-
-
 def validate_path(steps: str) -> SchroderPath:
     """
-    Parse a step string into a SchroderPath, rejecting malformed input with
-    the position (1-based) of the first violation.
+    Check a step string for being a Schroder path and return it, rejecting
+    malformed input with the position (1-based) of the first violation.
     """
     h = 0
     for i, ch in enumerate(steps):
@@ -102,23 +74,7 @@ def validate_path(steps: str) -> SchroderPath:
         raise ValueError(
             f"path ends at height {h}, not on the diagonal (position {len(steps)})"
         )
-    return SchroderPath(steps)
-
-
-def stats(path: SchroderPath) -> PathStats:
-    """Size, number of peaks (adjacent NE pairs), and number of components."""
-    s = path.steps
-    peaks = s.count("NE")
-    comps = 0
-    h = 0
-    for ch in s:
-        if ch == "N":
-            h += 1
-        elif ch == "E":
-            h -= 1
-        if h == 0:
-            comps += 1
-    return PathStats(path.size, peaks, comps)
+    return steps
 
 
 def path_components(path: SchroderPath) -> list[SchroderPath]:
@@ -126,13 +82,13 @@ def path_components(path: SchroderPath) -> list[SchroderPath]:
     out = []
     h = 0
     start = 0
-    for i, ch in enumerate(path.steps):
+    for i, ch in enumerate(path):
         if ch == "N":
             h += 1
         elif ch == "E":
             h -= 1
         if h == 0:
-            out.append(SchroderPath(path.steps[start : i + 1]))
+            out.append(path[start : i + 1])
             start = i + 1
     return out
 
@@ -165,7 +121,7 @@ def enumerate_paths(n: int) -> list[SchroderPath]:
             prefix.pop()
 
     walk(0, n)
-    return [SchroderPath(s) for s in sorted(out)]
+    return sorted(out)
 
 
 def peak_census(n: int) -> tuple[dict[int, int], dict[int, int]]:
@@ -176,10 +132,10 @@ def peak_census(n: int) -> tuple[dict[int, int], dict[int, int]]:
     census: dict[int, int] = {}
     indec: dict[int, int] = {}
     for path in enumerate_paths(n):
-        st = stats(path)
-        census[st.peaks] = census.get(st.peaks, 0) + 1
-        if st.indecomposable:
-            indec[st.peaks] = indec.get(st.peaks, 0) + 1
+        peaks = path.count("NE")
+        census[peaks] = census.get(peaks, 0) + 1
+        if len(path_components(path)) == 1:
+            indec[peaks] = indec.get(peaks, 0) + 1
     return census, indec
 
 
@@ -188,7 +144,7 @@ def le1_peak_paths(n: int) -> list[SchroderPath]:
     return [
         path
         for path in enumerate_paths(n)
-        if all(stats(c).peaks <= 1 for c in path_components(path))
+        if all(c.count("NE") <= 1 for c in path_components(path))
     ]
 
 
@@ -196,7 +152,7 @@ def le1_peak_paths(n: int) -> list[SchroderPath]:
 # bounding staircases
 
 
-def perm_to_staircase(p: Perm) -> BoundingStaircase:
+def perm_to_staircase(p: Perm) -> Staircase:
     """
     The bounding staircase of a permutation (total map; every permutation
     has one, but only {3214, 4213}-avoiders are recoverable from theirs).
@@ -216,14 +172,13 @@ def perm_to_staircase(p: Perm) -> BoundingStaircase:
         prev_v = v
     for (r, u), (next_r, next_u) in zip(rl, rl_next):
         parts.append("S" * (u - next_u) + "E" * (next_r - r))
-    return BoundingStaircase("".join(parts))
+    return "".join(parts)
 
 
-def _parse_staircase(st: BoundingStaircase) -> list[int]:
+def _parse_staircase(s: Staircase) -> list[int]:
     """Slots 0..n: each LR or RL maximum's value at its position, else 0."""
-    s = st.steps
     first_s = s.index("S")
-    out = [0] * (st.size + 1)
+    out = [0] * (s.count("N") + 1)
     h = 0
     pos = 1
     for ns, es in _RUNS.findall(s, 0, first_s):
@@ -238,7 +193,7 @@ def _parse_staircase(st: BoundingStaircase) -> list[int]:
     return out
 
 
-def staircase_to_perm(st: BoundingStaircase) -> Perm:
+def staircase_to_perm(st: Staircase) -> Perm:
     """
     The lexicographically least permutation with the given bounding
     staircase; it avoids {3214, 4213}.
@@ -250,7 +205,7 @@ def staircase_to_perm(st: BoundingStaircase) -> Perm:
     smallest values for the front, which is what makes the result
     lexicographically least.
     """
-    n = st.size
+    n = st.count("N")
     out = _parse_staircase(st)  # 1-based slots
     avail = sorted(set(range(1, n + 1)).difference(out))
     max_right = 0
@@ -269,7 +224,7 @@ def staircase_to_perm(st: BoundingStaircase) -> Perm:
 # staircase <-> Schroder path
 
 
-def staircase_to_schroder(st: BoundingStaircase) -> SchroderPath:
+def staircase_to_schroder(s: Staircase) -> SchroderPath:
     """
     The Schroder path of size n-1 encoding a staircase of size n.
 
@@ -280,10 +235,9 @@ def staircase_to_schroder(st: BoundingStaircase) -> SchroderPath:
     step.  Property (2) guarantees the inserted runs never collide with an
     existing East run.
     """
-    s = st.steps
     first_s = s.index("S")
     run_at: dict[int, int] = {}
-    h = st.size
+    h = s.count("N")
     for ss, es in _RUNS.findall(s, first_s):
         h -= len(ss)
         run_at[h] = len(es)
@@ -301,10 +255,10 @@ def staircase_to_schroder(st: BoundingStaircase) -> SchroderPath:
     path = "".join(parts)
     if not path.endswith("NE"):
         raise ValueError("malformed staircase: ascent does not end with N E")
-    return SchroderPath(path[:-2])
+    return path[:-2]
 
 
-def schroder_to_staircase(path: SchroderPath) -> BoundingStaircase:
+def schroder_to_staircase(path: SchroderPath) -> Staircase:
     """
     Inverse of `staircase_to_schroder`: size grows by one.
 
@@ -318,7 +272,7 @@ def schroder_to_staircase(path: SchroderPath) -> BoundingStaircase:
     runs: dict[int, int] = {}
     h = 0
     corner = 0  # height of the open run, 0 when none is open
-    for ch in path.steps:
+    for ch in path:
         if ch == "N":
             h += 1
             ascent.append("N")
@@ -333,7 +287,7 @@ def schroder_to_staircase(path: SchroderPath) -> BoundingStaircase:
         else:
             ascent.append("E")
     descent = "".join("S" + "E" * runs.get(u, 0) for u in range(h, -1, -1))
-    return BoundingStaircase("".join(ascent) + "NE" + descent)
+    return "".join(ascent) + "NE" + descent
 
 
 # --------------------------------------------------------------------------

@@ -198,9 +198,6 @@ class BivariateSeries:
 # --------------------------------------------------------------------------
 # catalog
 
-#: default truncation order used by the command-line surface
-DEFAULT_ORDER = 40
-
 CATALOG_NAMES = (
     "main",
     "indec_le1peak",
@@ -213,7 +210,7 @@ CATALOG_NAMES = (
 )
 
 
-def gf_catalog(name: str, order: int = DEFAULT_ORDER):
+def gf_catalog(name: str, order: int):
     """
     The named generating function, truncated at the given order.
 

@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 from weaksort.class5 import decompose
 from weaksort.counting import enumerate_avoiders
 from weaksort.perms import Perm, all_perms, avoids
-from weaksort.schroder import BoundingStaircase
+from weaksort.schroder import Staircase
 
 STAIRCASE_STEPS = frozenset("NES")
 
@@ -44,10 +44,11 @@ def tail_321_count_brute(n: int, i: int) -> int:
     return sum(1 for t in tails if all(a < b for a, b in zip(t, t[1:])))
 
 
-def validate_staircase(steps: str) -> BoundingStaircase:
+def validate_staircase(steps: str) -> Staircase:
     """
-    Parse and check the three staircase properties, rejecting with the
-    position (1-based) of the first violation where one exists.
+    Check a step string for the three staircase properties and return it,
+    rejecting with the position (1-based) of the first violation where one
+    exists.
     """
     n = steps.count("N")
     if n == 0:
@@ -88,4 +89,4 @@ def validate_staircase(steps: str) -> BoundingStaircase:
             raise ValueError(f"top N/S pair must be exactly 1 apart, got {gap}")
         if gap < i:
             raise ValueError(f"N/S pair {i} from the top only {gap} apart")
-    return BoundingStaircase(steps)
+    return steps

@@ -163,6 +163,10 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oeis", "--id", "A006318", "--online", "--offline"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "6", "--format", "csv"])  # no csv form
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,9 @@ from weaksort import schroder
 from weaksort.counting import enumerate_avoiders
 from weaksort.perms import SCHRODER_PAIR, all_perms, avoids, standardize
 from weaksort.schroder import (
-    BoundingStaircase,
-    SchroderPath,
     enumerate_paths,
     le1_peak_paths,
+    path_components,
     path_to_perm,
     peak_census,
     perm_to_path,
@@ -21,7 +20,6 @@ from weaksort.schroder import (
     schroder_to_staircase,
     staircase_to_perm,
     staircase_to_schroder,
-    stats,
     validate_path,
 )
 
@@ -33,14 +31,19 @@ WORKED_STAIRCASE = "NNNNNEEENNNNEEENESSSEESSSSESSS"
 WORKED_PATH = "NNDNNEEENDENNEEE"
 
 
+def path_size(path):
+    return path.count("N") + path.count("D")
+
+
 def test_validate_and_stats():
     p = validate_path("NNEE")
-    assert (p.size, stats(p).peaks, stats(p).components) == (2, 1, 1)
+    assert p == "NNEE"
+    assert (path_size(p), p.count("NE"), len(path_components(p))) == (2, 1, 1)
     d = validate_path("D")
-    assert stats(d).indecomposable
-    assert (d.size, stats(d).peaks) == (1, 0)
+    assert path_components(d) == ["D"]  # indecomposable
+    assert (path_size(d), d.count("NE")) == (1, 0)
     p = validate_path("NENE")
-    assert (stats(p).peaks, stats(p).components) == (2, 2)
+    assert (p.count("NE"), path_components(p)) == (2, ["NE", "NE"])
 
 
 def test_validate_path_errors():
@@ -55,10 +58,9 @@ def test_validate_path_errors():
 
 
 def test_enumerate_paths_small():
-    assert [p.steps for p in enumerate_paths(0)] == [""]
-    assert {p.steps for p in enumerate_paths(2)} == {
-        "DD", "DNE", "NDE", "NED", "NNEE", "NENE",
-    }
+    assert enumerate_paths(0) == [""]
+    assert enumerate_paths(2) == ["DD", "DNE", "NDE", "NED", "NENE", "NNEE"]
+    assert all(type(p) is str for n in range(4) for p in enumerate_paths(n))
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -104,22 +106,24 @@ def test_le1_peak_per_component_counts():
 
 
 def test_staircase_of_worked_example():
-    assert perm_to_staircase(WORKED_PERM).steps == WORKED_STAIRCASE
+    assert perm_to_staircase(WORKED_PERM) == WORKED_STAIRCASE
 
 
 def test_staircase_of_singleton():
-    assert perm_to_staircase((1,)).steps == "NES"
+    assert perm_to_staircase((1,)) == "NES"
 
 
 def test_staircases_of_s2_distinct():
-    stairs = {perm_to_staircase(p).steps for p in all_perms(2)}
+    stairs = {perm_to_staircase(p) for p in all_perms(2)}
     assert stairs == {"NENESS", "NNESES"}
 
 
 def test_validate_staircase_accepts_all_images():
     for n in range(1, 7):
         for p in all_perms(n):
-            validate_staircase(perm_to_staircase(p).steps)
+            st = perm_to_staircase(p)
+            assert type(st) is str
+            validate_staircase(st)
 
 
 def test_validate_staircase_errors():
@@ -137,15 +141,14 @@ def test_validate_staircase_errors():
 
 def test_staircase_count_equals_schroder():
     for n in range(1, 7):
-        stairs = {perm_to_staircase(p).steps for p in all_perms(n)}
+        stairs = {perm_to_staircase(p) for p in all_perms(n)}
         assert len(stairs) == SCHRODER[n - 1]
 
 
 def test_lexleast_reconstruction_of_worked_staircase():
-    st = BoundingStaircase(WORKED_STAIRCASE)
-    least = staircase_to_perm(st)
+    least = staircase_to_perm(WORKED_STAIRCASE)
     assert least == (5, 1, 2, 9, 4, 8, 10, 6, 7, 3)
-    assert perm_to_staircase(least).steps == WORKED_STAIRCASE
+    assert perm_to_staircase(least) == WORKED_STAIRCASE
     assert avoids(least, SCHRODER_PAIR)
 
 
@@ -158,25 +161,25 @@ def test_lexleast_characterizes_avoidance():
 
 
 def test_singleton_staircase_to_empty_path():
-    assert staircase_to_schroder(BoundingStaircase("NES")).steps == ""
-    assert staircase_to_perm(schroder_to_staircase(SchroderPath(""))) == (1,)
+    assert staircase_to_schroder("NES") == ""
+    assert staircase_to_perm(schroder_to_staircase("")) == (1,)
 
 
 def test_worked_staircase_to_path():
-    st = BoundingStaircase(WORKED_STAIRCASE)
-    assert staircase_to_schroder(st).steps == WORKED_PATH
-    assert schroder_to_staircase(SchroderPath(WORKED_PATH)).steps == WORKED_STAIRCASE
+    assert staircase_to_schroder(WORKED_STAIRCASE) == WORKED_PATH
+    assert schroder_to_staircase(WORKED_PATH) == WORKED_STAIRCASE
 
 
 def test_staircase_path_roundtrip_exhaustive():
     for n in range(1, 7):
-        stairs = {perm_to_staircase(p).steps for p in all_perms(n)}
+        stairs = {perm_to_staircase(p) for p in all_perms(n)}
         images = set()
         for s in stairs:
-            path = staircase_to_schroder(BoundingStaircase(s))
-            assert schroder_to_staircase(path).steps == s
-            images.add(path.steps)
-        assert images == {p.steps for p in enumerate_paths(n - 1)}
+            path = staircase_to_schroder(s)
+            assert type(path) is str
+            assert schroder_to_staircase(path) == s
+            images.add(path)
+        assert images == set(enumerate_paths(n - 1))
 
 
 def test_path_to_staircase_roundtrip_to_size_7():
@@ -185,13 +188,15 @@ def test_path_to_staircase_roundtrip_to_size_7():
     for n in range(8):
         for path in enumerate_paths(n):
             st = schroder_to_staircase(path)
-            validate_staircase(st.steps)
-            assert staircase_to_schroder(st) == path, path.steps
+            assert type(st) is str
+            validate_staircase(st)
+            assert staircase_to_schroder(st) == path, path
 
 
 def test_perm_to_path_on_s2():
-    assert perm_to_path((1, 2)).steps == "NE"
-    assert perm_to_path((2, 1)).steps == "D"
+    assert perm_to_path((1, 2)) == "NE"
+    assert perm_to_path((2, 1)) == "D"
+    assert all(type(perm_to_path(p)) is str for p in all_perms(3))
 
 
 def test_perm_to_path_rejects_with_witness():
@@ -214,7 +219,7 @@ def random_path(rng, size):
         else:
             budget -= 1
             h += step == "N"
-    return SchroderPath("".join(steps) + "E" * h)
+    return "".join(steps) + "E" * h
 
 
 def test_perm_to_path_rejects_planted_4213_at_length_100():
@@ -241,10 +246,10 @@ def test_bijection_roundtrip_fuzz_large():
     # path -> perm -> path on seeded random paths of size 20 to 200
     rng = random.Random(20)
     for _ in range(60):
-        path = validate_path(random_path(rng, rng.randint(20, 200)).steps)
+        path = validate_path(random_path(rng, rng.randint(20, 200)))
         perm = path_to_perm(path)
-        assert len(perm) == path.size + 1
-        assert perm_to_path(perm) == path, path.steps
+        assert len(perm) == path_size(path) + 1
+        assert perm_to_path(perm) == path, path
 
 
 def test_bijection_roundtrip():

@@ -21,11 +21,11 @@ from weaksort.perms import TRIPLES, format_perm
 p = (3, 5, 1, 6, 10, 2, 13, 18, 4, 7, 14, 15, 17, 16, 8, 11, 12, 9)
 d = decompose(p)
 print(f"permutation  {format_perm(p)}")
-print(f"upper part   {[v for _, v in d.upper]}")
-print(f"  head       {[v for _, v in d.upper_head]}")
-print(f"  tail       {[v for _, v in d.upper_tail]}")
-print(f"lower part   {[v for _, v in d.lower]}")
-print(f"  tail       {[v for _, v in d.lower_tail]}")
+print(f"upper part   {list(d.upper)}")
+print(f"  head       {list(d.upper_head)}")
+print(f"  tail       {list(d.upper_tail)}")
+print(f"lower part   {list(d.lower)}")
+print(f"  tail       {list(d.lower_tail)}")
 print(f"key entries  {sorted(d.key_values)}")
 print(f"(a, k, i) =  ({d.a}, {d.k}, {d.i})")
 ok, _ = check_structure(p)

@@ -8,6 +8,8 @@ the *lower* part the rest.  The upper part splits again at the maximum n into
 a head (entries weakly left of n) and a tail.  An entry is a *key* if it lies
 in the upper head or is a left-to-right minimum of the upper tail.  The
 lower tail collects the lower entries positioned after the first upper entry.
+`decompose` returns every part as a tuple of values in position order, and
+the keys' positions in p, 1-based.
 
 p avoids the triple exactly when four conditions hold:
 
@@ -34,10 +36,11 @@ assembles every one of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
 
 from .counting import enumerate_avoiders
-from .perms import TRIPLES, Perm, contains, standardize
+from .perms import Perm, contains, standardize
 from .series import catalan, gen_catalan
 
 
@@ -50,17 +53,19 @@ def _comb0(m: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """The split of a permutation used by the structure theorem.  All parts
-    are tuples of (position, value) pairs in position order."""
+    """The split of a permutation used by the structure theorem.  Every part
+    is a tuple of values in position order, `blocks` a tuple of such tuples;
+    `key_positions` are the keys' positions in p, 1-based."""
 
     perm: Perm
-    upper: tuple[tuple[int, int], ...]
-    lower: tuple[tuple[int, int], ...]
-    upper_head: tuple[tuple[int, int], ...]
-    upper_tail: tuple[tuple[int, int], ...]
-    lower_tail: tuple[tuple[int, int], ...]
-    keys: tuple[tuple[int, int], ...]
-    blocks: tuple[tuple[tuple[int, int], ...], ...]
+    upper: tuple[int, ...]
+    lower: tuple[int, ...]
+    upper_head: tuple[int, ...]
+    upper_tail: tuple[int, ...]
+    lower_tail: tuple[int, ...]
+    key_positions: tuple[int, ...]
+    key_values: tuple[int, ...]
+    blocks: tuple[tuple[int, ...], ...]
 
     @property
     def a(self) -> int:
@@ -70,20 +75,12 @@ class Decomposition:
     @property
     def k(self) -> int:
         """Number of key entries."""
-        return len(self.keys)
+        return len(self.key_values)
 
     @property
     def i(self) -> int:
         """Number of lower entries after the first key entry."""
         return len(self.lower_tail)
-
-    @property
-    def key_values(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.keys)
-
-    @property
-    def key_positions(self) -> tuple[int, ...]:
-        return tuple(pos for pos, _ in self.keys)
 
 
 def decompose(p: Perm) -> Decomposition:
@@ -92,30 +89,27 @@ def decompose(p: Perm) -> Decomposition:
     if n == 0:
         raise ValueError("cannot decompose the empty permutation")
     last = p[-1]
-    upper = tuple((i + 1, v) for i, v in enumerate(p) if v >= last)
-    lower = tuple((i + 1, v) for i, v in enumerate(p) if v < last)
-    n_pos = p.index(n) + 1
-    upper_head = tuple((pos, v) for pos, v in upper if pos <= n_pos)
-    upper_tail = tuple((pos, v) for pos, v in upper if pos > n_pos)
-    first_upper_pos = upper[0][0]
-    lower_tail = tuple((pos, v) for pos, v in lower if pos > first_upper_pos)
-    keys = list(upper_head)
+    upper = tuple(v for v in p if v >= last)
+    lower = tuple(v for v in p if v < last)
+    cut = upper.index(n) + 1
+    upper_head, upper_tail = upper[:cut], upper[cut:]
+    # every entry before the first upper one is lower
+    lower_tail = lower[p.index(upper[0]) :]
+    key_values = list(upper_head)
     low = n + 1
-    for pos, v in upper_tail:
+    for v in upper_tail:
         if v < low:
-            keys.append((pos, v))
+            key_values.append(v)
             low = v
-    blocks: list[tuple[tuple[int, int], ...]] = []
-    current: list[tuple[int, int]] = []
-    prev_pos = None
-    for pos, v in lower:
-        if prev_pos is not None and pos != prev_pos + 1:
-            blocks.append(tuple(current))
-            current = []
-        current.append((pos, v))
-        prev_pos = pos
-    if current:
-        blocks.append(tuple(current))
+    # the keys come in position order, so each search starts after the last
+    key_positions = []
+    at = 0
+    for v in key_values:
+        at = p.index(v, at) + 1
+        key_positions.append(at)
+    blocks = tuple(
+        tuple(run) for is_lower, run in groupby(p, lambda v: v < last) if is_lower
+    )
     return Decomposition(
         perm=p,
         upper=upper,
@@ -123,8 +117,9 @@ def decompose(p: Perm) -> Decomposition:
         upper_head=upper_head,
         upper_tail=upper_tail,
         lower_tail=lower_tail,
-        keys=tuple(keys),
-        blocks=tuple(blocks),
+        key_positions=tuple(key_positions),
+        key_values=tuple(key_values),
+        blocks=blocks,
     )
 
 
@@ -135,21 +130,19 @@ def check_structure(p: Perm) -> tuple[bool, str | None]:
     avoidance of the fifth triple is the structure theorem under test.
     """
     d = decompose(p)
-    upper_vals = tuple(v for _, v in d.upper)
-    if contains(standardize(upper_vals), (2, 1, 3)):
+    if contains(standardize(d.upper), (2, 1, 3)):
         return False, "upper part contains 213"
-    lower_vals = tuple(v for _, v in d.lower)
-    if contains(lower_vals, (3, 2, 1)):
+    if contains(d.lower, (3, 2, 1)):
         return False, "lower part contains 321"
-    tail_vals = [v for _, v in d.lower_tail]
-    if any(a > b for a, b in zip(tail_vals, tail_vals[1:])):
+    tail = d.lower_tail
+    if any(a > b for a, b in zip(tail, tail[1:])):
         return False, "lower tail not increasing"
-    key_positions = set(d.key_positions)
-    lower_positions = {pos for pos, _ in d.lower}
-    for pos, _ in d.lower:
-        nxt = pos + 1
-        if nxt not in lower_positions and nxt not in key_positions:
-            return False, "lower block not flush against a key entry"
+    # p ends in an upper entry, so every lower block has an upper right
+    # neighbour, which must be a key
+    keys = set(d.key_values)
+    last = p[-1]
+    if any(x < last <= y and y not in keys for x, y in zip(p, p[1:])):
+        return False, "lower block not flush against a key entry"
     return True, None
 
 
@@ -384,7 +377,3 @@ def _compositions(total: int, parts: int):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
-
-def brute_force_count(n: int) -> int:
-    """|S_n| of the fifth triple by enumeration (cross-check at small n)."""
-    return len(enumerate_avoiders(n, TRIPLES["pi5"]))

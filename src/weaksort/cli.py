@@ -97,8 +97,6 @@ def _class_list(selector: str) -> list[str]:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    if (args.cls is None) == (args.patterns is None):
-        raise _usage("count: give exactly one of --class or --patterns")
     patterns = TRIPLES[args.cls] if args.cls else parse_pattern_set(args.patterns)
     seq = counting.counting_sequence(patterns, args.n)
     label = args.cls or "custom"
@@ -192,8 +190,6 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         path = schroder.validate_path(args.path)
         print(format_perm(schroder.path_to_perm(path)))
         return 0
-    if args.map != "phi":
-        raise _usage(f"unknown map {args.map!r}; only 'phi' is available")
     if args.input is None:
         raise _usage("bijection --map phi needs --input")
     print(schroder.perm_to_path(parse_perm(args.input)))
@@ -201,9 +197,6 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
 
 
 def _cmd_class5(args: argparse.Namespace) -> int:
-    chosen = [x for x in (args.count, args.decompose, args.indec) if x is not None]
-    if len(chosen) != 1:
-        raise _usage("class5: give exactly one of --count, --decompose, --indec")
     if args.count is not None:
         print(class5.count_avoiders(args.count))
     elif args.indec is not None:
@@ -214,14 +207,14 @@ def _cmd_class5(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "perm": format_perm(d.perm),
-                    "upper": [v for _, v in d.upper],
-                    "lower": [v for _, v in d.lower],
-                    "upper_head": [v for _, v in d.upper_head],
-                    "upper_tail": [v for _, v in d.upper_tail],
-                    "lower_tail": [v for _, v in d.lower_tail],
-                    "key_positions": list(d.key_positions),
-                    "key_values": list(d.key_values),
-                    "blocks": [[v for _, v in block] for block in d.blocks],
+                    "upper": d.upper,
+                    "lower": d.lower,
+                    "upper_head": d.upper_head,
+                    "upper_tail": d.upper_tail,
+                    "lower_tail": d.lower_tail,
+                    "key_positions": d.key_positions,
+                    "key_values": d.key_values,
+                    "blocks": d.blocks,
                     "a": d.a,
                     "k": d.k,
                     "i": d.i,
@@ -265,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="|S_n(T)| for one class or pattern set")
-    p.add_argument("--class", dest="cls", choices=list(TRIPLES))
-    p.add_argument("--patterns", help='semicolon-separated, e.g. "3 2 1 4; 4 2 1 3"')
+    chosen = p.add_mutually_exclusive_group(required=True)
+    chosen.add_argument("--class", dest="cls", choices=list(TRIPLES))
+    chosen.add_argument("--patterns", help='semicolon-separated, e.g. "3 2 1 4; 4 2 1 3"')
     p.add_argument("--n", type=int, required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_count)
@@ -293,16 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("bijection", help="permutation <-> Schroder path")
-    p.add_argument("--map", default="phi")
+    p.add_argument("--map", default="phi", choices=("phi",))
     p.add_argument("--input", help="permutation in one-line notation")
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--path", help="path step string like NDE")
     p.set_defaults(func=_cmd_bijection)
 
     p = sub.add_parser("class5", help="fifth-triple counts and decomposition")
-    p.add_argument("--count", type=int)
-    p.add_argument("--decompose", help="permutation in one-line notation")
-    p.add_argument("--indec", type=int)
+    chosen = p.add_mutually_exclusive_group(required=True)
+    chosen.add_argument("--count", type=int)
+    chosen.add_argument("--decompose", help="permutation in one-line notation")
+    chosen.add_argument("--indec", type=int)
     p.set_defaults(func=_cmd_class5)
 
     p = sub.add_parser("recurrence", help="counting sequence via the table recurrence")
@@ -339,8 +334,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, KeyError, ConnectionError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

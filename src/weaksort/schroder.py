@@ -101,27 +101,22 @@ def enumerate_paths(n: int) -> list[SchroderPath]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    out: list[str] = []
-    prefix: list[str] = []
+    out: list[SchroderPath] = []
 
-    def walk(h: int, budget: int) -> None:
+    def walk(prefix: str, h: int, budget: int) -> None:
+        # steps tried in ASCII order D < E < N, so paths come out sorted
+        # (no path of size n is a prefix of another)
         if budget == 0:
             # only E steps remain: h of them, straight down to the diagonal
-            out.append("".join(prefix) + "E" * h)
+            out.append(prefix + "E" * h)
             return
-        prefix.append("N")
-        walk(h + 1, budget - 1)
-        prefix.pop()
-        prefix.append("D")
-        walk(h, budget - 1)
-        prefix.pop()
+        walk(prefix + "D", h, budget - 1)
         if h > 0:
-            prefix.append("E")
-            walk(h - 1, budget)
-            prefix.pop()
+            walk(prefix + "E", h - 1, budget)
+        walk(prefix + "N", h + 1, budget - 1)
 
-    walk(0, n)
-    return sorted(out)
+    walk("", 0, n)
+    return out
 
 
 def peak_census(n: int) -> tuple[dict[int, int], dict[int, int]]:

@@ -129,9 +129,9 @@ class Series:
             out[n] = _exact(s, c0, n)
         return Series(tuple(out))
 
-    def shift(self, k: int = 1) -> "Series":
-        """Multiply by x^k (same truncation order; top coefficients drop off)."""
-        return Series((0,) * k + self.coeffs[: self.order + 1 - k])
+    def shift(self) -> "Series":
+        """Multiply by x (same truncation order; the top coefficient drops off)."""
+        return Series((0,) + self.coeffs[: self.order])
 
 
 def from_ints(values: Iterable[int], order: int) -> Series:

@@ -5,7 +5,6 @@ import pytest
 from oracles import keyed_213_count_brute, tail_321_count_brute
 
 from weaksort.class5 import (
-    brute_force_count,
     check_structure,
     construct,
     constructions,
@@ -17,41 +16,40 @@ from weaksort.class5 import (
     keyed_213_count_by_max_position,
     tail_321_count,
 )
-from weaksort.counting import enumerate_avoiders
+from weaksort.counting import counting_sequence, enumerate_avoiders
 from weaksort.perms import TRIPLES, all_perms, avoids, components, contains
 from weaksort.series import catalan, gen_catalan, gf_catalog
 
 WORKED_AVOIDER = (3, 5, 1, 6, 10, 2, 13, 18, 4, 7, 14, 15, 17, 16, 8, 11, 12, 9)
 
 
-def _values(pairs):
-    return [v for _, v in pairs]
-
-
 def test_decompose_worked_example():
     d = decompose(WORKED_AVOIDER)
-    assert _values(d.upper_head) == [10, 13, 18]
-    assert _values(d.upper_tail) == [14, 15, 17, 16, 11, 12, 9]
-    assert _values(d.lower_tail) == [2, 4, 7, 8]
-    assert sorted(d.key_values) == [9, 10, 11, 13, 14, 18]
+    assert d.upper_head == (10, 13, 18)
+    assert d.upper_tail == (14, 15, 17, 16, 11, 12, 9)
+    assert d.lower_tail == (2, 4, 7, 8)
+    assert d.key_values == (10, 13, 18, 14, 11, 9)
+    assert d.key_positions == (5, 7, 8, 11, 16, 18)
+    assert d.blocks == ((3, 5, 1, 6), (2,), (4, 7), (8,))
     assert d.a == 10 and d.k == 6 and d.i == 4
 
 
 def test_decompose_small_example():
     d = decompose((3, 1, 4, 2))
-    assert _values(d.upper) == [3, 4, 2]
-    assert _values(d.lower) == [1]
-    assert _values(d.upper_head) == [3, 4]
-    assert _values(d.upper_tail) == [2]
+    assert d.upper == (3, 4, 2)
+    assert d.lower == (1,)
+    assert d.upper_head == (3, 4)
+    assert d.upper_tail == (2,)
     assert d.key_values == (3, 4, 2)
-    assert _values(d.lower_tail) == [1]
-    assert [_values(block) for block in d.blocks] == [[1]]
+    assert d.key_positions == (1, 3, 4)
+    assert d.lower_tail == (1,)
+    assert d.blocks == ((1,),)
 
 
 def test_decompose_identity_degenerate():
     d = decompose(tuple(range(1, 6)))
     assert d.a == 1
-    assert _values(d.upper) == [5]
+    assert d.upper == (5,)
 
 
 def test_decompose_rejects_empty():
@@ -62,8 +60,14 @@ def test_decompose_rejects_empty():
 def test_check_structure_examples():
     ok, reason = check_structure((3, 1, 4, 2))
     assert ok and reason is None
-    ok, reason = check_structure((4, 2, 1, 3))
-    assert not ok and reason is not None
+    # each of these fails its condition first
+    for p, reason in [
+        ((3, 2, 4, 1), "upper part contains 213"),
+        ((3, 2, 1, 4), "lower part contains 321"),
+        ((4, 2, 1, 3), "lower tail not increasing"),
+        ((5, 3, 1, 4, 2), "lower block not flush against a key entry"),
+    ]:
+        assert check_structure(p) == (False, reason), p
 
 
 def test_structure_theorem_exhaustive():
@@ -134,8 +138,9 @@ def test_count_small_values():
 
 
 def test_count_matches_brute_force():
-    for n in range(3, 9):
-        assert count_avoiders(n) == brute_force_count(n), n
+    brute = counting_sequence(TRIPLES["pi5"], 9)
+    for n in range(3, 10):
+        assert count_avoiders(n) == brute[n], n
 
 
 def test_closed_formulas_match_series_to_100():
@@ -235,7 +240,7 @@ def test_construct_decompose_roundtrip():
     assert avoids(p, TRIPLES["pi5"])
     d = decompose(p)
     assert d.a == 4 and d.i == 3
-    assert [v for _, v in d.upper] == [7, 8, 9, 6]
+    assert d.upper == (7, 8, 9, 6)
 
 
 def test_construct_degenerate_all_distributed():

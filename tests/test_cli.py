@@ -118,10 +118,25 @@ def test_class5_commands(capsys):
     code, out, _ = run(capsys, "class5", "--indec", "7")
     assert (code, out.strip()) == (0, "707")
     code, out, _ = run(capsys, "class5", "--decompose", "3 1 4 2")
-    payload = json.loads(out)
-    assert payload["upper"] == [3, 4, 2]
-    assert payload["key_values"] == [3, 4, 2]
-    assert payload["a"] == 3 and payload["k"] == 3 and payload["i"] == 1
+    assert code == 0
+    assert out == (
+        '{"a": 3, "blocks": [[1]], "i": 1, "k": 3, "key_positions": [1, 3, 4], '
+        '"key_values": [3, 4, 2], "lower": [1], "lower_tail": [1], '
+        '"perm": "3 1 4 2", "upper": [3, 4, 2], "upper_head": [3, 4], '
+        '"upper_tail": [2]}\n'
+    )
+    worked = "3 5 1 6 10 2 13 18 4 7 14 15 17 16 8 11 12 9"
+    code, out, _ = run(capsys, "class5", "--decompose", worked)
+    assert code == 0
+    assert out == (
+        '{"a": 10, "blocks": [[3, 5, 1, 6], [2], [4, 7], [8]], "i": 4, "k": 6, '
+        '"key_positions": [5, 7, 8, 11, 16, 18], '
+        '"key_values": [10, 13, 18, 14, 11, 9], '
+        '"lower": [3, 5, 1, 6, 2, 4, 7, 8], "lower_tail": [2, 4, 7, 8], '
+        f'"perm": "{worked}", '
+        '"upper": [10, 13, 18, 14, 15, 17, 16, 11, 12, 9], '
+        '"upper_head": [10, 13, 18], "upper_tail": [14, 15, 17, 16, 11, 12, 9]}\n'
+    )
 
 
 def test_recurrence_csv(capsys):
@@ -165,6 +180,15 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["search", "--n", "6", "--format", "csv"])  # no csv form
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["class5", "--count", "3", "--indec", "3"])  # two actions
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--class", "pi1", "--patterns", "1 2", "--n", "3"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bijection", "--map", "psi", "--input", "1"])  # only phi
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
 

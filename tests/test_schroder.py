@@ -65,7 +65,10 @@ def test_enumerate_paths_small():
 
 @pytest.mark.parametrize("n", range(9))
 def test_path_counts_are_schroder_numbers(n):
-    assert len(enumerate_paths(n)) == SCHRODER[n]
+    paths = enumerate_paths(n)
+    assert len(paths) == SCHRODER[n]
+    # sorted and distinct: each path strictly after the one before
+    assert all(p < q for p, q in zip(paths, paths[1:]))
 
 
 def test_path_count_n10():

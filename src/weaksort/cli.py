@@ -190,6 +190,8 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         path = schroder.validate_path(args.path)
         print(format_perm(schroder.path_to_perm(path)))
         return 0
+    if args.path is not None:
+        raise _usage("bijection --path needs --inverse")
     if args.input is None:
         raise _usage("bijection --map phi needs --input")
     print(schroder.perm_to_path(parse_perm(args.input)))
@@ -288,9 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bijection", help="permutation <-> Schroder path")
     p.add_argument("--map", default="phi", choices=("phi",))
-    p.add_argument("--input", help="permutation in one-line notation")
+    chosen = p.add_mutually_exclusive_group()
+    chosen.add_argument("--input", help="permutation in one-line notation")
+    chosen.add_argument("--path", help="path step string like NDE (with --inverse)")
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--path", help="path step string like NDE")
     p.set_defaults(func=_cmd_bijection)
 
     p = sub.add_parser("class5", help="fifth-triple counts and decomposition")

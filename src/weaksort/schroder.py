@@ -36,7 +36,9 @@ Paths and staircases are plain step strings, as permutations are plain
 tuples: `SchroderPath` and `Staircase` are aliases of `str`, and every
 function here takes and returns the string itself, such as "NDENE" or
 "NENESS".  A path has path.count("NE") peaks and len(path_components(path))
-components; a staircase has size s.count("N").
+components; a staircase has size s.count("N").  `peak_census` alone
+builds no path: it walks the paths of a size, counting peaks and returns
+to the diagonal step by step.
 
 One pattern reads the runs of a staircase's step string: it is a list of
 (N or S run, East run) pairs, and the final S run has no East run after it.
@@ -122,16 +124,42 @@ def enumerate_paths(n: int) -> list[SchroderPath]:
 def peak_census(n: int) -> tuple[dict[int, int], dict[int, int]]:
     """
     Number of Schroder n-paths for each peak count: over all paths, and over
-    the indecomposable ones, from one pass over the paths.
+    the indecomposable ones (exactly one component; the empty path has
+    none).
+
+    One walk over the D/E/N tree that `enumerate_paths` walks, visiting
+    every path but building neither the list nor any step string.  Each
+    branch carries its height, the N/D steps left, the peaks so far, whether
+    the last step was N, and whether the path has returned to the diagonal
+    before its end.  A path is counted at its leaf, where the trailing E run
+    closes one more peak when the last step was N.
     """
-    census: dict[int, int] = {}
-    indec: dict[int, int] = {}
-    for path in enumerate_paths(n):
-        peaks = path.count("NE")
-        census[peaks] = census.get(peaks, 0) + 1
-        if len(path_components(path)) == 1:
-            indec[peaks] = indec.get(peaks, 0) + 1
-    return census, indec
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return {0: 1}, {}
+    census = [0] * (n + 1)
+    indec = [0] * (n + 1)
+
+    def walk(h: int, budget: int, peaks: int, after_n: bool, touched: bool) -> None:
+        if budget == 0:
+            peaks += after_n
+            census[peaks] += 1
+            if not touched:
+                indec[peaks] += 1
+            return
+        # a D along the diagonal with steps left after it, or an E down to
+        # the diagonal, returns to it before the end
+        walk(h, budget - 1, peaks, False, touched or (h == 0 and budget > 1))
+        if h > 0:
+            walk(h - 1, budget, peaks + after_n, False, touched or h == 1)
+        walk(h + 1, budget - 1, peaks, True, touched)
+
+    walk(0, n, 0, False, False)
+    return (
+        {k: c for k, c in enumerate(census) if c},
+        {k: c for k, c in enumerate(indec) if c},
+    )
 
 
 def le1_peak_paths(n: int) -> list[SchroderPath]:

@@ -2,12 +2,13 @@
 Brute-force oracles that the tests hold the library's routes against: plain
 filtering and enumeration, slow and independent of the route they check.
 """
+from itertools import groupby
 from typing import Iterable, Sequence
 
-from weaksort.class5 import decompose
+from weaksort.class5 import Decomposition, decompose
 from weaksort.counting import enumerate_avoiders
-from weaksort.perms import Perm, all_perms, avoids
-from weaksort.schroder import Staircase
+from weaksort.perms import Perm, all_perms, avoids, contains, standardize
+from weaksort.schroder import Staircase, enumerate_paths, path_components
 
 STAIRCASE_STEPS = frozenset("NES")
 
@@ -90,3 +91,82 @@ def validate_staircase(steps: str) -> Staircase:
         if gap < i:
             raise ValueError(f"N/S pair {i} from the top only {gap} apart")
     return steps
+
+
+def peak_census_from_strings(n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """
+    Oracle for `schroder.peak_census`: the census over the built step
+    strings, counting peaks with str.count and components by slicing.
+    """
+    census: dict[int, int] = {}
+    indec: dict[int, int] = {}
+    for path in enumerate_paths(n):
+        peaks = path.count("NE")
+        census[peaks] = census.get(peaks, 0) + 1
+        if len(path_components(path)) == 1:
+            indec[peaks] = indec.get(peaks, 0) + 1
+    return census, indec
+
+
+def decompose_groupby(p: Perm) -> Decomposition:
+    """
+    Oracle for `class5.decompose`: the same split, with the lower blocks
+    read off by itertools.groupby.
+    """
+    n = len(p)
+    if n == 0:
+        raise ValueError("cannot decompose the empty permutation")
+    last = p[-1]
+    upper = tuple(v for v in p if v >= last)
+    lower = tuple(v for v in p if v < last)
+    cut = upper.index(n) + 1
+    upper_head, upper_tail = upper[:cut], upper[cut:]
+    # every entry before the first upper one is lower
+    lower_tail = lower[p.index(upper[0]) :]
+    key_values = list(upper_head)
+    low = n + 1
+    for v in upper_tail:
+        if v < low:
+            key_values.append(v)
+            low = v
+    # the keys come in position order, so each search starts after the last
+    key_positions = []
+    at = 0
+    for v in key_values:
+        at = p.index(v, at) + 1
+        key_positions.append(at)
+    blocks = tuple(
+        tuple(run) for is_lower, run in groupby(p, lambda v: v < last) if is_lower
+    )
+    return Decomposition(
+        perm=p,
+        upper=upper,
+        lower=lower,
+        upper_head=upper_head,
+        upper_tail=upper_tail,
+        lower_tail=lower_tail,
+        key_positions=tuple(key_positions),
+        key_values=tuple(key_values),
+        blocks=blocks,
+    )
+
+
+def check_structure_standardized(p: Perm) -> tuple[bool, str | None]:
+    """
+    Oracle for `class5.check_structure`: the four conditions on
+    `decompose_groupby`, with the upper part standardized before the 213
+    test.
+    """
+    d = decompose_groupby(p)
+    if contains(standardize(d.upper), (2, 1, 3)):
+        return False, "upper part contains 213"
+    if contains(d.lower, (3, 2, 1)):
+        return False, "lower part contains 321"
+    tail = d.lower_tail
+    if any(a > b for a, b in zip(tail, tail[1:])):
+        return False, "lower tail not increasing"
+    keys = set(d.key_values)
+    last = p[-1]
+    if any(x < last <= y and y not in keys for x, y in zip(p, p[1:])):
+        return False, "lower block not flush against a key entry"
+    return True, None

@@ -2,7 +2,12 @@
 from math import comb
 
 import pytest
-from oracles import keyed_213_count_brute, tail_321_count_brute
+from oracles import (
+    check_structure_standardized,
+    decompose_groupby,
+    keyed_213_count_brute,
+    tail_321_count_brute,
+)
 
 from weaksort.class5 import (
     check_structure,
@@ -78,6 +83,13 @@ def test_structure_theorem_exhaustive():
             assert ok == avoids(p, patterns), (p, reason)
             if not ok:
                 assert reason
+
+
+def test_decompose_and_check_structure_match_oracles():
+    for n in range(1, 8):
+        for p in all_perms(n):
+            assert vars(decompose(p)) == vars(decompose_groupby(p)), p
+            assert check_structure(p) == check_structure_standardized(p), p
 
 
 def test_keyed_213_formula_vs_oracle():

@@ -190,6 +190,19 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bijection", "--map", "psi", "--input", "1"])  # only phi
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        # --input and --path belong to opposite directions
+        main(["bijection", "--inverse", "--path", "NDE", "--input", "9 9"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bijection", "--input", "3 1 4 2", "--path", "XYZ"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bijection", "--inverse", "--input", "3 1 4 2"])  # no --path
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bijection", "--path", "NDE"])  # no --inverse
+    assert exc.value.code == 2
     assert capsys.readouterr().out == ""
 
 

@@ -4,7 +4,7 @@ import random
 from math import comb
 
 import pytest
-from oracles import validate_staircase
+from oracles import peak_census_from_strings, validate_staircase
 
 from weaksort import schroder
 from weaksort.counting import enumerate_avoiders
@@ -81,6 +81,22 @@ def test_peak_census_formulas():
         assert census[0] == CATALAN[n]
         assert census[1] == comb(2 * n - 1, n - 1)
         assert sum(census.values()) == SCHRODER[n]
+
+
+def test_peak_census_of_empty_path():
+    # one path, no peaks, and no components, so no indecomposable path
+    assert peak_census(0) == ({0: 1}, {})
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_peak_census_matches_string_census(n):
+    assert peak_census(n) == peak_census_from_strings(n)
+
+
+def test_peak_census_totals_are_schroder_numbers():
+    for n in range(11):
+        census, _ = peak_census(n)
+        assert sum(census.values()) == SCHRODER[n], n
 
 
 def test_peak_census_n2():

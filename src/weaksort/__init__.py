@@ -10,7 +10,7 @@ recurrence  first-two-entry table recurrences for the first three triples
 series      exact integer power series and the generating-function catalog
 schroder    Schroder paths, bounding staircases, and the bijections
 class5      structure theorem and direct counting for the fifth triple
-oeis        b-file client with bundled offline fixtures
+oeis        b-file parser and the four bundled OEIS fixtures
 acceptance  the end-to-end verification suite (also: `weaksort verify`)
 """
 from .perms import (

@@ -11,32 +11,32 @@ from __future__ import annotations
 from math import comb
 from typing import Callable
 
-from . import class5, counting, recurrence, schroder, series
+from . import class5, counting, oeis, recurrence, schroder, series
 from .perms import SCHRODER_PAIR, TRIPLES, all_perms, avoids, components
-
-TARGET = (1, 1, 2, 6, 21, 79, 309, 1237, 5026)
 
 
 def criterion_1_five_class_agreement() -> None:
-    """Brute-force counts of all five triples agree with the target, n <= 8."""
+    """Brute-force counts of all five triples agree with the bundled A111279
+    fixture, n <= 8."""
+    target = oeis.fetch("A111279").prefix(9)
     for class_id, patterns in TRIPLES.items():
         got = tuple(counting.counting_sequence(patterns, 8))
-        assert got == TARGET, f"{class_id}: {got} != {TARGET}"
+        assert got == target, f"{class_id}: {got} != {target}"
 
 
 def criterion_2_generating_function_agreement() -> None:
-    """Series division reproduces brute force (n <= 8) and the recurrence
-    (n <= 100)."""
+    """Series division reproduces the A111279 fixture and brute force
+    (n <= 8) and the recurrence (n <= 100)."""
     coeffs = list(series.gf_catalog("main", 100).coeffs)
-    assert tuple(coeffs[:9]) == TARGET, coeffs[:9]
+    assert tuple(coeffs[:9]) == oeis.fetch("A111279").prefix(9), coeffs[:9]
     brute = counting.counting_sequence(TRIPLES["pi1"], 8)
     assert coeffs[:9] == brute, (coeffs[:9], brute)
     assert coeffs == recurrence.count_via_recurrence("pi1", 100)
 
 
 def criterion_3_wilf_classification() -> None:
-    """Exactly five symmetry orbits of triples match the target at n <= 8."""
-    report = counting.wilf_search(8, TARGET)
+    """Exactly five symmetry orbits of triples match A111279 at n <= 8."""
+    report = counting.wilf_search(8, oeis.fetch("A111279").prefix(9))
     assert report.triples_total == comb(24, 3) == 2024, report.triples_total
     assert len(report.matches) == 5, f"{len(report.matches)} matching orbits"
     expected = {

@@ -17,6 +17,8 @@ rejected, 2 usage error.
 Identical invocations produce byte-identical output.  count, sequence,
 series, recurrence and oeis take --format table|csv|json; search takes
 --format table|json, because its report has no csv form.
+OEIS terms come only from the four bundled b-files; no command reaches the
+network or writes a file.
 
 Size policy: the three commands that enumerate permutations (count,
 sequence, search) refuse an --n above SIZE_LIMITS with exit 2 unless
@@ -64,13 +66,13 @@ def _emit_terms(name: str, pairs: list[tuple[int, int]], fmt: str) -> None:
 
 def _resolve_target(text: str, nmax: int) -> tuple[int, ...]:
     """
-    --target accepts an OEIS id (offline fixture) or comma-separated ints.
+    --target accepts an OEIS id (bundled fixture) or comma-separated ints.
     Every set of patterns of length >= 2 has exactly one avoider of length
     0 and one of length 1, so a target that does not start 1, 1 is indexed
     from another offset and is rejected rather than matched against nothing.
     """
     if text.startswith("A"):
-        seq = oeis.fetch(text, source="offline")
+        seq = oeis.fetch(text)
         head, terms = tuple(seq.terms[:2]), seq.prefix(nmax + 1)
     else:
         terms = tuple(parse_decimal(tok) for tok in text.replace(",", " ").split())
@@ -234,7 +236,7 @@ def _cmd_recurrence(args: argparse.Namespace) -> int:
 
 
 def _cmd_oeis(args: argparse.Namespace) -> int:
-    seq = oeis.fetch(args.id, source="online" if args.online else "offline")
+    seq = oeis.fetch(args.id)
     pairs = [(seq.offset + i, v) for i, v in enumerate(seq.terms)]
     _emit_terms(seq.id, pairs, args.format)
     return 0
@@ -309,11 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, default="csv")
     p.set_defaults(func=_cmd_recurrence)
 
-    p = sub.add_parser("oeis", help="terms of a bundled or fetched OEIS sequence")
+    p = sub.add_parser("oeis", help="terms of a bundled OEIS sequence")
     p.add_argument("--id", required=True)
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--offline", action="store_true", help="force the bundled fixture")
-    source.add_argument("--online", action="store_true", help="fetch and cache the b-file")
     _add_format(p)
     p.set_defaults(func=_cmd_oeis)
 
@@ -337,7 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     try:
         return args.func(args)
-    except (ValueError, KeyError, ConnectionError) as exc:
+    except (ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

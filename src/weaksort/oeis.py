@@ -1,10 +1,8 @@
 """
-Minimal OEIS b-file client for the cross-check sequences.
+OEIS cross-check sequences, read from bundled b-files.
 
-Four sequences used by the verification suite ship as bundled fixtures, so
-everything works offline (the default).  Online mode fetches the b-file
-(lines of "index value") over HTTP, caches it, and parses it identically;
-the cache directory honours the WEAKSORT_OEIS_CACHE environment variable.
+The four sequences the package checks against ship as b-file fixtures
+(lines of "index value"), so nothing reaches the network or writes a file.
 
 Bundled fixtures:
     A111279  weak sorting numbers (the shared counting sequence)
@@ -14,15 +12,10 @@ Bundled fixtures:
 """
 from __future__ import annotations
 
-import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
-CACHE_ENV = "WEAKSORT_OEIS_CACHE"
 FIXTURE_IDS = ("A111279", "A006318", "A026671", "A060693")
 _ID_RE = re.compile(r"\AA[0-9]{6}\Z")
 #: an index or term: OEIS offsets and terms may be negative, and int() alone
@@ -69,52 +62,15 @@ def parse_bfile(seq_id: str, text: str) -> OeisSequence:
     return OeisSequence(seq_id, indices[0], tuple(terms))
 
 
-def _bfile_name(seq_id: str) -> str:
-    return f"b{seq_id[1:]}.txt"
-
-
-def _load_fixture(seq_id: str) -> OeisSequence:
+def fetch(seq_id: str) -> OeisSequence:
+    """Load the bundled fixture of a sequence."""
+    if not _ID_RE.match(seq_id):
+        raise ValueError(f"malformed OEIS id {seq_id!r}; expected A followed by 6 digits")
     if seq_id not in FIXTURE_IDS:
         raise KeyError(
             f"no offline fixture for {seq_id}; bundled: {', '.join(FIXTURE_IDS)}"
         )
     text = (
-        resources.files("weaksort").joinpath("data", _bfile_name(seq_id)).read_text()
+        resources.files("weaksort").joinpath("data", f"b{seq_id[1:]}.txt").read_text()
     )
     return parse_bfile(seq_id, text)
-
-
-def _cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "weaksort" / "oeis"
-
-
-def fetch(seq_id: str, source: str = "offline", cache_dir: Path | None = None) -> OeisSequence:
-    """
-    Load a sequence.  source="offline" (default) reads the bundled fixture;
-    source="online" downloads the b-file once and reuses the cached copy.
-    """
-    if not _ID_RE.match(seq_id):
-        raise ValueError(f"malformed OEIS id {seq_id!r}; expected A followed by 6 digits")
-    if source == "offline":
-        return _load_fixture(seq_id)
-    if source != "online":
-        raise ValueError(f"source must be 'offline' or 'online', got {source!r}")
-    cache = Path(cache_dir) if cache_dir is not None else _cache_dir()
-    cached = cache / _bfile_name(seq_id)
-    if cached.exists():
-        return parse_bfile(seq_id, cached.read_text())
-    url = f"https://oeis.org/{seq_id}/{_bfile_name(seq_id)}"
-    try:
-        with urllib.request.urlopen(url, timeout=30) as resp:
-            text = resp.read().decode("utf-8")
-    except (urllib.error.URLError, OSError) as exc:
-        raise ConnectionError(
-            f"could not fetch {url}: {exc}; use source='offline' for the bundled data"
-        ) from exc
-    parsed = parse_bfile(seq_id, text)  # validate before caching
-    cache.mkdir(parents=True, exist_ok=True)
-    cached.write_text(text)
-    return parsed

@@ -242,6 +242,8 @@ def gf_catalog(name: str, order: int):
         d1 = 1 - 3x - (1+x)sqrt(1-4x), so the y^k coefficient is G*R^(k-1)
         with G = 2x*sqrt(1-4x)/d0 and R = -d1/d0, both exact divisions.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     N = order
     sq = sqrt_one_minus_4x(N)
     xs = x(N)

@@ -1,8 +1,12 @@
-"""Command-line surface: formats, determinism, exit codes."""
+"""Command-line surface: formats, determinism, exit codes, imports."""
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weaksort
 from weaksort.cli import main
 
 
@@ -175,9 +179,10 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["class5"])  # none of the three actions
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["oeis", "--id", "A006318", "--online", "--offline"])
-    assert exc.value.code == 2
+    for flag in ("--online", "--offline"):  # bundled fixtures are the only source
+        with pytest.raises(SystemExit) as exc:
+            main(["oeis", "--id", "A006318", flag])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["search", "--n", "6", "--format", "csv"])  # no csv form
     assert exc.value.code == 2
@@ -236,6 +241,8 @@ def test_data_errors_exit_1(capsys):
         "error: no offline fixture for A000000; "
         "bundled: A111279, A006318, A026671, A060693\n"
     )
+    code, out, err = run(capsys, "series", "--name", "main", "--n", "-1")
+    assert (code, out, err) == (1, "", "error: order must be >= 0\n")
 
 
 def test_bijection_rejects_non_ascii_digits(capsys):
@@ -266,3 +273,23 @@ def test_guarded_n_with_override(capsys):
         capsys, "count", "--patterns", "1 2; 2 1", "--n", "12", "--limit-override"
     )
     assert (code, out.strip()) == (0, "0")
+
+
+def test_cli_import_loads_no_network_module():
+    # a fresh interpreter, so modules the test run already imported do not count
+    probe = "import sys; {}print(' '.join(sorted(sys.modules)))"
+    src = str(Path(weaksort.__file__).resolve().parents[1])
+
+    def loaded(setup):
+        out = subprocess.run(
+            [sys.executable, "-c", probe.format(setup)],
+            capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src},
+        ).stdout
+        return set(out.split())
+
+    bare = loaded("")
+    cli = loaded("import weaksort.cli; weaksort.cli.build_parser(); ")
+    assert "weaksort.cli" in cli
+    network = {"socket", "ssl", "http.client", "urllib.request"}
+    assert (cli - bare) & network == set()

@@ -1,7 +1,4 @@
-"""Offline fixtures, b-file parsing, and the online cache path."""
-import io
-import urllib.error
-
+"""Bundled fixtures and b-file parsing."""
 import pytest
 
 from weaksort import oeis
@@ -82,48 +79,3 @@ def test_prefix_guard():
     seq = oeis.parse_bfile("A000001", "0 1\n1 2\n")
     with pytest.raises(ValueError, match="only 2 terms"):
         seq.prefix(3)
-
-
-def test_online_fetch_caches(tmp_path, monkeypatch):
-    body = b"0 1\n1 5\n2 25\n"
-    calls = []
-
-    class FakeResponse(io.BytesIO):
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-    def fake_urlopen(url, timeout=0):
-        calls.append(url)
-        return FakeResponse(body)
-
-    monkeypatch.setattr(oeis.urllib.request, "urlopen", fake_urlopen)
-    first = oeis.fetch("A000351", source="online", cache_dir=tmp_path)
-    assert first.terms == (1, 5, 25)
-    assert len(calls) == 1
-    # second call reads the cache: no new request, identical result
-    second = oeis.fetch("A000351", source="online", cache_dir=tmp_path)
-    assert second == first
-    assert len(calls) == 1
-    assert (tmp_path / "b000351.txt").read_bytes() == body
-
-
-def test_online_failure_points_to_offline(monkeypatch, tmp_path):
-    def failing_urlopen(url, timeout=0):
-        raise urllib.error.URLError("unreachable")
-
-    monkeypatch.setattr(oeis.urllib.request, "urlopen", failing_urlopen)
-    with pytest.raises(ConnectionError, match="offline"):
-        oeis.fetch("A000351", source="online", cache_dir=tmp_path)
-
-
-def test_cache_dir_env(monkeypatch, tmp_path):
-    monkeypatch.setenv(oeis.CACHE_ENV, str(tmp_path / "envcache"))
-    assert oeis._cache_dir() == tmp_path / "envcache"
-
-
-def test_bad_source():
-    with pytest.raises(ValueError, match="source"):
-        oeis.fetch("A006318", source="sometimes")

@@ -94,6 +94,8 @@ def _class_list(selector: str) -> list[str]:
         token = token.strip()
         if token not in TRIPLES:
             raise _usage(f"unknown class {token!r}; choose from {list(TRIPLES)}")
+        if token in out:
+            raise _usage(f"class {token!r} given twice")
         out.append(token)
     return out
 
@@ -270,7 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("sequence", help="counting sequences of the five classes")
-    p.add_argument("--classes", default="all", help="'all' or comma list like pi1,pi4")
+    p.add_argument(
+        "--classes",
+        default="all",
+        help="'all' or a comma list of distinct classes like pi1,pi4",
+    )
     p.add_argument("--n", type=int, default=8)
     _add_format(p)
     p.set_defaults(func=_cmd_sequence)

@@ -21,54 +21,110 @@ with new last rank r ends an occurrence of tau on that head exactly when
 lo < r <= hi: the entries below r keep their values and those from r up are
 bumped.  The windows of all occurrences and all patterns form a bitmask,
 and only the ranks outside it are extended.
+
+Three things keep the work per parent small:
+
+- Patterns that share a standardized head (1234 and 1243 share 123) share
+  one scan of the parent for that head; each occurrence ORs in the window of
+  every pattern with that head.
+- Children are built by indexing, not by a loop per entry: for each level,
+  bump[r][v] is v below r and v+1 from r up, so the child of q with new last
+  rank r is itemgetter(*q)(bump[r]) + (r,).
+- A count needs no tuples, so the last level of a counting sequence is never
+  built: parent q has len(q) + 1 - popcount(mask) clean children, and the
+  count is the sum of that over the parents.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .perms import PatternSet, Perm, canonical_form, occurrences, standardize
 
-
-def _children(prefix: Perm, heads: list[tuple[Perm, int, int]]) -> Iterable[Perm]:
-    """Clean standardized extensions of a clean standardized prefix."""
-    m = len(prefix)
-    # bit r set: the child with new last rank r ends an occurrence
-    forbidden = 0
-    for head, lo_at, hi_at in heads:
-        for occ in occurrences(prefix, head):
-            lo = prefix[occ[lo_at]] if lo_at >= 0 else 0
-            hi = prefix[occ[hi_at]] if hi_at >= 0 else m + 1
-            forbidden |= (1 << (hi + 1)) - (1 << (lo + 1))
-    for rank in range(1, m + 2):
-        if not forbidden >> rank & 1:
-            yield tuple(v if v < rank else v + 1 for v in prefix) + (rank,)
+#: each standardized head with the (lo_at, hi_at) window bounds of every
+#: pattern that has it
+Heads = list[tuple[Perm, list[tuple[int, int]]]]
 
 
-def _levels(patterns: PatternSet, nmax: int) -> Iterable[list[Perm]]:
-    """Avoiders of each length 0..nmax, one list per length."""
-    if () in patterns:
-        # the empty pattern occurs in every permutation, the empty one included
-        for _ in range(nmax + 1):
-            yield []
-        return
-    # each pattern as its standardized head and the head letters that bound
-    # the window: the largest below the last letter (head rank s, where s
-    # letters lie below it) and the smallest above it (rank s+1); -1 if none
-    heads = []
+def _heads(patterns: PatternSet) -> Heads:
+    """
+    Each nonempty pattern as its standardized head and the head letters that
+    bound its window: the largest below the last letter (head rank s, where
+    s letters lie below it) and the smallest above it (rank s+1); -1 if
+    none.  Patterns that share a head share one entry.
+    """
+    bounds: dict[Perm, list[tuple[int, int]]] = {}
     for tau in patterns:
         tau = standardize(tau)
         head = standardize(tau[:-1])
         s = tau[-1] - 1
         lo_at = head.index(s) if s >= 1 else -1
         hi_at = head.index(s + 1) if s + 1 <= len(head) else -1
-        heads.append((head, lo_at, hi_at))
+        bounds.setdefault(head, []).append((lo_at, hi_at))
+    return list(bounds.items())
+
+
+def _forbidden(prefix: Perm, heads: Heads) -> int:
+    """Bitmask of the new last ranks r whose child ends an occurrence."""
+    m = len(prefix)
+    forbidden = 0
+    for head, bounds in heads:
+        for occ in occurrences(prefix, head):
+            for lo_at, hi_at in bounds:
+                lo = prefix[occ[lo_at]] if lo_at >= 0 else 0
+                hi = prefix[occ[hi_at]] if hi_at >= 0 else m + 1
+                forbidden |= (1 << (hi + 1)) - (1 << (lo + 1))
+    return forbidden
+
+
+def _next_level(level: list[Perm], heads: Heads) -> list[Perm]:
+    """The clean standardized extensions of every prefix in level."""
+    m = len(level[0]) if level else 0
+    ranks = range(1, m + 2)
+    # bump[r][v]: entry v of a parent in its child with new last rank r
+    bump = [tuple(v if v < r else v + 1 for v in range(m + 1)) for r in range(m + 2)]
+    out = []
+    for q in level:
+        forbidden = _forbidden(q, heads)
+        if m >= 2:
+            take = itemgetter(*q)
+            out += [take(bump[r]) + (r,) for r in ranks if not forbidden >> r & 1]
+        else:  # itemgetter needs an index, and one index returns a bare value
+            out += [
+                tuple(bump[r][v] for v in q) + (r,)
+                for r in ranks
+                if not forbidden >> r & 1
+            ]
+    return out
+
+
+def _levels(heads: Heads, n: int) -> Iterator[list[Perm]]:
+    """Avoiders of each length 0..n, one list per length."""
     level: list[Perm] = [()]
     yield level
-    for _ in range(nmax):
-        level = [child for q in level for child in _children(q, heads)]
+    for _ in range(n):
+        level = _next_level(level, heads)
         yield level
+
+
+def _counts(patterns: PatternSet, nmax: int) -> Iterator[int]:
+    """
+    |S_0(T)|, ..., |S_nmax(T)|.  The last level is counted, not built: a
+    parent q of length m has m + 1 - popcount(mask) clean children.
+    """
+    if () in patterns:
+        # the empty pattern occurs in every permutation, the empty one included
+        yield from itertools.repeat(0, nmax + 1)
+        return
+    if nmax == 0:
+        yield 1
+        return
+    heads = _heads(patterns)
+    for level in _levels(heads, nmax - 1):
+        yield len(level)
+    yield sum(len(q) + 1 - _forbidden(q, heads).bit_count() for q in level)
 
 
 def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
@@ -82,10 +138,11 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
     if n < 0:
         raise ValueError("n must be >= 0")
     T = frozenset(tuple(t) for t in patterns)
-    for m, level in enumerate(_levels(T, n)):
-        if m == n:
-            return sorted(level)
-    raise AssertionError("unreachable")
+    if () in T:
+        return []
+    for level in _levels(_heads(T), n):
+        pass  # keep only the last level alive
+    return sorted(level)
 
 
 def counting_sequence(patterns: Iterable[Sequence[int]], nmax: int) -> list[int]:
@@ -98,8 +155,7 @@ def counting_sequence(patterns: Iterable[Sequence[int]], nmax: int) -> list[int]
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    T = frozenset(tuple(t) for t in patterns)
-    return [len(level) for level in _levels(T, nmax)]
+    return list(_counts(frozenset(tuple(t) for t in patterns), nmax))
 
 
 # --------------------------------------------------------------------------
@@ -148,14 +204,11 @@ def wilf_search(nmax: int, target: Sequence[int]) -> WilfSearchReport:
         raise ValueError(f"target must supply counts for n=0..{nmax}")
     prefix = tuple(target[: nmax + 1])
     orbits = triple_orbits()
-    # _levels is a generator, so all() stops enumerating at the first mismatch
+    # _counts is a generator, so all() stops enumerating at the first mismatch
     matches = sorted(
         rep
         for rep in orbits
-        if all(
-            len(level) == t
-            for level, t in zip(_levels(frozenset(rep), nmax), prefix)
-        )
+        if all(c == t for c, t in zip(_counts(frozenset(rep), nmax), prefix))
     )
     return WilfSearchReport(
         target=prefix,

@@ -183,6 +183,12 @@ def test_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["oeis", "--id", "A006318", flag])
         assert exc.value.code == 2
+    for fmt in ("table", "csv", "json"):  # one row per class
+        with pytest.raises(SystemExit) as exc:
+            main(["sequence", "--classes", "pi1, pi1", "--n", "3", "--format", fmt])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "'pi1' given twice" in captured.err
     with pytest.raises(SystemExit) as exc:
         main(["search", "--n", "6", "--format", "csv"])  # no csv form
     assert exc.value.code == 2

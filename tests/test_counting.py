@@ -59,17 +59,37 @@ def test_counting_sequence_guard():
         counting_sequence(TRIPLES["pi1"], -1)
 
 
+def _assert_pruned_equals_filter(patterns) -> list[int]:
+    """
+    Hold the built levels and the counted last level against plain
+    filtering for n <= 7; return the oracle's counting sequence.
+    """
+    counts = []
+    for n in range(8):
+        oracle = enumerate_avoiders_filter(n, patterns)
+        assert enumerate_avoiders(n, patterns) == oracle, (patterns, n)
+        # level n is the last of this sequence, so it is counted, not built
+        assert counting_sequence(patterns, n)[n] == len(oracle), (patterns, n)
+        counts.append(len(oracle))
+    return counts
+
+
 def test_pruned_equals_filter_on_sampled_orbits():
     # spot the pruned enumerator against plain filtering on a reproducible
     # sample of 50 orbits, n <= 7
     orbits = sorted(triple_orbits())
     sample = random.Random(20240).sample(orbits, 50)
+    five = {canonical_form(T) for T in TRIPLES.values()}
+    outsider = None
     for rep in sample:
-        patterns = frozenset(rep)
-        for n in range(8):
-            assert enumerate_avoiders(n, patterns) == enumerate_avoiders_filter(
-                n, patterns
-            ), (rep, n)
+        counts = _assert_pruned_equals_filter(frozenset(rep))
+        if outsider is None and rep not in five:
+            outsider = rep, counts
+    # the search counts its last level too: it must find an orbit outside
+    # the five classes by that orbit's own filtered sequence
+    rep, counts = outsider
+    matches = wilf_search(6, counts).matches
+    assert rep in matches and five.isdisjoint(matches)
 
 
 @pytest.mark.parametrize(
@@ -86,15 +106,16 @@ def test_pruned_equals_filter_on_sampled_orbits():
         {(1, 3, 2), (2, 4, 1, 3)},
         {(3, 1, 2), (1, 4, 2, 5, 3)},
         {(1, 2), (3, 1, 4, 2), (2, 4, 1, 5, 3)},
+        {(1, 2, 3), (1, 3, 2)},
+        {(2, 1, 3), (3, 2, 1), (1, 2)},
+        TRIPLES["pi1"],
     ],
 )
 def test_pruned_equals_filter_on_other_lengths(patterns):
     # lengths 1, 2, 3 and 5, alone and mixed: the generic occurrence path
-    # and the forbidden-rank windows at their extremes
-    for n in range(8):
-        assert enumerate_avoiders(n, patterns) == enumerate_avoiders_filter(
-            n, patterns
-        ), (patterns, n)
+    # and the forbidden-rank windows at their extremes; and heads shared by
+    # two or three patterns
+    _assert_pruned_equals_filter(patterns)
 
 
 def test_counting_invariant_under_symmetry():

@@ -23,7 +23,8 @@ p avoids the triple exactly when four conditions hold:
 Counting by a = |upper|, k = #keys, i = |lower tail| turns the
 characterization into the closed formula `count_avoiders`, built from
 generalized Catalan numbers C_{n,k} (see `series.gen_catalan`) and the
-counts `keyed_213_count` / `tail_321_count`.  `count_avoiders(n)` and
+count `keyed_213_count`; C_{n-i,i} counts the 321-avoiders of length n
+whose last i entries increase.  `count_avoiders(n)` and
 `count_indecomposable(n)` each fill one table of C_{m,k} over the triangle
 m + k <= n from `gen_catalan` at the start of the call (about 7.5k entries
 at n = 120) and read every factor from it, instead of recomputing a
@@ -191,16 +192,6 @@ def keyed_213_count_by_max_position(n: int, j: int, k: int) -> int:
     return _comb0(k - 2, j - 1) * gen_catalan(n - k, k - 2 - j)
 
 
-def tail_321_count(n: int, i: int) -> int:
-    """
-    Number of 321-avoiding permutations of 1..n whose last i entries are
-    increasing: C_{n-i, i}.
-    """
-    if not 0 <= i <= n:
-        raise ValueError("need 0 <= i <= n")
-    return gen_catalan(n - i, i)
-
-
 def _tail_increasing(q: Perm, i: int) -> bool:
     tail = q[len(q) - i :]
     return all(a < b for a, b in zip(tail, tail[1:]))
@@ -208,21 +199,6 @@ def _tail_increasing(q: Perm, i: int) -> bool:
 
 # --------------------------------------------------------------------------
 # the counting formulas
-
-
-def count_by_upper_length(n: int, a: int) -> int:
-    """
-    Number of avoiders of the fifth triple of length n whose upper part has
-    length a, for the three boundary cases a in {1, 2, n}: each equals
-    C_{n-1}.  (a=1 means the last entry is n and the rest avoids 321; a=2
-    means the last entry is n-1; a=n means the last entry is 1 and the whole
-    permutation avoids 213.)
-    """
-    if n < 3:
-        raise ValueError("the three cases are distinct only for n >= 3")
-    if a not in (1, 2, n):
-        raise ValueError(f"a must be 1, 2 or n={n}")
-    return catalan(n - 1)
 
 
 def count_avoiders(n: int) -> int:

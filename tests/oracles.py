@@ -2,8 +2,10 @@
 Brute-force oracles that the tests hold the library's routes against: plain
 filtering and enumeration, slow and independent of the route they check.
 """
-from itertools import groupby
-from typing import Iterable, Sequence
+from collections import Counter
+from itertools import combinations, groupby, permutations
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from weaksort.class5 import Decomposition, decompose
 from weaksort.counting import enumerate_avoiders
@@ -22,25 +24,52 @@ def enumerate_avoiders_filter(n: int, patterns: Iterable[Sequence[int]]) -> list
     return [p for p in all_perms(n) if avoids(p, T)]
 
 
-def keyed_213_count_brute(n: int, k: int, j: int | None = None) -> int:
+def occurrence_lists(
+    n: int, lengths: Sequence[int]
+) -> Iterator[tuple[Perm, dict[Perm, list[tuple[int, ...]]]]]:
     """
-    Independent oracle for `class5.keyed_213_count` and
-    `class5.keyed_213_count_by_max_position`, by enumeration of the
-    213-avoiders ending in 1 (optionally restricted to maximum at position j).
+    Oracle for `perms.occurrences`: for every p in `all_perms(n)`, each
+    pattern of the given lengths with the list of its occurrences in p (as
+    0-based positions, in lexicographic order), from one pass over the
+    k-subsets of positions.  Each subset's pattern is looked up in a table
+    from value tuple to its standardization, built once.
     """
-    total = 0
-    for q in enumerate_avoiders(n, [(2, 1, 3)]):
-        if q[-1] != 1:
-            continue
-        if j is not None and q.index(n) + 1 != j:
-            continue
-        if decompose(q).k == k:
-            total += 1
-    return total
+    values = range(1, n + 1)
+    patterns = {v: standardize(v) for k in lengths for v in permutations(values, k)}
+    readers = []
+    for k in lengths:
+        for c in combinations(range(n), k):
+            # itemgetter returns a bare value, not a tuple, for fewer than
+            # two positions
+            get = itemgetter(*c) if k > 1 else lambda p, c=c: tuple(p[i] for i in c)
+            readers.append((c, get))
+    taus = [tau for k in lengths for tau in all_perms(k)]
+    for p in all_perms(n):
+        found: dict[Perm, list[tuple[int, ...]]] = {tau: [] for tau in taus}
+        for c, get in readers:
+            found[patterns[get(p)]].append(c)
+        yield p, found
+
+
+def keyed_213_census(n: int) -> Counter[tuple[int, int]]:
+    """
+    Oracle for `class5.keyed_213_count` and
+    `class5.keyed_213_count_by_max_position`: the 213-avoiders of length n
+    ending in 1, counted by (number of keys, 1-based position of n), from
+    one enumeration.
+    """
+    return Counter(
+        (decompose(q).k, q.index(n) + 1)
+        for q in enumerate_avoiders(n, [(2, 1, 3)])
+        if q[-1] == 1
+    )
 
 
 def tail_321_count_brute(n: int, i: int) -> int:
-    """Oracle for `class5.tail_321_count` by enumeration."""
+    """
+    Oracle for C_{n-i,i} (`series.gen_catalan(n - i, i)`): the
+    321-avoiders of length n whose last i entries increase, by enumeration.
+    """
     tails = (q[n - i :] for q in enumerate_avoiders(n, [(3, 2, 1)]))
     return sum(1 for t in tails if all(a < b for a, b in zip(t, t[1:])))
 

@@ -1,5 +1,6 @@
 """Pruned enumeration, counting sequences, and the triple classification."""
 import random
+from collections import Counter
 
 import pytest
 from oracles import enumerate_avoiders_filter
@@ -130,8 +131,9 @@ def test_triple_orbits_partition():
     orbits = triple_orbits()
     assert len(orbits) == 317
     assert sum(orbits.values()) == 2024
+    assert Counter(orbits.values()) == {8: 203, 4: 86, 2: 28}
     for rep, size in orbits.items():
-        assert 8 % size == 0 or size <= 8
+        assert 8 % size == 0
         assert canonical_form(frozenset(rep)) == rep
 
 

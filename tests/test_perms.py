@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import occurrence_lists
 
 from weaksort.perms import (
     SYMMETRIES,
@@ -74,78 +75,22 @@ def test_find_occurrence_positions():
     assert find_occurrence((1, 2, 3), (3, 2, 1)) is None
 
 
-def reference_find_occurrence(p, tau):
-    """The backtracking matcher that preceded the `occurrences` kernel."""
-    k = len(tau)
-    n = len(p)
-    if k == 0:
-        return ()
-    if k > n:
-        return None
-    chosen = []
-
-    def extend(start):
-        j = len(chosen)
-        if j == k:
-            return True
-        for i in range(start, n - (k - j - 1)):
-            v = p[i]
-            if all((p[c] < v) == (tau[t] < tau[j]) for t, c in enumerate(chosen)):
-                chosen.append(i)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if extend(0):
-        return tuple(i + 1 for i in chosen)
-    return None
-
-
-def first_occurrences(p, k):
-    """The lex-least occurrence (1-based) of every pattern of length k that
-    occurs in p, from one pass over the k-subsets of positions in
-    lexicographic order."""
-    first = {}
-    for c in itertools.combinations(range(len(p)), k):
-        values = [p[i] for i in c]
-        ranks = sorted(values)
-        tau = tuple(ranks.index(v) + 1 for v in values)
-        if tau not in first:
-            first[tau] = tuple(i + 1 for i in c)
-    return first
-
-
-@pytest.mark.parametrize("k", [3, 4])
-def test_find_occurrence_matches_reference_backtracker(k):
-    # the nested-loop kernel returns the same first witness, |p| <= 8:
-    # against the old backtracker, except 4-letter patterns at |p| = 8, where
-    # the backtracker is slowest and the one-pass oracle stands in for it
-    taus = list(all_perms(k))
-    for n in range(9):
-        for p in all_perms(n):
-            if k == 4 and n == 8:
-                first = first_occurrences(p, k)
-                expected = [first.get(tau) for tau in taus]
-            else:
-                expected = [reference_find_occurrence(p, tau) for tau in taus]
-            for tau, want in zip(taus, expected):
-                assert find_occurrence(p, tau) == want, (p, tau)
-
-
-@pytest.mark.parametrize("nmax, lengths", [(7, (3, 4)), (6, (0, 1, 2, 5))])
-def test_occurrences_equal_brute_force(nmax, lengths):
-    # every occurrence, in lexicographic order, against filtering all
-    # position subsets; lengths 3 and 4 take the nested loops, the others
-    # the generic backtracker
+@pytest.mark.parametrize(
+    "nmax, nlists, lengths", [(8, 7, (3, 4)), (6, 6, (0, 1, 2, 5))]
+)
+def test_occurrences_and_first_witness_match_oracle(nmax, nlists, lengths):
+    # lengths 3 and 4 take the nested loops, the others the generic
+    # backtracker; every (p, tau) pair with |p| <= nmax gets its first
+    # witness checked, and its full occurrence list while |p| <= nlists
     for n in range(nmax + 1):
-        for p in all_perms(n):
-            found = {tau: [] for k in lengths for tau in all_perms(k)}
-            for k in lengths:
-                for c in itertools.combinations(range(n), k):
-                    found[standardize([p[i] for i in c])].append(c)
+        subsets = [c for k in lengths for c in itertools.combinations(range(n), k)]
+        one_based = {c: tuple(i + 1 for i in c) for c in subsets}
+        for p, found in occurrence_lists(n, lengths):
             for tau, expected in found.items():
-                assert list(occurrences(p, tau)) == expected, (p, tau)
+                if n <= nlists:
+                    assert list(occurrences(p, tau)) == expected, (p, tau)
+                first = one_based[expected[0]] if expected else None
+                assert find_occurrence(p, tau) == first, (p, tau)
 
 
 def test_avoids_examples():

@@ -66,31 +66,13 @@ def test_recurrence_matches_brute_force():
         assert got == want, class_id
 
 
-def test_tables_match_enumeration_entrywise():
-    for class_id in CLASS_IDS:
-        tabs = tables_upto(class_id, 8)
-        for n in range(3, 9):
-            emp = empirical_table(n, class_id)
-            assert tabs[n].a == emp.a, (class_id, n)
-            assert tabs[n].b == emp.b, (class_id, n)
-
-
 def test_second_and_third_class_tables_identical():
-    t2 = tables_upto("pi2", 50)
-    t3 = tables_upto("pi3", 50)
-    assert [(t.a, t.b) for t in t2] == [(t.a, t.b) for t in t3]
     assert count_via_recurrence("pi2", 100) == count_via_recurrence("pi3", 100)
 
 
 def test_b_totals():
     tabs = tables_upto("pi1", 6)
     assert [sum(t.b) for t in tabs] == [0, 0, 1, 2, 5, 16, 57]
-
-
-def test_kernel_identity_residual_vanishes():
-    ok, residual = verify_kernel_identity(40)
-    assert ok
-    assert residual.is_zero()
 
 
 def test_kernel_identity_trivial_order():

@@ -27,7 +27,12 @@ from .perms import (
     parse_perm,
     standardize,
 )
-from .counting import counting_sequence, enumerate_avoiders, wilf_search
+from .counting import (
+    counting_sequence,
+    counting_sequences,
+    enumerate_avoiders,
+    wilf_search,
+)
 from .recurrence import count_via_recurrence, verify_kernel_identity
 from .series import gf_catalog
 from .schroder import enumerate_paths, path_to_perm, perm_to_path
@@ -42,6 +47,7 @@ __all__ = [
     "components",
     "contains",
     "counting_sequence",
+    "counting_sequences",
     "count_avoiders",
     "count_indecomposable",
     "count_via_recurrence",

@@ -12,15 +12,15 @@ from math import comb
 from typing import Callable
 
 from . import class5, counting, oeis, recurrence, schroder, series
-from .perms import SCHRODER_PAIR, TRIPLES, all_perms, avoids, components
+from .perms import SCHRODER_PAIR, TRIPLES, all_perms, avoids, canonical_form, components
 
 
 def criterion_1_five_class_agreement() -> None:
     """Brute-force counts of all five triples agree with the bundled A111279
     fixture, n <= 8."""
     target = oeis.fetch("A111279").prefix(9)
-    for class_id, patterns in TRIPLES.items():
-        got = tuple(counting.counting_sequence(patterns, 8))
+    rows = counting.counting_sequences(TRIPLES.values(), 8)
+    for class_id, got in zip(TRIPLES, map(tuple, rows)):
         assert got == target, f"{class_id}: {got} != {target}"
 
 
@@ -39,9 +39,7 @@ def criterion_3_wilf_classification() -> None:
     report = counting.wilf_search(8, oeis.fetch("A111279").prefix(9))
     assert report.triples_total == comb(24, 3) == 2024, report.triples_total
     assert len(report.matches) == 5, f"{len(report.matches)} matching orbits"
-    expected = {
-        counting.canonical_form(patterns) for patterns in TRIPLES.values()
-    }
+    expected = {canonical_form(patterns) for patterns in TRIPLES.values()}
     assert set(report.matches) == expected, report.matches
 
 

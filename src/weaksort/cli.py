@@ -116,7 +116,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
     classes = _class_list(args.classes)
-    rows = {cid: counting.counting_sequence(TRIPLES[cid], args.n) for cid in classes}
+    seqs = counting.counting_sequences([TRIPLES[cid] for cid in classes], args.n)
+    rows = dict(zip(classes, seqs))
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
     elif args.format == "csv":
@@ -133,6 +134,13 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     target = _resolve_target(args.target, args.n)
     report = counting.wilf_search(args.n, target)
+    # the closest impostors go to stderr, so stdout is the same in both formats
+    diverged = ", ".join(f"n={n}: {count}" for n, count in report.diverged) or "none"
+    print(
+        f"orbits first diverging from the target: {diverged}; "
+        f"{len(report.matches)} match through n={report.nmax}",
+        file=sys.stderr,
+    )
     reps = ["; ".join(format_perm(t) for t in rep) for rep in report.matches]
     if args.format == "json":
         print(

@@ -19,112 +19,267 @@ be the largest value among the head letters that lie below tau[-1] (0 if
 none) and hi the smallest among those above it (m+1 if none).  The child
 with new last rank r ends an occurrence of tau on that head exactly when
 lo < r <= hi: the entries below r keep their values and those from r up are
-bumped.  The windows of all occurrences and all patterns form a bitmask,
-and only the ranks outside it are extended.
+bumped.  The windows of all occurrences of a set's patterns form its
+forbidden mask, and only the ranks outside it are extended.
 
-Three things keep the work per parent small:
+Many pattern sets go through one shared level.  A prefix is a prefix of an
+avoider of several sets at once, so each level is one list of prefixes, and
+each prefix carries a bitmask of the sets it avoids (bit i for set i).  A
+child has exactly one parent, so no prefix is ever built twice.  The work
+per parent stays small:
 
-- Patterns that share a standardized head (1234 and 1243 share 123) share
-  one scan of the parent for that head; each occurrence ORs in the window of
-  every pattern with that head.
+- Each standardized head (1234 and 1243 share 123) is scanned at most once
+  per parent, and only when a set the parent carries has a pattern with
+  that head.  One scan gives the window of every (lo_at, hi_at) bound that
+  the head takes in any set, and each set ORs its own windows into its
+  forbidden mask.
+- The sets are grouped by forbidden mask, and a child is built once per
+  rank that some group allows, carrying the bits of those groups.  A parent
+  whose sets all agree (always, for a single set) extends its allowed ranks
+  in one run.
 - Children are built by indexing, not by a loop per entry: for each level,
   bump[r][v] is v below r and v+1 from r up, so the child of q with new last
   rank r is itemgetter(*q)(bump[r]) + (r,).
 - A count needs no tuples, so the last level of a counting sequence is never
-  built: parent q has len(q) + 1 - popcount(mask) clean children, and the
-  count is the sum of that over the parents.
+  built: parent q gives each set in a group len(q) + 1 - popcount(mask)
+  clean children, and a set's count is the sum of that over its parents.
+- The Wilf search drops a set's bit as soon as its count at some length
+  differs from the target, so the orbits that diverge early cost nothing
+  further.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .perms import PatternSet, Perm, canonical_form, occurrences, standardize
+from .perms import (
+    SYMMETRIES,
+    PatternSet,
+    Perm,
+    apply_symmetry,
+    occurrences,
+    standardize,
+)
 
-#: each standardized head with the (lo_at, hi_at) window bounds of every
-#: pattern that has it
+#: each standardized head with the distinct (lo_at, hi_at) window bounds it
+#: takes in any set
 Heads = list[tuple[Perm, list[tuple[int, int]]]]
+#: for each set, the index of each head of its patterns, with the indices of
+#: the bounds its patterns take there
+Keys = list[list[tuple[int, list[int]]]]
 
 
-def _heads(patterns: PatternSet) -> Heads:
+def _table(sets: Sequence[PatternSet]) -> tuple[Heads, Keys]:
     """
     Each nonempty pattern as its standardized head and the head letters that
     bound its window: the largest below the last letter (head rank s, where
     s letters lie below it) and the smallest above it (rank s+1); -1 if
-    none.  Patterns that share a head share one entry.
+    none.  Patterns that share a head, in one set or in several, share one
+    entry.
     """
-    bounds: dict[Perm, list[tuple[int, int]]] = {}
-    for tau in patterns:
-        tau = standardize(tau)
-        head = standardize(tau[:-1])
-        s = tau[-1] - 1
-        lo_at = head.index(s) if s >= 1 else -1
-        hi_at = head.index(s + 1) if s + 1 <= len(head) else -1
-        bounds.setdefault(head, []).append((lo_at, hi_at))
-    return list(bounds.items())
+    index: dict[Perm, int] = {}
+    heads: Heads = []
+    keys: Keys = []
+    for patterns in sets:
+        own: dict[int, list[int]] = {}
+        for tau in patterns:
+            if not tau:
+                continue  # such a set never reaches a level
+            tau = standardize(tau)
+            head = standardize(tau[:-1])
+            s = tau[-1] - 1
+            lo_at = head.index(s) if s >= 1 else -1
+            hi_at = head.index(s + 1) if s + 1 <= len(head) else -1
+            if head not in index:
+                index[head] = len(heads)
+                heads.append((head, []))
+            h = index[head]
+            bounds = heads[h][1]
+            if (lo_at, hi_at) not in bounds:
+                bounds.append((lo_at, hi_at))
+            b = bounds.index((lo_at, hi_at))
+            if b not in own.setdefault(h, []):
+                own[h].append(b)
+        keys.append(list(own.items()))
+    return heads, keys
 
 
-def _forbidden(prefix: Perm, heads: Heads) -> int:
-    """Bitmask of the new last ranks r whose child ends an occurrence."""
+def _windows(prefix: Perm, head: Perm, bounds: list[tuple[int, int]]) -> list[int]:
+    """For each bound of head, the bitmask of the new last ranks r whose
+    child ends an occurrence on an occurrence of head in prefix."""
     m = len(prefix)
-    forbidden = 0
-    for head, bounds in heads:
-        for occ in occurrences(prefix, head):
-            for lo_at, hi_at in bounds:
-                lo = prefix[occ[lo_at]] if lo_at >= 0 else 0
-                hi = prefix[occ[hi_at]] if hi_at >= 0 else m + 1
-                forbidden |= (1 << (hi + 1)) - (1 << (lo + 1))
-    return forbidden
+    occs = list(occurrences(prefix, head))
+    windows = []
+    for lo_at, hi_at in bounds:
+        window = 0
+        for occ in occs:
+            lo = prefix[occ[lo_at]] if lo_at >= 0 else 0
+            hi = prefix[occ[hi_at]] if hi_at >= 0 else m + 1
+            window |= (1 << (hi + 1)) - (1 << (lo + 1))
+        windows.append(window)
+    return windows
 
 
-def _next_level(level: list[Perm], heads: Heads) -> list[Perm]:
-    """The clean standardized extensions of every prefix in level."""
-    m = len(level[0]) if level else 0
+def _groups(prefix: Perm, live: int, heads: Heads, keys: Keys) -> dict[int, int]:
+    """
+    The sets whose bits are in live, grouped by forbidden mask at prefix:
+    mask -> bits of the sets that have it.  A head is scanned only when a
+    live set needs it, and then once.
+    """
+    if not live & (live - 1):
+        # one set: each of its heads is scanned once, so nothing is kept
+        forbidden = 0
+        for h, bs in keys[live.bit_length() - 1]:
+            windows = _windows(prefix, *heads[h])
+            for b in bs:
+                forbidden |= windows[b]
+        return {forbidden: live}
+    windows: dict[int, list[int]] = {}
+    groups: dict[int, int] = {}
+    while live:
+        bit = live & -live
+        live ^= bit
+        forbidden = 0
+        for h, bs in keys[bit.bit_length() - 1]:
+            w = windows.get(h)
+            if w is None:
+                w = windows[h] = _windows(prefix, *heads[h])
+            for b in bs:
+                forbidden |= w[b]
+        groups[forbidden] = groups.get(forbidden, 0) | bit
+    return groups
+
+
+def _next_level(
+    level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys
+) -> tuple[list[Perm], list[int]]:
+    """The clean standardized extensions of the prefixes of length m, each
+    with the bits of the sets it avoids."""
     ranks = range(1, m + 2)
     # bump[r][v]: entry v of a parent in its child with new last rank r
     bump = [tuple(v if v < r else v + 1 for v in range(m + 1)) for r in range(m + 2)]
-    out = []
-    for q in level:
-        forbidden = _forbidden(q, heads)
+    out: list[Perm] = []
+    out_bits: list[int] = []
+    for q, live in zip(level, bits):
+        groups = _groups(q, live, heads, keys)
         if m >= 2:
             take = itemgetter(*q)
-            out += [take(bump[r]) + (r,) for r in ranks if not forbidden >> r & 1]
         else:  # itemgetter needs an index, and one index returns a bare value
-            out += [
-                tuple(bump[r][v] for v in q) + (r,)
-                for r in ranks
-                if not forbidden >> r & 1
-            ]
-    return out
+            take = lambda row, q=q: tuple(row[v] for v in q)  # noqa: E731
+        if len(groups) == 1:
+            ((forbidden, live),) = groups.items()
+            kids = [take(bump[r]) + (r,) for r in ranks if not forbidden >> r & 1]
+            out += kids
+            out_bits += [live] * len(kids)
+            continue
+        for r in ranks:
+            allow = 0
+            for forbidden, sets in groups.items():
+                if not forbidden >> r & 1:
+                    allow |= sets
+            if allow:
+                out.append(take(bump[r]) + (r,))
+                out_bits.append(allow)
+    return out, out_bits
 
 
-def _levels(heads: Heads, n: int) -> Iterator[list[Perm]]:
-    """Avoiders of each length 0..n, one list per length."""
-    level: list[Perm] = [()]
-    yield level
-    for _ in range(n):
-        level = _next_level(level, heads)
-        yield level
-
-
-def _counts(patterns: PatternSet, nmax: int) -> Iterator[int]:
+def _child_counts(
+    level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys
+) -> dict[int, int]:
     """
-    |S_0(T)|, ..., |S_nmax(T)|.  The last level is counted, not built: a
-    parent q of length m has m + 1 - popcount(mask) clean children.
+    The clean children of the prefixes of length m, counted without being
+    built: each parent gives every set of a group m + 1 - popcount(mask)
+    children.  Totals are keyed by the bits of the sets they count.
     """
-    if () in patterns:
-        # the empty pattern occurs in every permutation, the empty one included
-        yield from itertools.repeat(0, nmax + 1)
-        return
-    if nmax == 0:
-        yield 1
-        return
-    heads = _heads(patterns)
-    for level in _levels(heads, nmax - 1):
-        yield len(level)
-    yield sum(len(q) + 1 - _forbidden(q, heads).bit_count() for q in level)
+    tally: dict[int, int] = {}
+    for q, live in zip(level, bits):
+        for forbidden, sets in _groups(q, live, heads, keys).items():
+            tally[sets] = tally.get(sets, 0) + m + 1 - forbidden.bit_count()
+    return tally
+
+
+def _spread(tally: dict[int, int], width: int) -> list[int]:
+    """Per-set totals from totals keyed by the bits of the sets they count."""
+    totals = [0] * width
+    for bits, count in tally.items():
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            totals[bit.bit_length() - 1] += count
+    return totals
+
+
+def _sweep(
+    sets: Sequence[PatternSet],
+    nmax: int,
+    target: Sequence[int] | None = None,
+    build_last: bool = False,
+) -> tuple[list[list[int]], list[Perm]]:
+    """
+    Carry every set through lengths 0..nmax on one shared level; return each
+    set's counts and the prefixes of the last level built.
+
+    The last level is counted, not built, unless build_last.  With a
+    target, a set whose count at length n differs from target[n] is dropped
+    after n: its row stops there.
+    """
+    width = len(sets)
+    heads, keys = _table(sets)
+    rows: list[list[int]] = [[] for _ in sets]
+    tracked = (1 << width) - 1
+    # the empty pattern occurs in every permutation, the empty one included,
+    # so its set has no prefix at all and counts 0 at every length
+    live = sum(1 << i for i, patterns in enumerate(sets) if () not in patterns)
+    level, bits = ([()], [live]) if live else ([], [])
+    for m in range(nmax + 1):
+        if m == nmax > 0 and not build_last:
+            tally: dict[int, int] = _child_counts(level, bits, m - 1, heads, keys)
+        else:
+            if m:
+                level, bits = _next_level(level, bits, m - 1, heads, keys)
+            tally = Counter(bits)
+        counts = _spread(tally, width)
+        dropped = 0
+        for i in range(width):
+            if tracked >> i & 1:
+                rows[i].append(counts[i])
+                if target is not None and counts[i] != target[m]:
+                    dropped |= 1 << i
+        if dropped:
+            tracked &= ~dropped
+            kept = [(q, b & tracked) for q, b in zip(level, bits) if b & tracked]
+            level, bits = [q for q, _ in kept], [b for _, b in kept]
+        if not tracked:
+            break
+    return rows, level
+
+
+def counting_sequences(
+    pattern_sets: Iterable[Iterable[Sequence[int]]], nmax: int
+) -> list[list[int]]:
+    """
+    [|S_0(T)|, ..., |S_nmax(T)|] for each pattern set T, in order, by one
+    pruned enumeration that carries all of them.
+
+    >>> counting_sequences([[(1, 2)], [(1, 3, 2), (2, 3, 1)], []], 4)
+    [[1, 1, 1, 1, 1], [1, 1, 2, 4, 8], [1, 1, 2, 6, 24]]
+
+    The cost grows like the counting sequences themselves, which may be
+    factorial; nmax is taken as given (the command line's size limit is in
+    `weaksort.cli`).
+    """
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    sets = [frozenset(tuple(t) for t in patterns) for patterns in pattern_sets]
+    return _sweep(sets, nmax)[0]
+
+
+def counting_sequence(patterns: Iterable[Sequence[int]], nmax: int) -> list[int]:
+    """[|S_0(T)|, ..., |S_nmax(T)|]: `counting_sequences` of one set."""
+    return counting_sequences([patterns], nmax)[0]
 
 
 def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
@@ -137,25 +292,8 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    T = frozenset(tuple(t) for t in patterns)
-    if () in T:
-        return []
-    for level in _levels(_heads(T), n):
-        pass  # keep only the last level alive
+    _, level = _sweep([frozenset(tuple(t) for t in patterns)], n, build_last=True)
     return sorted(level)
-
-
-def counting_sequence(patterns: Iterable[Sequence[int]], nmax: int) -> list[int]:
-    """
-    [|S_0(T)|, ..., |S_nmax(T)|] by pruned enumeration.
-
-    The cost grows like the counting sequence itself, which may be
-    factorial; nmax is taken as given (the command line's size limit is in
-    `weaksort.cli`).
-    """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    return list(_counts(frozenset(tuple(t) for t in patterns), nmax))
 
 
 # --------------------------------------------------------------------------
@@ -175,17 +313,29 @@ class WilfSearchReport:
     orbits_examined: int
     #: sum of orbit sizes; must equal C(24,3) = 2024
     triples_total: int
+    #: (n, number of orbits whose count first differs from the target at
+    #: length n), by increasing n
+    diverged: tuple[tuple[int, int], ...]
 
 
 def triple_orbits() -> dict[tuple[Perm, ...], int]:
     """
     Symmetry orbits of all C(24,3) triples of 4-letter patterns:
-    canonical representative -> orbit size.
+    canonical representative -> orbit size, in the order in which
+    `itertools.combinations` first reaches each orbit.
+
+    The eight images of each of the 24 patterns are computed once; a
+    triple's representative is the least of its eight sorted images, as
+    `perms.canonical_form` would give.
     """
     s4 = list(itertools.permutations(range(1, 5)))
+    images = {
+        tau: [min(apply_symmetry(name, frozenset([tau]))) for name in SYMMETRIES]
+        for tau in s4
+    }
     orbits: dict[tuple[Perm, ...], int] = {}
-    for triple in itertools.combinations(s4, 3):
-        rep = canonical_form(frozenset(triple))
+    for a, b, c in itertools.combinations(s4, 3):
+        rep = min(tuple(sorted(img)) for img in zip(images[a], images[b], images[c]))
         orbits[rep] = orbits.get(rep, 0) + 1
     return orbits
 
@@ -196,7 +346,9 @@ def wilf_search(nmax: int, target: Sequence[int]) -> WilfSearchReport:
     sequence agrees with target through length nmax.
 
     nmax must be at least 6: every triple has the same counts up to n=4, so
-    shorter prefixes under-discriminate.
+    shorter prefixes under-discriminate.  All orbits go through one shared
+    enumeration, and an orbit is dropped at the first length where its
+    count differs from the target.
     """
     if nmax < 6:
         raise ValueError("nmax must be >= 6 for a meaningful search")
@@ -204,16 +356,15 @@ def wilf_search(nmax: int, target: Sequence[int]) -> WilfSearchReport:
         raise ValueError(f"target must supply counts for n=0..{nmax}")
     prefix = tuple(target[: nmax + 1])
     orbits = triple_orbits()
-    # _counts is a generator, so all() stops enumerating at the first mismatch
-    matches = sorted(
-        rep
-        for rep in orbits
-        if all(c == t for c, t in zip(_counts(frozenset(rep), nmax), prefix))
-    )
+    reps = list(orbits)
+    rows, _ = _sweep([frozenset(rep) for rep in reps], nmax, target=prefix)
+    matches = sorted(rep for rep, row in zip(reps, rows) if tuple(row) == prefix)
+    diverged = Counter(len(row) - 1 for row in rows if tuple(row) != prefix)
     return WilfSearchReport(
         target=prefix,
         nmax=nmax,
         matches=tuple(matches),
         orbits_examined=len(orbits),
         triples_total=sum(orbits.values()),
+        diverged=tuple(sorted(diverged.items())),
     )

@@ -9,7 +9,14 @@ from typing import Iterable, Iterator, Sequence
 
 from weaksort.class5 import Decomposition, decompose
 from weaksort.counting import enumerate_avoiders
-from weaksort.perms import Perm, all_perms, avoids, contains, standardize
+from weaksort.perms import (
+    Perm,
+    all_perms,
+    avoids,
+    canonical_form,
+    contains,
+    standardize,
+)
 from weaksort.schroder import Staircase, enumerate_paths, path_components
 
 STAIRCASE_STEPS = frozenset("NES")
@@ -22,6 +29,19 @@ def enumerate_avoiders_filter(n: int, patterns: Iterable[Sequence[int]]) -> list
     """
     T = [tuple(t) for t in patterns]
     return [p for p in all_perms(n) if avoids(p, T)]
+
+
+def triple_orbits_canonical() -> dict[tuple[Perm, ...], int]:
+    """
+    Oracle for `counting.triple_orbits`: every triple of 4-letter patterns
+    through `perms.canonical_form`, which applies the eight symmetries to
+    the whole triple, in `combinations` order.
+    """
+    orbits: dict[tuple[Perm, ...], int] = {}
+    for triple in combinations(permutations(range(1, 5)), 3):
+        rep = canonical_form(frozenset(triple))
+        orbits[rep] = orbits.get(rep, 0) + 1
+    return orbits
 
 
 def occurrence_lists(

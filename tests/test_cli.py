@@ -58,6 +58,19 @@ def test_search_reports_five_matches(capsys):
     assert "1 2 3 4; 1 2 4 3; 1 3 4 2" in report["matches"]
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_search_reports_first_divergence_on_stderr(capsys, fmt):
+    # every orbit agrees through n = 4; 296 first differ at n = 5 and 16 at
+    # n = 6.  The line is on stderr only, whatever the format
+    code, out, err = run(capsys, "search", "--n", "8", "--format", fmt)
+    assert code == 0
+    assert err == (
+        "orbits first diverging from the target: n=5: 296, n=6: 16; "
+        "5 match through n=8\n"
+    )
+    assert "diverg" not in out
+
+
 def test_search_explicit_target_terms(capsys):
     code, out, _ = run(
         capsys, "search", "--target", "1,1,2,6,21,79,309", "--n", "6", "--format", "json"

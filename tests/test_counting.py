@@ -3,11 +3,12 @@ import random
 from collections import Counter
 
 import pytest
-from oracles import enumerate_avoiders_filter
+from oracles import enumerate_avoiders_filter, triple_orbits_canonical
 
 from weaksort.counting import (
     WilfSearchReport,
     counting_sequence,
+    counting_sequences,
     enumerate_avoiders,
     triple_orbits,
     wilf_search,
@@ -43,6 +44,24 @@ def test_lexicographic_order():
 def test_counting_sequence_values():
     assert counting_sequence(TRIPLES["pi1"], 8) == list(TARGET)
     assert counting_sequence(SCHRODER_PAIR, 6) == [1, 1, 2, 6, 22, 90, 394]
+
+
+def test_counting_sequences_shared_level_equals_filter():
+    # every kind of set on one shared level: the five triples, the Schroder
+    # pair, the empty pattern (which zeroes only its own row), lengths 2, 3
+    # and 5 in one set, one set twice, and no pattern at all
+    mixed = frozenset({(2, 1), (1, 3, 2), (1, 2, 3, 4, 5)})
+    sets = [*TRIPLES.values(), SCHRODER_PAIR, frozenset({()}), mixed]
+    sets += [SCHRODER_PAIR, frozenset()]
+    rows = counting_sequences(sets, 7)
+    oracle = {}
+    for patterns, row in zip(sets, rows):
+        if patterns not in oracle:
+            oracle[patterns] = [
+                len(enumerate_avoiders_filter(n, patterns)) for n in range(8)
+            ]
+        assert row == oracle[patterns], patterns
+    assert oracle[mixed] == [1, 1, 1, 1, 1, 0, 0, 0]
 
 
 def test_empty_pattern_forbids_everything():
@@ -81,16 +100,18 @@ def test_pruned_equals_filter_on_sampled_orbits():
     orbits = sorted(triple_orbits())
     sample = random.Random(20240).sample(orbits, 50)
     five = {canonical_form(T) for T in TRIPLES.values()}
-    outsider = None
-    for rep in sample:
-        counts = _assert_pruned_equals_filter(frozenset(rep))
-        if outsider is None and rep not in five:
-            outsider = rep, counts
-    # the search counts its last level too: it must find an orbit outside
-    # the five classes by that orbit's own filtered sequence
-    rep, counts = outsider
-    matches = wilf_search(6, counts).matches
-    assert rep in matches and five.isdisjoint(matches)
+    filtered = {rep: _assert_pruned_equals_filter(frozenset(rep)) for rep in sample}
+    outsider = next(seq for rep, seq in filtered.items() if rep not in five)
+    # the search counts its last level too, and drops an orbit at its first
+    # mismatch.  For the filtered sequence of an orbit outside the five
+    # classes (so that orbit itself must match) and for the weak sorting
+    # numbers, a sampled orbit matches exactly when its own filtered counts
+    # do
+    for target, has_five in ((outsider, False), (TARGET, True)):
+        matches = wilf_search(6, target).matches
+        assert all((T in matches) == has_five for T in five)
+        for sampled, seq in filtered.items():
+            assert (sampled in matches) == (seq[:7] == list(target[:7])), sampled
 
 
 @pytest.mark.parametrize(
@@ -125,6 +146,12 @@ def test_counting_invariant_under_symmetry():
         for name in ("r", "c", "i", "rc", "ri", "ci", "rci"):
             image = apply_symmetry(name, patterns)
             assert counting_sequence(image, 7) == base, (class_id, name)
+
+
+def test_triple_orbits_match_canonical_forms():
+    # the table of pattern images gives the same orbits, sizes and order as
+    # canonical_form applied to every triple
+    assert list(triple_orbits().items()) == list(triple_orbits_canonical().items())
 
 
 def test_triple_orbits_partition():

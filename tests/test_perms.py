@@ -1,6 +1,7 @@
 """Permutation toolkit: containment, symmetries, sums, extrema."""
 import functools
 import itertools
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,39 @@ def test_occurrences_equal_brute_force(nmax, lengths):
                 if len(tau) not in (3, 4):
                     want = first_witness(expected)
                     assert find_occurrence(p, tau) == want, (p, tau)
+
+
+class ReadLog(Sequence):
+    """A permutation that records the index of every entry read from it."""
+
+    def __init__(self, p):
+        self.p = p
+        self.reads = []
+
+    def __len__(self):
+        return len(self.p)
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return self.p[i]
+
+
+def test_backtracker_leaves_room_on_the_right():
+    # 12345 in a decreasing p: no second letter ever fits, so every read is
+    # a first-letter candidate, a second-letter candidate j, or the chosen
+    # first letter read again right after j.  Only a second-letter
+    # candidate is followed by a smaller index.  An occurrence starting
+    # past n - 5 has no room for its other four letters, so no first-letter
+    # candidate may be read there, and no second-letter one past n - 4
+    n = 9
+    p = ReadLog(tuple(range(n, 0, -1)))
+    assert list(occurrences(p, (1, 2, 3, 4, 5))) == []
+    reads = p.reads
+    after = reads[1:] + [n]
+    second = [i for i, nxt in zip(reads, after) if nxt < i]
+    first = [i for i, nxt in zip(reads, after) if nxt > i]
+    assert max(first) == n - 5
+    assert max(second) == n - 4
 
 
 def test_avoids_examples():

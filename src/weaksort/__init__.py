@@ -28,6 +28,7 @@ from .perms import (
     standardize,
 )
 from .counting import (
+    avoider_levels,
     counting_sequence,
     counting_sequences,
     enumerate_avoiders,
@@ -42,6 +43,7 @@ __all__ = [
     "TRIPLES",
     "WEAK_SORTING_TRIPLE",
     "apply_symmetry",
+    "avoider_levels",
     "avoids",
     "canonical_form",
     "components",

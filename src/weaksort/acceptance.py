@@ -12,7 +12,7 @@ from math import comb
 from typing import Callable
 
 from . import class5, counting, oeis, recurrence, schroder, series
-from .perms import SCHRODER_PAIR, TRIPLES, all_perms, avoids, canonical_form, components
+from .perms import SCHRODER_PAIR, TRIPLES, all_perms, canonical_form, components
 
 
 def criterion_1_five_class_agreement() -> None:
@@ -70,8 +70,10 @@ def criterion_6_bijection_suite() -> None:
     {3214,4213}-avoiders for n <= 7, hits every path of size n-1, and maps
     the fourth triple's avoiders onto paths with <= 1 peak per component."""
     schroder_numbers = (1, 2, 6, 22, 90, 394, 1806)
+    levels = counting.avoider_levels(SCHRODER_PAIR, 7)
+    pi4_levels = counting.avoider_levels(TRIPLES["pi4"], 7)
     for n in range(1, 8):
-        avoiders = counting.enumerate_avoiders(n, SCHRODER_PAIR)
+        avoiders = levels[n]
         image = set()
         for p in avoiders:
             path = schroder.perm_to_path(p)
@@ -79,10 +81,7 @@ def criterion_6_bijection_suite() -> None:
             image.add(path)
         assert len(image) == len(avoiders) == schroder_numbers[n - 1], n
         assert image == set(schroder.enumerate_paths(n - 1)), n
-        restricted = {
-            schroder.perm_to_path(p)
-            for p in counting.enumerate_avoiders(n, TRIPLES["pi4"])
-        }
+        restricted = {schroder.perm_to_path(p) for p in pi4_levels[n]}
         assert restricted == set(schroder.le1_peak_paths(n - 1)), n
 
 
@@ -101,24 +100,26 @@ def criterion_7_peak_censuses() -> None:
 
 
 def criterion_8_class5_formula() -> None:
-    """Direct count equals brute force (3 <= n <= 9); the four-condition
-    characterization is equivalent to avoidance (n <= 8); construction and
-    decomposition are mutually inverse on the middle stratum (n <= 7)."""
+    """Direct count equals brute force (3 <= n <= 9); the structure theorem
+    agrees with the enumerated avoider set on every permutation, n <= 8;
+    construction and decomposition are mutually inverse on the middle
+    stratum (n <= 7)."""
     patterns = TRIPLES["pi5"]
     brute = counting.counting_sequence(patterns, 9)
     for n in range(3, 10):
         assert class5.count_avoiders(n) == brute[n], n
+    # the kept levels against the counting sweep of the same set
+    levels = counting.avoider_levels(patterns, 8)
+    sizes = [len(level) for level in levels]
+    assert sizes == brute[:9], (sizes, brute[:9])
     for n in range(1, 9):
+        avoiders = set(levels[n])
         for p in all_perms(n):
             ok, _ = class5.check_structure(p)
-            assert ok == avoids(p, patterns), p
+            assert ok == (p in avoiders), p
     for n in range(4, 8):
         built = class5.constructions(n)
-        stratum = [
-            p
-            for p in counting.enumerate_avoiders(n, patterns)
-            if 3 <= class5.decompose(p).a <= n - 1
-        ]
+        stratum = [p for p in levels[n] if 3 <= class5.decompose(p).a <= n - 1]
         assert len(built) == len(set(built)), f"duplicate construction at n={n}"
         assert sorted(built) == stratum, n
 
@@ -131,9 +132,10 @@ def criterion_9_indecomposable_and_bivariate() -> None:
         1, 1, 3, 11, 43, 173, 707,
     ]
     biv = series.gf_catalog("class5_bivariate", 40)
+    levels = counting.avoider_levels(TRIPLES["pi5"], 8)
     for n in range(1, 9):
         census: dict[int, int] = {}
-        for p in counting.enumerate_avoiders(n, TRIPLES["pi5"]):
+        for p in levels[n]:
             k = len(components(p))
             census[k] = census.get(k, 0) + 1
         for k in range(0, n + 2):

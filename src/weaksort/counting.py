@@ -216,15 +216,15 @@ def _sweep(
     sets: Sequence[PatternSet],
     nmax: int,
     target: Sequence[int] | None = None,
-    build_last: bool = False,
-) -> tuple[list[list[int]], list[Perm]]:
+    keep: bool = False,
+) -> tuple[list[list[int]], list[list[Perm]]]:
     """
     Carry every set through lengths 0..nmax on one shared level; return each
-    set's counts and the prefixes of the last level built.
+    set's counts and, if keep, every level, each sorted.
 
-    The last level is counted, not built, unless build_last.  With a
-    target, a set whose count at length n differs from target[n] is dropped
-    after n: its row stops there.
+    The last level is counted, not built, unless keep; without keep no
+    level outlives the next.  With a target, a set whose count at length n
+    differs from target[n] is dropped after n: its row stops there.
     """
     width = len(sets)
     heads, keys = _table(sets)
@@ -234,13 +234,16 @@ def _sweep(
     # so its set has no prefix at all and counts 0 at every length
     live = sum(1 << i for i, patterns in enumerate(sets) if () not in patterns)
     level, bits = ([()], [live]) if live else ([], [])
+    levels: list[list[Perm]] = []
     for m in range(nmax + 1):
-        if m == nmax > 0 and not build_last:
+        if m == nmax > 0 and not keep:
             tally: dict[int, int] = _child_counts(level, bits, m - 1, heads, keys)
         else:
             if m:
                 level, bits = _next_level(level, bits, m - 1, heads, keys)
             tally = Counter(bits)
+            if keep:
+                levels.append(sorted(level))
         counts = _spread(tally, width)
         dropped = 0
         for i in range(width):
@@ -254,7 +257,7 @@ def _sweep(
             level, bits = [q for q, _ in kept], [b for _, b in kept]
         if not tracked:
             break
-    return rows, level
+    return rows, levels
 
 
 def counting_sequences(
@@ -282,18 +285,30 @@ def counting_sequence(patterns: Iterable[Sequence[int]], nmax: int) -> list[int]
     return counting_sequences([patterns], nmax)[0]
 
 
+def avoider_levels(patterns: Iterable[Sequence[int]], nmax: int) -> list[list[Perm]]:
+    """
+    [S_0(T), ..., S_nmax(T)]: the avoiders of every length up to nmax, each
+    level in lexicographic order, from one pruned enumeration.
+
+    >>> avoider_levels([(1, 3, 2), (2, 3, 1)], 3)
+    [[()], [(1,)], [(1, 2), (2, 1)], [(1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1)]]
+    """
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    return _sweep([frozenset(tuple(t) for t in patterns)], nmax, keep=True)[1]
+
+
 def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
     """
     All permutations of length n avoiding every given pattern, in
-    lexicographic order.
+    lexicographic order: level n of `avoider_levels`.
 
     >>> enumerate_avoiders(2, [(3, 2, 1, 4), (4, 2, 1, 3)])
     [(1, 2), (2, 1)]
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    _, level = _sweep([frozenset(tuple(t) for t in patterns)], n, build_last=True)
-    return sorted(level)
+    return avoider_levels(patterns, n)[n]
 
 
 # --------------------------------------------------------------------------

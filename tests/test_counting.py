@@ -1,4 +1,5 @@
 """Pruned enumeration, counting sequences, and the triple classification."""
+import functools
 import random
 from collections import Counter
 
@@ -7,6 +8,7 @@ from oracles import enumerate_avoiders_filter, triple_orbits_canonical
 
 from weaksort.counting import (
     WilfSearchReport,
+    avoider_levels,
     counting_sequence,
     counting_sequences,
     enumerate_avoiders,
@@ -16,6 +18,12 @@ from weaksort.counting import (
 from weaksort.perms import SCHRODER_PAIR, TRIPLES, apply_symmetry, canonical_form
 
 TARGET = (1, 1, 2, 6, 21, 79, 309, 1237, 5026)
+
+
+@functools.cache
+def _filtered(n: int, patterns: frozenset) -> list:
+    """The filter oracle, computed once for the sets that two tests share."""
+    return enumerate_avoiders_filter(n, patterns)
 
 
 def test_enumerate_counts_match_trivial_cases():
@@ -54,14 +62,26 @@ def test_counting_sequences_shared_level_equals_filter():
     sets = [*TRIPLES.values(), SCHRODER_PAIR, frozenset({()}), mixed]
     sets += [SCHRODER_PAIR, frozenset()]
     rows = counting_sequences(sets, 7)
-    oracle = {}
     for patterns, row in zip(sets, rows):
-        if patterns not in oracle:
-            oracle[patterns] = [
-                len(enumerate_avoiders_filter(n, patterns)) for n in range(8)
-            ]
-        assert row == oracle[patterns], patterns
-    assert oracle[mixed] == [1, 1, 1, 1, 1, 0, 0, 0]
+        assert row == [len(_filtered(n, patterns)) for n in range(8)], patterns
+    assert rows[sets.index(mixed)] == [1, 1, 1, 1, 1, 0, 0, 0]
+
+
+def test_avoider_levels_equal_filter():
+    # one sweep keeps every level; each against plain filtering, n <= 7, and
+    # a shorter sweep gives the same first levels
+    sets = [*TRIPLES.values(), SCHRODER_PAIR, frozenset({(3, 2, 1)})]
+    sets += [frozenset(), frozenset({()})]
+    for patterns in sets:
+        levels = avoider_levels(patterns, 7)
+        assert len(levels) == 8, patterns
+        for n, level in enumerate(levels):
+            assert level == _filtered(n, patterns), (patterns, n)
+            assert avoider_levels(patterns, n) == levels[: n + 1], (patterns, n)
+            assert enumerate_avoiders(n, patterns) == level, (patterns, n)
+    assert avoider_levels(frozenset({()}), 7) == [[]] * 8
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        avoider_levels(TRIPLES["pi1"], -1)
 
 
 def test_empty_pattern_forbids_everything():

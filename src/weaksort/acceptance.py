@@ -100,13 +100,13 @@ def criterion_7_peak_censuses() -> None:
 
 
 def criterion_8_class5_formula() -> None:
-    """Direct count equals brute force (3 <= n <= 9); the structure theorem
-    agrees with the enumerated avoider set on every permutation, n <= 8;
-    construction and decomposition are mutually inverse on the middle
-    stratum (n <= 7)."""
+    """Direct count equals brute force (0 <= n <= 9, the values given
+    directly for n <= 2 included); the structure theorem agrees with the
+    enumerated avoider set on every permutation, n <= 8; construction and
+    decomposition are mutually inverse on the middle stratum (n <= 7)."""
     patterns = TRIPLES["pi5"]
     brute = counting.counting_sequence(patterns, 9)
-    for n in range(3, 10):
+    for n in range(10):
         assert class5.count_avoiders(n) == brute[n], n
     # the kept levels against the counting sweep of the same set
     levels = counting.avoider_levels(patterns, 8)

@@ -25,10 +25,17 @@ characterization into the closed formula `count_avoiders`, built from
 generalized Catalan numbers C_{n,k} (see `series.gen_catalan`) and the
 count `keyed_213_count`; C_{n-i,i} counts the 321-avoiders of length n
 whose last i entries increase.  `count_avoiders(n)` and
-`count_indecomposable(n)` each fill one table of C_{m,k} over the triangle
-m + k <= n from `gen_catalan` at the start of the call (about 7.5k entries
-at n = 120) and read every factor from it, instead of recomputing a
-binomial of 360-bit arguments per term; the table lives only for that call.
+`count_indecomposable(n)` each fill one triangle of C_{m,k} with
+m + k <= n from `gen_catalan` at the start of the call, and loop over k on
+the outside, carrying the Pascal row binom(k-2, .) forward one row per k.
+Each keyed sum over j is then one dot product of that row with a reversed
+slice of the triangle, evaluated by `sum(map(mul, ...))` at C level, and
+the lower-part sum over i of `count_indecomposable` is one dot product of
+a column of the triangle with the vector binom(i+k-2, i), itself carried
+forward per k by prefix sums.  Beyond the triangle, a call keeps O(n)
+new integers (the Pascal row and that vector); the columns hold
+references to the triangle's entries, not copies.  Nothing outlives the
+call.
 `construct` inverts the analysis: it assembles the unique avoider from a
 choice of upper pattern, lower permutation, and block distribution, and is
 a bijection onto the avoiders with 3 <= a <= n-1; `constructions(n)`
@@ -37,7 +44,9 @@ assembles every one of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
+from operator import add, mul
 
 from .counting import enumerate_avoiders
 from .perms import Perm, contains
@@ -132,24 +141,31 @@ def decompose(p: Perm) -> Decomposition:
 
 def check_structure(p: Perm) -> tuple[bool, str | None]:
     """
-    Evaluate the four structural conditions; returns (True, None) or
-    (False, name of the first violated condition).  Agreement with
+    Evaluate the four structural conditions in order; returns (True, None)
+    or (False, name of the first violated condition).  Agreement with
     avoidance of the fifth triple is the structure theorem under test.
+
+    Conditions 1 and 2 read only the upper and lower value lists, so they
+    are tested on those lists directly, and the check stops at the first
+    that fails.  Only a permutation that passes both is decomposed, for
+    the lower tail and key entries that conditions 3 and 4 read.
     """
-    d = decompose(p)
+    if not p:
+        raise ValueError("cannot decompose the empty permutation")
+    last = p[-1]
     # containment reads only relative order, and the upper entries are
     # distinct, so the upper part is tested as it stands
-    if contains(d.upper, (2, 1, 3)):
+    if contains([v for v in p if v >= last], (2, 1, 3)):
         return False, "upper part contains 213"
-    if contains(d.lower, (3, 2, 1)):
+    if contains([v for v in p if v < last], (3, 2, 1)):
         return False, "lower part contains 321"
+    d = decompose(p)
     tail = d.lower_tail
     if any(a > b for a, b in zip(tail, tail[1:])):
         return False, "lower tail not increasing"
     # p ends in an upper entry, so every lower block has an upper right
     # neighbour, which must be a key
     keys = set(d.key_values)
-    last = p[-1]
     if any(x < last <= y and y not in keys for x, y in zip(p, p[1:])):
         return False, "lower block not flush against a key entry"
     return True, None
@@ -165,22 +181,33 @@ def _catalan_rows(n: int) -> list[list[int]]:
     return [[gen_catalan(m, k) for k in range(-1, n - m + 1)] for m in range(n + 1)]
 
 
-def _keyed_sum(row: list[int], n: int, k: int) -> int:
+def _next_pascal_row(row: list[int]) -> list[int]:
+    """binom(m+1, .) from binom(m, .)."""
+    return [1, *map(add, row, row[1:]), 1]
+
+
+def _keyed_dot(binoms: list[int], row: list[int], k: int) -> int:
     """
-    sum_j binom(k-2, j-1) * C_{n-k, k-2-j} with row[t] = C_{n-k, t-1}.
-    The binomial vanishes for j >= k, so j runs over 1..min(n, k)-1 only.
+    sum_{j=1}^{k-1} binom(k-2, j-1) * C_{m, k-2-j}, for k >= 2, from the
+    Pascal row binoms = [binom(k-2, 0), ..., binom(k-2, k-2)] and a
+    triangle row with row[t] = C_{m, t-1}: the row is read backwards from
+    C_{m, k-3}, one factor per binomial.
     """
-    return sum(comb(k - 2, j - 1) * row[k - 1 - j] for j in range(1, min(n, k)))
+    return sum(map(mul, binoms, row[k - 2 :: -1]))
 
 
 def keyed_213_count(n: int, k: int) -> int:
     """
     Number of 213-avoiding permutations of 1..n ending in 1 that have k key
-    entries:  sum_j binom(k-2, j-1) * C_{n-k, k-2-j}.
+    entries:  sum_j binom(k-2, j-1) * C_{n-k, k-2-j}.  The binomial
+    vanishes for j >= k, and C_{n-k, .} for k > n, so j runs over 1..k-1.
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
-    return _keyed_sum([gen_catalan(n - k, t - 1) for t in range(k - 1)], n, k)
+    if k < 2:
+        return 0
+    binoms = [comb(k - 2, r) for r in range(k - 1)]
+    return _keyed_dot(binoms, [gen_catalan(n - k, t - 1) for t in range(k - 1)], k)
 
 
 def keyed_213_count_by_max_position(n: int, j: int, k: int) -> int:
@@ -208,7 +235,10 @@ def count_avoiders(n: int) -> int:
         3 C_{n-1} + sum_{a=3}^{n-1} sum_{k=3}^{a} sum_{j=1}^{a-1}
             binom(k-2, j-1) C_{a-k, k-j-2} C_{n-a, k-1}
 
-    for n >= 3, with 1, 1, 2 directly for n = 0, 1, 2.
+    for n >= 3, with 1, 1, 2 directly for n = 0, 1, 2.  The binomial
+    vanishes for j >= k, so the sum over j is the keyed dot product of the
+    Pascal row binom(k-2, .) with the triangle row of C_{a-k, .}; k runs on
+    the outside, carrying that row forward, and a on the inside.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -216,11 +246,12 @@ def count_avoiders(n: int) -> int:
         return (1, 1, 2)[n]
     rows = _catalan_rows(n)
     total = 3 * catalan(n - 1)
-    for a in range(3, n):
-        for k in range(3, a + 1):
-            tail_factor = rows[n - a][k]  # C_{n-a, k-1}
-            if tail_factor:
-                total += tail_factor * _keyed_sum(rows[a - k], a, k)
+    binoms = [1]
+    for k in range(3, n):
+        binoms = _next_pascal_row(binoms)  # binom(k-2, .)
+        for a in range(k, n):
+            # C_{n-a, k-1} * keyed count of the upper part
+            total += rows[n - a][k] * _keyed_dot(binoms, rows[a - k], k)
     return total
 
 
@@ -232,23 +263,31 @@ def count_indecomposable(n: int) -> int:
     Same shape as `count_avoiders` with the boundary term replaced by
     C_{n-2} + C_{n-1} and the lower-part factor C_{b-i,i} tightened to
     C_{b-i,i-1} (lower prefixes must never form an initial segment of the
-    positive integers, which would split off a summand).
+    positive integers, which would split off a summand), so the lower
+    part of size b = n - a contributes
+
+        sum_{i=0}^{b} C_{b-i, i-1} binom(i+k-2, i),
+
+    one dot product of the column (C_{b-i, i-1})_i of the triangle with the
+    vector binom(i+k-2, i), which the k-outer loop carries forward by
+    prefix sums (binom(i+k-1, i) = sum_{t<=i} binom(t+k-2, t)).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n <= 2:
         return 1
     rows = _catalan_rows(n)
+    # columns[b][i] = C_{b-i, i-1}, for the lower sizes b = n - a <= n - 3
+    columns = [[rows[b - i][i] for i in range(b + 1)] for b in range(n - 2)]
     total = catalan(n - 2) + catalan(n - 1)
-    for a in range(3, n):
-        b = n - a
-        for k in range(3, a + 1):
-            inner = sum(
-                rows[b - i][i] * _comb0(i + k - 2, i)  # C_{b-i, i-1}
-                for i in range(b + 1)
-            )
-            if inner:
-                total += _keyed_sum(rows[a - k], a, k) * inner
+    binoms = [1]
+    lower_binoms = [1] * (n - 2)  # binom(i+k-2, i) for k = 2
+    for k in range(3, n):
+        binoms = _next_pascal_row(binoms)  # binom(k-2, .)
+        lower_binoms = list(accumulate(lower_binoms))  # binom(i+k-2, i)
+        for a in range(k, n):
+            inner = sum(map(mul, columns[n - a], lower_binoms))
+            total += _keyed_dot(binoms, rows[a - k], k) * inner
     return total
 
 

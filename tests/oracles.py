@@ -4,6 +4,7 @@ filtering and enumeration, slow and independent of the route they check.
 """
 from collections import Counter
 from itertools import combinations, groupby, permutations
+from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -18,6 +19,7 @@ from weaksort.perms import (
     standardize,
 )
 from weaksort.schroder import Staircase, enumerate_paths, path_components
+from weaksort.series import catalan, gen_catalan
 
 STAIRCASE_STEPS = frozenset("NES")
 
@@ -219,3 +221,66 @@ def check_structure_standardized(p: Perm) -> tuple[bool, str | None]:
     if any(x < last <= y and y not in keys for x, y in zip(p, p[1:])):
         return False, "lower block not flush against a key entry"
     return True, None
+
+
+def _comb0(m: int, r: int) -> int:
+    """Binomial that vanishes outside 0 <= r <= m (m may go negative)."""
+    if m < 0 or r < 0 or r > m:
+        return 0
+    return comb(m, r)
+
+
+def _catalan_triangle(n: int) -> list[list[int]]:
+    """rows[m][k + 1] = C_{m,k} for m + k <= n, -1 <= k."""
+    return [[gen_catalan(m, k) for k in range(-1, n - m + 1)] for m in range(n + 1)]
+
+
+def _keyed_sum(row: list[int], n: int, k: int) -> int:
+    """
+    sum_j binom(k-2, j-1) * C_{n-k, k-2-j} with row[t] = C_{n-k, t-1}.
+    The binomial vanishes for j >= k, so j runs over 1..min(n, k)-1 only.
+    """
+    return sum(comb(k - 2, j - 1) * row[k - 1 - j] for j in range(1, min(n, k)))
+
+
+def count_avoiders_termwise(n: int) -> int:
+    """
+    Oracle for `class5.count_avoiders`: the same closed formula evaluated
+    term by term, a `math.comb` per term, looping over a, then k, then j.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n <= 2:
+        return (1, 1, 2)[n]
+    rows = _catalan_triangle(n)
+    total = 3 * catalan(n - 1)
+    for a in range(3, n):
+        for k in range(3, a + 1):
+            tail_factor = rows[n - a][k]  # C_{n-a, k-1}
+            if tail_factor:
+                total += tail_factor * _keyed_sum(rows[a - k], a, k)
+    return total
+
+
+def count_indecomposable_termwise(n: int) -> int:
+    """
+    Oracle for `class5.count_indecomposable`: the same closed formula
+    evaluated term by term, the lower-part sum over i one `math.comb` per
+    term.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n <= 2:
+        return 1
+    rows = _catalan_triangle(n)
+    total = catalan(n - 2) + catalan(n - 1)
+    for a in range(3, n):
+        b = n - a
+        for k in range(3, a + 1):
+            inner = sum(
+                rows[b - i][i] * _comb0(i + k - 2, i)  # C_{b-i, i-1}
+                for i in range(b + 1)
+            )
+            if inner:
+                total += _keyed_sum(rows[a - k], a, k) * inner
+    return total

@@ -1,9 +1,12 @@
 """Structure theory and direct counting for the fifth triple."""
+import random
 from math import comb
 
 import pytest
 from oracles import (
     check_structure_standardized,
+    count_avoiders_termwise,
+    count_indecomposable_termwise,
     decompose_groupby,
     keyed_213_census,
     tail_321_count_brute,
@@ -58,6 +61,8 @@ def test_decompose_identity_degenerate():
 def test_decompose_rejects_empty():
     with pytest.raises(ValueError):
         decompose(())
+    with pytest.raises(ValueError):
+        check_structure(())
 
 
 def test_check_structure_examples():
@@ -78,6 +83,86 @@ def test_decompose_and_check_structure_match_oracles():
         for p in all_perms(n):
             assert vars(decompose(p)) == vars(decompose_groupby(p)), p
             assert check_structure(p) == check_structure_standardized(p), p
+
+
+def _random_213_ending_in_1(a: int, rng: random.Random) -> tuple[int, ...]:
+    """A 213-avoider of length a ending in 1: q followed by 1, with q a
+    213-avoider on 2..a, built recursively by placing the minimum between
+    a left part whose entries all exceed those of the right part (not
+    uniform, which the test does not need)."""
+
+    def avoider(values: list[int]) -> list[int]:
+        if not values:
+            return []
+        low, rest = values[0], values[1:]
+        cut = rng.randint(0, len(rest))
+        # rest is increasing: the larger values go left of the minimum
+        return avoider(rest[cut:]) + [low] + avoider(rest[:cut])
+
+    return (*avoider(list(range(2, a + 1))), 1)
+
+
+def _random_321_avoider(b: int, rng: random.Random) -> tuple[int, ...]:
+    """The union of two increasing subsequences on random positions and
+    values, which avoids 321."""
+    size = rng.randint(0, b)
+    positions = set(rng.sample(range(b), size))
+    values = sorted(rng.sample(range(1, b + 1), size))
+    others = sorted(set(range(1, b + 1)) - set(values))
+    first, second = iter(values), iter(others)
+    return tuple(next(first) if pos in positions else next(second) for pos in range(b))
+
+
+def _random_construction(n: int, rng: random.Random) -> tuple[int, ...]:
+    """`construct` on a random upper pattern with at least 3 keys, a random
+    321-avoiding lower permutation and a random distribution of an
+    increasing suffix of it."""
+    while True:
+        a = rng.randint(3, n - 1)
+        upper = _random_213_ending_in_1(a, rng)
+        k = decompose(upper).k
+        if k >= 3:
+            break
+    lower = _random_321_avoider(n - a, rng)
+    run = 1 if lower else 0  # length of the increasing suffix
+    while run < len(lower) and lower[-run - 1] < lower[-run]:
+        run += 1
+    i = rng.randint(0, run)
+    bounds = [0, *sorted(rng.randint(0, i) for _ in range(k - 2)), i]
+    distribution = tuple(y - x for x, y in zip(bounds, bounds[1:]))
+    return construct(n, upper, lower, distribution)
+
+
+def test_check_structure_beyond_exhaustive_sizes():
+    # constructed avoiders of lengths 9-40, a single-transposition mutant
+    # and a moved-entry mutant of each, and uniform permutations:
+    # check_structure stops at the first failed condition, so its reason
+    # must match the oracle's, which decomposes before any condition
+    rng = random.Random(20161)
+    perms = []
+    for _ in range(100):
+        n = rng.randint(9, 40)
+        p = _random_construction(n, rng)
+        assert avoids(p, TRIPLES["pi5"]), p
+        x, y = rng.sample(range(n), 2)
+        swapped = list(p)
+        swapped[x], swapped[y] = swapped[y], swapped[x]
+        moved = list(p)
+        moved.insert(y, moved.pop(x))
+        perms += [p, tuple(swapped), tuple(moved), tuple(rng.sample(range(1, n + 1), n))]
+    reasons = set()
+    for p in perms:
+        ok, reason = check_structure(p)
+        assert (ok, reason) == check_structure_standardized(p), p
+        assert ok == avoids(p, TRIPLES["pi5"]), p
+        reasons.add(reason)
+    assert reasons == {
+        None,
+        "upper part contains 213",
+        "lower part contains 321",
+        "lower tail not increasing",
+        "lower block not flush against a key entry",
+    }
 
 
 def test_keyed_213_formula_vs_oracle():
@@ -141,6 +226,21 @@ def test_closed_formulas_match_series_to_100():
         assert count_avoiders(n) == main[n], n
         if n >= 1:
             assert count_indecomposable(n) == indec[n], n
+
+
+def test_closed_formulas_match_termwise_oracles():
+    for n in [*range(61), 130]:
+        assert count_avoiders(n) == count_avoiders_termwise(n), n
+        if n >= 1:
+            assert count_indecomposable(n) == count_indecomposable_termwise(n), n
+    for count, smallest in (
+        (count_avoiders, 0),
+        (count_avoiders_termwise, 0),
+        (count_indecomposable, 1),
+        (count_indecomposable_termwise, 1),
+    ):
+        with pytest.raises(ValueError, match=f"n must be >= {smallest}"):
+            count(smallest - 1)
 
 
 def test_count_by_upper_length_matches_enumeration():

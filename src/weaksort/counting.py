@@ -22,6 +22,23 @@ lo < r <= hi: the entries below r keep their values and those from r up are
 bumped.  The windows of all occurrences of a set's patterns form its
 forbidden mask, and only the ranks outside it are extended.
 
+A head of length 3, which every 4-letter pattern has, is not read
+occurrence by occurrence.  One pass runs over the position j of its middle
+letter y = q[j], with the values left of j and those right of j as two
+bitmasks.  The first head letter x ranges over the left values and the last
+letter z over the right ones, each on the side of y that the head gives it.
+When x and z lie on the same side of y, the head also fixes their order, so
+only values with a partner are kept: x below the largest z and z above the
+least x, or the mirror image.  A window's lo is then 0, y, or the least
+kept value of x or z, and its hi is y, the largest kept value of x or z, or
+m+1; a bitmask's largest value is read off with `bit_length`, its least as
+its lowest set bit.  For one j the occurrence windows union to one
+interval, because the pair of extreme kept values is itself an occurrence
+and its window holds every other.  A parent thus costs O(m) mask steps per
+head, not one step per occurrence (O(m^3)).  Heads of every other length,
+from patterns of any length but 4, list their occurrences with
+`perms.occurrences`, the one containment matcher.
+
 Many pattern sets go through one shared level.  A prefix is a prefix of an
 avoider of several sets at once, so each level is one list of prefixes, and
 each prefix carries a bitmask of the sets it avoids (bit i for set i).  A
@@ -110,6 +127,8 @@ def _table(sets: Sequence[PatternSet]) -> tuple[Heads, Keys]:
 def _windows(prefix: Perm, head: Perm, bounds: list[tuple[int, int]]) -> list[int]:
     """For each bound of head, the bitmask of the new last ranks r whose
     child ends an occurrence on an occurrence of head in prefix."""
+    if len(head) == 3:
+        return _middle_pass(prefix, head, bounds)
     m = len(prefix)
     occs = list(occurrences(prefix, head))
     windows = []
@@ -120,6 +139,55 @@ def _windows(prefix: Perm, head: Perm, bounds: list[tuple[int, int]]) -> list[in
             hi = prefix[occ[hi_at]] if hi_at >= 0 else m + 1
             window |= (1 << (hi + 1)) - (1 << (lo + 1))
         windows.append(window)
+    return windows
+
+
+def _middle_pass(prefix: Perm, head: Perm, bounds: list[tuple[int, int]]) -> list[int]:
+    """
+    `_windows` for a head of length 3, without listing its occurrences: one
+    pass over the position of the middle letter y, with the values before
+    it and after it as bitmasks.  The first letter x is drawn from those
+    before and the last letter z from those after, each on its own side of
+    y; on the same side they are coupled by their order in the head.  The
+    slice's union of windows is the window of its extreme pair.
+    """
+    windows = [0] * len(bounds)
+    m = len(prefix)
+    if m < 3:
+        return windows
+    a, b, c = head
+    x_below, z_below, x_first = a < b, c < b, a < c
+    coupled = x_below == z_below
+    top = 4 << m  # 2 << hi for hi = m + 1
+    before = 1 << prefix[0]
+    after = (1 << (m + 1)) - 2 - before
+    for y in prefix[1:-1]:
+        bit = 1 << y
+        after ^= bit
+        xs = before & (bit - 1) if x_below else before & -(bit << 1)
+        zs = after & (bit - 1) if z_below else after & -(bit << 1)
+        before |= bit
+        if not (xs and zs):
+            continue
+        if coupled:
+            if x_first:  # x < z: keep x below the largest z, z above the least x
+                xs &= (1 << (zs.bit_length() - 1)) - 1
+                if not xs:
+                    continue
+                zs &= -((xs & -xs) << 1)
+            else:  # the mirror image
+                zs &= (1 << (xs.bit_length() - 1)) - 1
+                if not zs:
+                    continue
+                xs &= -((zs & -zs) << 1)
+        # 2 << lo and 2 << hi for the letter at each head position (x, y,
+        # z): lo is its least kept value, hi its largest, so the window
+        # (lo, hi] is highs[hi_at] - lows[lo_at]; position -1 (no such
+        # letter) reads lo = 0 and hi = m + 1
+        lows = ((xs & -xs) << 1, bit << 1, (zs & -zs) << 1, 2)
+        highs = (1 << xs.bit_length(), bit << 1, 1 << zs.bit_length(), top)
+        for k, (lo_at, hi_at) in enumerate(bounds):
+            windows[k] |= highs[hi_at] - lows[lo_at]
     return windows
 
 

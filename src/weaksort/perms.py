@@ -15,7 +15,10 @@ All containment goes through one kernel, `occurrences`, which lists the
 occurrences of a pattern as 0-based position tuples in lexicographic order:
 patterns of length 3 and 4 run as nested loops over positions, any other
 length through a pruned backtracker.  `find_occurrence`, `contains` and
-`avoids` read its first result.
+`avoids` read its first result.  Enumeration (`weaksort.counting`) calls it
+only for pattern heads whose length is not 3: the forbidden ranks of a
+3-letter head come from one pass over its middle letter, without listing
+occurrences.
 """
 from __future__ import annotations
 
@@ -74,8 +77,17 @@ def format_perm(p: Perm) -> str:
 
 
 def parse_pattern_set(text: str) -> PatternSet:
-    """Parse a semicolon-separated list of one-line permutations."""
-    return frozenset(parse_perm(part) for part in text.split(";") if part.strip())
+    """
+    Parse a semicolon-separated list of one-line permutations; blank parts
+    are skipped, and a list with no pattern at all is rejected.
+
+    >>> sorted(parse_pattern_set("3 2 1 4; 4 2 1 3"))
+    [(3, 2, 1, 4), (4, 2, 1, 3)]
+    """
+    patterns = frozenset(parse_perm(part) for part in text.split(";") if part.strip())
+    if not patterns:
+        raise ValueError(f"no pattern in {text!r}; give at least one, e.g. \"3 2 1 4\"")
+    return patterns
 
 
 # --------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from weaksort.perms import (
     avoids,
     canonical_form,
     contains,
+    occurrences,
     standardize,
 )
 from weaksort.schroder import Staircase, enumerate_paths, path_components
@@ -44,6 +45,29 @@ def triple_orbits_canonical() -> dict[tuple[Perm, ...], int]:
         rep = canonical_form(frozenset(triple))
         orbits[rep] = orbits.get(rep, 0) + 1
     return orbits
+
+
+def occurrence_windows(
+    prefix: Perm, head: Perm, bounds: Sequence[tuple[int, int]]
+) -> list[int]:
+    """
+    Oracle for `counting._middle_pass`: for each (lo_at, hi_at) bound, the
+    OR over every occurrence of head in prefix, listed by
+    `perms.occurrences`, of its window of new last ranks (lo, hi], where lo
+    is the value at head position lo_at (0 for -1) and hi the value at
+    hi_at (len(prefix) + 1 for -1).
+    """
+    m = len(prefix)
+    occs = list(occurrences(prefix, head))
+    windows = []
+    for lo_at, hi_at in bounds:
+        window = 0
+        for occ in occs:
+            lo = prefix[occ[lo_at]] if lo_at >= 0 else 0
+            hi = prefix[occ[hi_at]] if hi_at >= 0 else m + 1
+            window |= (1 << (hi + 1)) - (1 << (lo + 1))
+        windows.append(window)
+    return windows
 
 
 def occurrence_lists(

@@ -264,6 +264,17 @@ def test_data_errors_exit_1(capsys):
     assert (code, out, err) == (1, "", "error: order must be >= 0\n")
 
 
+@pytest.mark.parametrize(
+    "text", ["", ";", "  ", " ; ;"], ids=["empty", "semicolon", "blanks", "blank-parts"]
+)
+def test_count_rejects_empty_pattern_list(capsys, text):
+    # an empty list would count every permutation; the library still takes
+    # an empty set (test_enumerate_counts_match_trivial_cases)
+    code, out, err = run(capsys, "count", "--patterns", text, "--n", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: no pattern in ")
+
+
 def test_bijection_rejects_non_ascii_digits(capsys):
     code, out, err = run(capsys, "bijection", "--input", "2 \u0661")
     assert (code, out) == (1, "")

@@ -26,7 +26,8 @@ generalized Catalan numbers C_{n,k} (see `series.gen_catalan`) and the
 count `keyed_213_count`; C_{n-i,i} counts the 321-avoiders of length n
 whose last i entries increase.  `count_avoiders(n)` and
 `count_indecomposable(n)` each fill one triangle of C_{m,k} with
-m + k <= n from `gen_catalan` at the start of the call, and loop over k on
+m + k <= n at the start of the call (row 0 from `gen_catalan`, every later
+row as prefix sums of the row above), and loop over k on
 the outside, carrying the Pascal row binom(k-2, .) forward one row per k.
 Each keyed sum over j is then one dot product of that row with a reversed
 slice of the triangle, evaluated by `sum(map(mul, ...))` at C level, and
@@ -177,8 +178,14 @@ def check_structure(p: Perm) -> tuple[bool, str | None]:
 
 def _catalan_rows(n: int) -> list[list[int]]:
     """The triangle of generalized Catalan numbers with m + k <= n, as rows
-    by m: rows[m][k + 1] = C_{m,k} for -1 <= k <= n - m."""
-    return [[gen_catalan(m, k) for k in range(-1, n - m + 1)] for m in range(n + 1)]
+    by m: rows[m][k + 1] = C_{m,k} for -1 <= k <= n - m.  Row 0 comes from
+    `gen_catalan`; every later row is the prefix sums of the row above from
+    its third entry on, by C_{m,k} = C_{m,k-1} + C_{m-1,k+1} (that is,
+    C^{k+1} = C^k + x C^{k+2}) and C_{m,-1} = 0 for m > 0."""
+    rows = [[gen_catalan(0, k) for k in range(-1, n + 1)]]
+    for _ in range(n):
+        rows.append(list(accumulate(rows[-1][2:], initial=0)))
+    return rows
 
 
 def _next_pascal_row(row: list[int]) -> list[int]:

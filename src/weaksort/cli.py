@@ -12,8 +12,9 @@ Command-line surface.
     weaksort oeis       --id A006318
     weaksort verify
 
-Exit codes: 0 success, 1 a verification check failed or the input was
-rejected, 2 usage error.
+Exit codes: 0 success, 1 a verification check failed, the input was
+rejected or stdout was closed before the output was written (`| head`),
+2 usage error.
 Identical invocations produce byte-identical output.  count, sequence,
 series, recurrence and oeis take --format table|csv|json; search takes
 --format table|json, because its report has no csv form.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -349,7 +351,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             "pass --limit-override"
         )
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so that a closed stdout is met inside the handler below
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); point stdout at devnull, so the
+        # interpreter's final flush of what is still buffered stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -2,12 +2,20 @@
 The verification gate: one test per criterion, same functions that back
 `weaksort verify`.  Every check is exact.
 """
+import io
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import weaksort
 from weaksort import acceptance, class5, counting
 from weaksort.acceptance import CRITERIA
+from weaksort.cli import main
 from weaksort.perms import TRIPLES, all_perms, avoids
 
 
@@ -60,3 +68,103 @@ def test_criterion_8_catches_a_dropped_avoider(monkeypatch):
     monkeypatch.setattr(counting, "avoider_levels", avoider_levels)
     with pytest.raises(AssertionError):
         acceptance.criterion_8_class5_formula()
+
+
+# the worker pool of `run_all` against the one-at-a-time loop it replaces
+
+
+def _sequential_stdout(criteria) -> str:
+    """What running criteria one at a time in index order prints, up to the
+    first exception that is not an AssertionError."""
+    out = io.StringIO()
+    for index, (name, check) in enumerate(criteria, start=1):
+        try:
+            check()
+        except AssertionError as exc:
+            out.write(f"FAIL {index:2d}  {name}: {exc}\n")
+        except Exception:
+            break
+        else:
+            out.write(f"PASS {index:2d}  {name}\n")
+    return out.getvalue()
+
+
+def _planted(exc: Exception):
+    def check():
+        raise exc
+
+    return check
+
+
+def _stubs(middle):
+    """Five stub criteria with `middle` third; the first finishes last in any
+    pool, so completion order is never index order."""
+    return (
+        ("slow first", lambda: time.sleep(0.3)),
+        ("second", lambda: None),
+        ("middle", middle),
+        ("fourth", lambda: None),
+        ("fifth", lambda: None),
+    )
+
+
+def test_run_all_prints_a_failure_in_its_place(capsys, monkeypatch):
+    stubs = _stubs(_planted(AssertionError("planted on purpose")))
+    monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+    code = main(["verify"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == _sequential_stdout(stubs)
+    assert out.splitlines()[2] == "FAIL  3  middle: planted on purpose"
+
+
+def test_run_all_raises_other_exceptions_from_the_worker(capsys, monkeypatch):
+    stubs = _stubs(_planted(ValueError("planted value error")))
+    monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+    code = main(["verify"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: planted value error\n"
+    assert captured.out == _sequential_stdout(stubs) == "PASS  1  slow first\nPASS  2  second\n"
+
+
+def test_run_all_on_one_cpu_prints_the_same_bytes(capsys, monkeypatch):
+    stubs = _stubs(_planted(AssertionError("planted on purpose")))
+    monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    code = main(["verify"])
+    assert code == 1
+    assert capsys.readouterr().out == _sequential_stdout(stubs)
+
+    # and one worker runs them all, though the first one submitted, the
+    # last, holds its worker while the others run
+    def pid():
+        raise AssertionError(os.getpid())
+
+    def slow_pid():
+        time.sleep(0.2)
+        pid()
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (("a", pid), ("b", pid), ("c", slow_pid)))
+    main(["verify"])
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3 and len({line.split(": ")[1] for line in out}) == 1
+
+
+def test_run_all_fails_when_a_worker_dies():
+    # a fresh interpreter, whose exit status shows how verify ends
+    script = (
+        "import os, sys\n"
+        "from weaksort import acceptance, cli\n"
+        "acceptance.CRITERIA = (\n"
+        "    ('before', lambda: None), ('dies', lambda: os._exit(3)), ('after', lambda: None),\n"
+        ")\n"
+        "sys.exit(cli.main(['verify']))\n"
+    )
+    src = str(Path(weaksort.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+    )
+    assert done.returncode != 0
+    assert "PASS  2" not in done.stdout

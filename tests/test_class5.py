@@ -13,6 +13,7 @@ from oracles import (
 )
 
 from weaksort.class5 import (
+    _catalan_rows,
     check_structure,
     construct,
     constructions,
@@ -211,6 +212,14 @@ def test_tail_321_count():
     for n in range(0, 8):
         for i in range(n + 1):
             assert gen_catalan(n - i, i) == tail_321_count_brute(n, i), (n, i)
+
+
+def test_catalan_triangle_entrywise():
+    for n in range(41):
+        rows = _catalan_rows(n)
+        assert len(rows) == n + 1
+        for m, row in enumerate(rows):
+            assert row == [gen_catalan(m, k) for k in range(-1, n - m + 1)], (n, m)
 
 
 def test_count_small_values():

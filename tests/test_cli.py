@@ -9,6 +9,9 @@ import pytest
 import weaksort
 from weaksort.cli import main
 
+#: the package's source root, for child interpreters
+SRC = str(Path(weaksort.__file__).resolve().parents[1])
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -298,6 +301,32 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sequence", "--classes", "all", "--n", "6", "--format", "csv"], ["verify"]],
+    ids=["sequence", "verify"],
+)
+def test_closed_stdout_exits_1_quietly(argv):
+    # the child announces itself on one line; the test reads that line and
+    # closes the pipe before it lets the command write
+    script = (
+        "import sys\n"
+        "print('ready', flush=True)\n"
+        "sys.stdin.readline()\n"
+        "from weaksort.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *argv],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env={"PYTHONPATH": SRC},
+    )
+    assert proc.stdout.readline() == "ready\n"
+    proc.stdout.close()
+    _, err = proc.communicate("\n", timeout=120)
+    assert (proc.returncode, err) == (1, "")
+
+
 def test_guarded_n_with_override(capsys):
     code, out, _ = run(
         capsys, "count", "--patterns", "1 2; 2 1", "--n", "12", "--limit-override"
@@ -308,13 +337,12 @@ def test_guarded_n_with_override(capsys):
 def test_cli_import_loads_no_network_module():
     # a fresh interpreter, so modules the test run already imported do not count
     probe = "import sys; {}print(' '.join(sorted(sys.modules)))"
-    src = str(Path(weaksort.__file__).resolve().parents[1])
 
     def loaded(setup):
         out = subprocess.run(
             [sys.executable, "-c", probe.format(setup)],
             capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": src},
+            env={"PYTHONPATH": SRC},
         ).stdout
         return set(out.split())
 

@@ -30,7 +30,15 @@ from math import comb
 from typing import Callable
 
 from . import class5, counting, oeis, recurrence, schroder, series
-from .perms import SCHRODER_PAIR, TRIPLES, all_perms, canonical_form, components
+from .perms import (
+    SCHRODER_PAIR,
+    TRIPLES,
+    all_perms,
+    canonical_form,
+    components,
+    find_occurrence,
+    standardize,
+)
 
 
 def criterion_1_five_class_agreement() -> None:
@@ -86,7 +94,10 @@ def criterion_5_kernel_identity() -> None:
 def criterion_6_bijection_suite() -> None:
     """The permutation <-> Schroder path bijection round-trips on all
     {3214,4213}-avoiders for n <= 7, hits every path of size n-1, and maps
-    the fourth triple's avoiders onto paths with <= 1 peak per component."""
+    the fourth triple's avoiders onto paths with <= 1 peak per component;
+    every other permutation of length n <= 6 is rejected, and
+    `find_occurrence` names a witness of 3214 or 4213 in it whose values
+    standardize to the pattern."""
     schroder_numbers = (1, 2, 6, 22, 90, 394, 1806)
     levels = counting.avoider_levels(SCHRODER_PAIR, 7)
     pi4_levels = counting.avoider_levels(TRIPLES["pi4"], 7)
@@ -101,6 +112,23 @@ def criterion_6_bijection_suite() -> None:
         assert image == set(schroder.enumerate_paths(n - 1)), n
         restricted = {schroder.perm_to_path(p) for p in pi4_levels[n]}
         assert restricted == set(schroder.le1_peak_paths(n - 1)), n
+    for n in range(1, 7):
+        avoiders = set(levels[n])
+        for p in all_perms(n):
+            if p in avoiders:
+                continue
+            witnesses = 0
+            for tau in SCHRODER_PAIR:
+                occ = find_occurrence(p, tau)
+                if occ is not None:
+                    witnesses += 1
+                    assert standardize([p[i - 1] for i in occ]) == tau, (p, tau, occ)
+            assert witnesses, f"no witness of 3214 or 4213 in {p}"
+            try:
+                schroder.perm_to_path(p)
+            except ValueError:
+                continue
+            raise AssertionError(f"{p} contains 3214 or 4213 but was accepted")
 
 
 def criterion_7_peak_censuses() -> None:

@@ -77,6 +77,7 @@ from .perms import (
     PatternSet,
     Perm,
     apply_symmetry,
+    letter_bounds,
     occurrences,
     standardize,
 )
@@ -92,10 +93,9 @@ Keys = list[list[tuple[int, list[int]]]]
 def _table(sets: Sequence[PatternSet]) -> tuple[Heads, Keys]:
     """
     Each nonempty pattern as its standardized head and the head letters that
-    bound its window: the largest below the last letter (head rank s, where
-    s letters lie below it) and the smallest above it (rank s+1); -1 if
-    none.  Patterns that share a head, in one set or in several, share one
-    entry.
+    bound its window: the largest below the last letter and the smallest
+    above it (-1 if none), the last entry of `perms.letter_bounds`.
+    Patterns that share a head, in one set or in several, share one entry.
     """
     index: dict[Perm, int] = {}
     heads: Heads = []
@@ -105,11 +105,8 @@ def _table(sets: Sequence[PatternSet]) -> tuple[Heads, Keys]:
         for tau in patterns:
             if not tau:
                 continue  # such a set never reaches a level
-            tau = standardize(tau)
             head = standardize(tau[:-1])
-            s = tau[-1] - 1
-            lo_at = head.index(s) if s >= 1 else -1
-            hi_at = head.index(s + 1) if s + 1 <= len(head) else -1
+            lo_at, hi_at = letter_bounds(tuple(tau))[-1]
             if head not in index:
                 index[head] = len(heads)
                 heads.append((head, []))

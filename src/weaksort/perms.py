@@ -11,17 +11,17 @@ subsequence of p is order-isomorphic to tau.  Pattern sets are frozensets of
 patterns, acted on entrywise by the dihedral group of order eight generated
 by reverse, complement, and inverse.
 
-All containment goes through one kernel, `occurrences`, which lists the
-occurrences of a pattern as 0-based position tuples in lexicographic order:
-patterns of length 3 and 4 run as nested loops over positions, any other
-length through a pruned backtracker.  `find_occurrence`, `contains` and
-`avoids` read its first result.  Enumeration (`weaksort.counting`) calls it
-only for pattern heads whose length is not 3: the forbidden ranks of a
-3-letter head come from one pass over its middle letter, without listing
-occurrences.
+All containment goes through one scan, `occurrences`, which lists the
+occurrences of a pattern of any length as 0-based position tuples in
+lexicographic order; `find_occurrence`, `contains` and `avoids` read its
+first result.  A memoised per-pattern table, `letter_bounds`, gives the
+interval each letter's value must lie in.  Enumeration (`weaksort.counting`)
+reads each pattern's window from the table's last entry, and lists
+occurrences only for heads whose length is not 3.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -94,16 +94,44 @@ def parse_pattern_set(text: str) -> PatternSet:
 # containment
 
 
+#: the open ends of a letter's interval where no earlier letter bounds it;
+#: they compare with any integer, so the entries of p need not be 1..n
+_BELOW, _ABOVE = float("-inf"), float("inf")
+
+
+@functools.cache
+def letter_bounds(tau: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """
+    For each letter t of tau, the positions of two earlier letters: the one
+    with the largest value below tau[t] and the one with the smallest value
+    above it, -1 where there is none.
+
+    >>> letter_bounds((2, 4, 1, 3))
+    ((-1, -1), (0, -1), (-1, 0), (0, 1))
+    """
+    bounds = []
+    for t, v in enumerate(tau):
+        below = [(tau[s], s) for s in range(t) if tau[s] < v]
+        above = [(tau[s], s) for s in range(t) if tau[s] > v]
+        bounds.append((max(below)[1] if below else -1, min(above)[1] if above else -1))
+    return tuple(bounds)
+
+
 def occurrences(p: Sequence[int], tau: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """
     Every occurrence of tau in p as increasing 0-based positions, in
-    lexicographic order.
+    lexicographic order; the entries of p must be distinct integers.
 
-    Patterns of length 3 and 4 run as plain nested loops over positions, each
-    loop comparing its entry against the pattern's precomputed pairwise `<`
-    flags and dropping the partial choice as soon as order-isomorphism
-    breaks.  Other lengths go through a generic backtracker with the same
-    pruning.
+    The scan places the letters of tau left to right.  The two earlier
+    letters that `letter_bounds` names for letter t are its neighbours in
+    value, so an entry fits t, in order with every letter placed so far,
+    exactly when its value lies strictly between theirs (an open end where
+    there is none): one comparison pair per candidate, whatever the length
+    of tau.  The candidates for letter t stop at position
+    len(p) - len(tau) + t, leaving room for the letters after it; when none
+    is left, the scan moves the previous letter on.  The table is memoised
+    because most calls scan short inputs, where building it afresh would
+    cost about as much as the scan.
 
     >>> list(occurrences((2, 4, 3, 1), (1, 3, 2)))
     [(0, 1, 2)]
@@ -111,70 +139,44 @@ def occurrences(p: Sequence[int], tau: Sequence[int]) -> Iterator[tuple[int, ...
     [(0, 1), (0, 2)]
     """
     k = len(tau)
-    if k == 3:
-        return _occurrences3(p, tau)
-    if k == 4:
-        return _occurrences4(p, tau)
-    return _occurrences_backtrack(p, tau)
-
-
-def _occurrences3(p: Sequence[int], tau: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    a, b, c = tau
-    ab, ac, bc = a < b, a < c, b < c
-    n = len(p)
-    for i in range(n - 2):
-        x = p[i]
-        for j in range(i + 1, n - 1):
-            y = p[j]
-            if (x < y) != ab:
+    stop = len(p) - k  # the last position the current letter may take
+    if stop < 0:
+        return
+    if not k:
+        yield ()
+        return
+    bounds = letter_bounds(tuple(tau))
+    chosen, values = [0] * k, [0] * k  # positions and values of placed letters
+    last = k - 1
+    t = i = 0
+    while True:
+        if t:
+            lo, hi = bounds[t]
+            low = values[lo] if lo >= 0 else _BELOW
+            high = values[hi] if hi >= 0 else _ABOVE
+            while i <= stop:
+                v = p[i]
+                if low < v < high:
+                    break
+                i += 1
+            else:
+                # no candidate left for letter t: move the previous letter on
+                t -= 1
+                stop -= 1
+                i = chosen[t] + 1
                 continue
-            for l in range(j + 1, n):
-                z = p[l]
-                if (x < z) == ac and (y < z) == bc:
-                    yield (i, j, l)
-
-
-def _occurrences4(p: Sequence[int], tau: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    a, b, c, d = tau
-    ab, ac, ad, bc, bd, cd = a < b, a < c, a < d, b < c, b < d, c < d
-    n = len(p)
-    for i in range(n - 3):
-        w = p[i]
-        for j in range(i + 1, n - 2):
-            x = p[j]
-            if (w < x) != ab:
-                continue
-            for l in range(j + 1, n - 1):
-                y = p[l]
-                if (w < y) != ac or (x < y) != bc:
-                    continue
-                for o in range(l + 1, n):
-                    z = p[o]
-                    if (w < z) == ad and (x < z) == bd and (y < z) == cd:
-                        yield (i, j, l, o)
-
-
-def _occurrences_backtrack(
-    p: Sequence[int], tau: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    k = len(tau)
-    n = len(p)
-    chosen: list[int] = []
-
-    def extend(start: int) -> Iterator[tuple[int, ...]]:
-        j = len(chosen)
-        if j == k:
-            yield tuple(chosen)
+        elif i <= stop:
+            v = p[i]  # the first letter has no bounds, so every entry fits it
+        else:
             return
-        # tau has k-j-1 letters left after this one; leave room on the right
-        for i in range(start, n - (k - j - 1)):
-            v = p[i]
-            if all((p[c] < v) == (tau[t] < tau[j]) for t, c in enumerate(chosen)):
-                chosen.append(i)
-                yield from extend(i + 1)
-                chosen.pop()
-
-    return extend(0)
+        chosen[t] = i
+        i += 1
+        if t == last:
+            yield tuple(chosen)
+        else:
+            values[t] = v
+            t += 1
+            stop += 1
 
 
 def find_occurrence(p: Sequence[int], tau: Sequence[int]) -> tuple[int, ...] | None:

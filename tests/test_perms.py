@@ -83,8 +83,8 @@ def first_witness(expected):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_find_occurrence_matches_reference_backtracker(k):
-    # the nested-loop kernel's first witness of every k-letter tau in every
-    # p with |p| <= 8, against the one-pass oracle
+    # the scan's first witness of every k-letter tau in every p with
+    # |p| <= 8, against the one-pass oracle
     for n in range(9):
         for p, found in occurrence_lists(n, (k,)):
             for tau, expected in found.items():
@@ -93,10 +93,9 @@ def test_find_occurrence_matches_reference_backtracker(k):
 
 @pytest.mark.parametrize("nmax, lengths", [(7, (3, 4)), (6, (0, 1, 2, 5))])
 def test_occurrences_equal_brute_force(nmax, lengths):
-    # every occurrence, in lexicographic order, against the oracle; lengths
-    # 3 and 4 take the nested loops, the others the generic backtracker,
-    # whose first witness is checked here as well (the test above checks
-    # 3- and 4-letter witnesses further, to |p| = 8)
+    # every occurrence, in lexicographic order, against the oracle; the
+    # first witness is checked here too for the lengths that the test above
+    # leaves out (it checks 3- and 4-letter witnesses further, to |p| = 8)
     for n in range(nmax + 1):
         for p, found in occurrence_lists(n, lengths):
             for tau, expected in found.items():
@@ -104,6 +103,19 @@ def test_occurrences_equal_brute_force(nmax, lengths):
                 if len(tau) not in (3, 4):
                     want = first_witness(expected)
                     assert find_occurrence(p, tau) == want, (p, tau)
+
+
+def test_occurrences_read_any_distinct_integers():
+    # containment reads only relative order, so entries need not be 1..n:
+    # sequences with gaps, entries above len(p), 0 and negatives give the
+    # occurrences of their standardization, for every tau with |tau| <= 4
+    taus = [tau for k in range(5) for tau in all_perms(k)]
+    values = (-5, -1, 0, 2, 7, 11)
+    for m in range(len(values) + 1):
+        for p in itertools.permutations(values, m):
+            q = standardize(p)
+            for tau in taus:
+                assert list(occurrences(p, tau)) == list(occurrences(q, tau)), (p, tau)
 
 
 class ReadLog(Sequence):
@@ -122,19 +134,21 @@ class ReadLog(Sequence):
 
 
 def test_backtracker_leaves_room_on_the_right():
-    # 12345 in a decreasing p: no second letter ever fits, so every read is
-    # a first-letter candidate, a second-letter candidate j, or the chosen
-    # first letter read again right after j.  Only a second-letter
-    # candidate is followed by a smaller index.  An occurrence starting
-    # past n - 5 has no room for its other four letters, so no first-letter
-    # candidate may be read there, and no second-letter one past n - 4
+    # 12345 in a decreasing p: every entry fits the first letter and none
+    # fits the second, so the scan reads a first-letter candidate f, then
+    # the second-letter candidates after f, then steps back and reads f + 1.
+    # The first read, and every read at or left of the one before it, is
+    # thus a first-letter candidate, and every other read a second-letter
+    # one.  An occurrence starting past n - 5 has no room for its other
+    # four letters, so no first-letter candidate may be read there, and no
+    # second-letter one past n - 4
     n = 9
     p = ReadLog(tuple(range(n, 0, -1)))
     assert list(occurrences(p, (1, 2, 3, 4, 5))) == []
     reads = p.reads
-    after = reads[1:] + [n]
-    second = [i for i, nxt in zip(reads, after) if nxt < i]
-    first = [i for i, nxt in zip(reads, after) if nxt > i]
+    pairs = list(zip(reads, [n] + reads))
+    first = [i for i, before in pairs if i <= before]
+    second = [i for i, before in pairs if i > before]
     assert max(first) == n - 5
     assert max(second) == n - 4
 

@@ -19,18 +19,26 @@ one level down) and, writing a_{n-2} for the count two levels down:
     pi1: b_n(n-1) = 0,  b_n(n-2) = b_n(n) = a_{n-2}
     pi2, pi3: b_n(n) = 0,  b_n(n-2) = b_n(n-1) = a_{n-2}
 
-Prefix sums make one level O(n) arithmetic operations, so a full run to
-nmax costs O(nmax^2).  Entries grow like 5^n; Python integers keep them
-exact.  Levels are produced one at a time and only the last two are held
-(level n needs the totals of n-1 and n-2), so a run to nmax = 1000 keeps
-two tables of about a thousand 2300-bit entries, not a thousand tables.
-Each table computes its total once, on first use.
+Each table also carries the running sums a_n(1), a_n(1) + a_n(2), ... of
+its a-vector.  One step then makes three passes, each one big-integer
+addition per entry: prefix sums of the b-vector below, the running sums
+below added entrywise to the new b-vector (giving a), and the running sums
+of the new a-vector, which the next level reads and whose last entry is
+the level's total |S_n(T)|.  No total is a formula in the boundary values:
+every entry is summed, so a wrong entry changes every level above it.
+
+One level costs O(n) arithmetic operations, so a full run to nmax costs
+O(nmax^2).  Entries grow like 5^n; Python integers keep them exact.
+Levels are produced one at a time and only the last two are held (level n
+needs the totals of n-1 and n-2), so a run to nmax = 1000 keeps two tables
+of about a thousand entries of up to about 2,080 bits, not a thousand
+tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import accumulate, islice
+from operator import add
 from typing import Iterator
 
 from .perms import TRIPLES
@@ -47,11 +55,18 @@ class RecurrenceTable:
     n: int
     a: tuple[int, ...]
     b: tuple[int, ...]
+    #: running sums of a, a_n(1) + ... + a_n(i) for i = 1..n; computed from
+    #: a when not given, and not compared
+    sums: tuple[int, ...] = field(default=None, compare=False, repr=False)
 
-    @cached_property
+    def __post_init__(self) -> None:
+        if self.sums is None:
+            object.__setattr__(self, "sums", tuple(accumulate(self.a)))
+
+    @property
     def total(self) -> int:
         """|S_n(T)|, the sum of the a-vector (1 for n = 0)."""
-        return sum(self.a) if self.n > 0 else 1
+        return self.sums[-1] if self.n > 0 else 1
 
 
 def _second_entry(class_id: str, n: int, i: int) -> int:
@@ -93,10 +108,11 @@ def advance(table: RecurrenceTable, prev_total: int) -> RecurrenceTable:
         b += (prev_total, 0, prev_total)   # b_n(n-2), b_n(n-1), b_n(n)
     else:
         b += (prev_total, prev_total, 0)
-    a = [run + bi for run, bi in zip(accumulate(islice(table.a, n - 3)), b)]
+    # interior: the running sums of the level below plus the new b
+    a = list(map(add, islice(table.sums, n - 3), b))
     total = table.total
     a += (total, total, total)             # a_n(n-2), a_n(n-1), a_n(n)
-    return RecurrenceTable(cid, n, tuple(a), tuple(b))
+    return RecurrenceTable(cid, n, tuple(a), tuple(b), tuple(accumulate(a)))
 
 
 def _tables(class_id: str) -> Iterator[RecurrenceTable]:
@@ -130,6 +146,8 @@ def empirical_table(n: int, class_id: str) -> RecurrenceTable:
     `advance`.  Only sensible at enumeration scale (n <= 10 or so).
     """
     _second_entry(class_id, 3, 1)
+    if n == 0:
+        return RecurrenceTable(class_id, 0, (), ())
     avoiders = enumerate_avoiders(n, TRIPLES[class_id])
     a = [0] * n
     b = [0] * n

@@ -19,6 +19,7 @@ from weaksort.perms import (
     occurrences,
     standardize,
 )
+from weaksort.recurrence import RecurrenceTable
 from weaksort.schroder import Staircase, enumerate_paths, path_components
 from weaksort.series import catalan, gen_catalan
 
@@ -308,3 +309,28 @@ def count_indecomposable_termwise(n: int) -> int:
             if inner:
                 total += _keyed_sum(rows[a - k], a, k) * inner
     return total
+
+
+def reference_advance(table: RecurrenceTable, prev_total: int) -> RecurrenceTable:
+    """
+    Oracle for `recurrence.advance`: the one-level step as two explicit
+    prefix-sum loops over a filled vector, the boundary total summed from
+    the a-vector below.
+    """
+    n = table.n + 1
+    b = [0] * n
+    run = 0
+    for i in range(1, n - 2):
+        run += table.b[i - 1]
+        b[i - 1] = run
+    if table.class_id == "pi1":
+        b[n - 3], b[n - 2], b[n - 1] = prev_total, 0, prev_total
+    else:
+        b[n - 3], b[n - 2], b[n - 1] = prev_total, prev_total, 0
+    a = [0] * n
+    run = 0
+    for i in range(1, n - 2):
+        run += table.a[i - 1]
+        a[i - 1] = run + b[i - 1]
+    a[n - 3] = a[n - 2] = a[n - 1] = sum(table.a)
+    return RecurrenceTable(table.class_id, n, tuple(a), tuple(b))

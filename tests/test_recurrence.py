@@ -1,13 +1,14 @@
 """Table recurrences for the first three triples and the kernel identity."""
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 
+from oracles import reference_advance
 from weaksort.counting import counting_sequence
 from weaksort.perms import TRIPLES
 from weaksort.recurrence import (
     CLASS_IDS,
-    RecurrenceTable,
     advance,
     count_via_recurrence,
     empirical_table,
@@ -31,6 +32,13 @@ def test_seed_tables_other_classes_track_their_own_definitions():
         t2 = seed_tables(class_id)[2]
         assert t2.b == (1, 0)
         assert empirical_table(2, class_id).b == (1, 0)
+
+
+@pytest.mark.parametrize("class_id", CLASS_IDS)
+def test_empirical_table_at_length_zero(class_id):
+    t0 = empirical_table(0, class_id)
+    assert t0 == seed_tables(class_id)[0]
+    assert (t0.a, t0.b, t0.total) == ((), (), 1)
 
 
 def test_advance_small_levels_first_class():
@@ -91,28 +99,6 @@ def test_growth_needs_bignums():
     assert seq[50] > 2**63
 
 
-def reference_advance(table, prev_total):
-    """The one-level step as two explicit prefix-sum loops over a filled
-    vector, kept as the oracle for `advance`."""
-    n = table.n + 1
-    b = [0] * n
-    run = 0
-    for i in range(1, n - 2):
-        run += table.b[i - 1]
-        b[i - 1] = run
-    if table.class_id == "pi1":
-        b[n - 3], b[n - 2], b[n - 1] = prev_total, 0, prev_total
-    else:
-        b[n - 3], b[n - 2], b[n - 1] = prev_total, prev_total, 0
-    a = [0] * n
-    run = 0
-    for i in range(1, n - 2):
-        run += table.a[i - 1]
-        a[i - 1] = run + b[i - 1]
-    a[n - 3] = a[n - 2] = a[n - 1] = sum(table.a)
-    return RecurrenceTable(table.class_id, n, tuple(a), tuple(b))
-
-
 @pytest.mark.parametrize("class_id", CLASS_IDS)
 def test_streamed_tables_match_reference_advance(class_id):
     tabs = tables_upto(class_id, 200)
@@ -122,9 +108,24 @@ def test_streamed_tables_match_reference_advance(class_id):
         want.append(reference_advance(want[-1], sum(want[-2].a) if want[-2].n else 1))
     for got, ref in zip(tabs, want):
         assert (got.n, got.a, got.b) == (ref.n, ref.a, ref.b), (class_id, got.n)
-        assert got.total == (sum(ref.a) if ref.n else 1)
     totals = count_via_recurrence(class_id, 200)
     assert totals == [t.total for t in tabs]
+
+
+@pytest.mark.parametrize("class_id", CLASS_IDS)
+def test_streamed_tables_carry_the_running_sums_of_a(class_id):
+    tabs = tables_upto(class_id, 200)
+    assert tabs[0].total == 1
+    for t in tabs[1:]:
+        assert t.total == sum(t.a), (class_id, t.n)
+        assert t.sums == tuple(accumulate(t.a)), (class_id, t.n)
+
+
+def test_short_runs_are_prefixes_of_a_long_run():
+    for class_id in CLASS_IDS:
+        long_run = count_via_recurrence(class_id, 200)
+        for nmax in range(7):
+            assert count_via_recurrence(class_id, nmax) == long_run[: nmax + 1], (class_id, nmax)
 
 
 def test_recurrence_matches_main_series_to_300():
@@ -132,7 +133,8 @@ def test_recurrence_matches_main_series_to_300():
 
 
 def test_count_via_recurrence_holds_two_levels():
-    # all 1001 tables of ~2300-bit entries take about 145 MB; two take ~1.4 MB
+    # all 1001 tables of up to ~2080-bit entries (a, b and the running sums
+    # of a) take about 218 MB; two take ~2.0 MB
     tracemalloc.start()
     try:
         count_via_recurrence("pi1", 1000)

@@ -19,27 +19,29 @@ one level down) and, writing a_{n-2} for the count two levels down:
     pi1: b_n(n-1) = 0,  b_n(n-2) = b_n(n) = a_{n-2}
     pi2, pi3: b_n(n) = 0,  b_n(n-2) = b_n(n-1) = a_{n-2}
 
-Each table also carries the running sums a_n(1), a_n(1) + a_n(2), ... of
-its a-vector.  One step then makes three passes, each one big-integer
+A table stores its b-vector and, in place of the a-vector, the running
+sums a_n(1), a_n(1) + a_n(2), ...; the a-vector is their differences,
+derived when read.  One step then makes three passes, each one big-integer
 addition per entry: prefix sums of the b-vector below, the running sums
-below added entrywise to the new b-vector (giving a), and the running sums
-of the new a-vector, which the next level reads and whose last entry is
-the level's total |S_n(T)|.  No total is a formula in the boundary values:
-every entry is summed, so a wrong entry changes every level above it.
+below added entrywise to the new b-vector (giving a, which is not kept),
+and the running sums of the new a-vector, which the next level reads and
+whose last entry is the level's total |S_n(T)|.  No total is a formula in
+the boundary values: every entry is summed, so a wrong entry changes every
+level above it.
 
 One level costs O(n) arithmetic operations, so a full run to nmax costs
 O(nmax^2).  Entries grow like 5^n; Python integers keep them exact.
 Levels are produced one at a time and only the last two are held (level n
 needs the totals of n-1 and n-2), so a run to nmax = 1000 keeps two tables
-of about a thousand entries of up to about 2,080 bits, not a thousand
-tables.
+of two vectors of about a thousand entries of up to about 2,080 bits, not
+a thousand tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import accumulate, islice
-from operator import add
-from typing import Iterator
+from dataclasses import dataclass
+from itertools import accumulate, chain, islice
+from operator import add, sub
+from typing import Iterable, Iterator
 
 from .perms import TRIPLES
 from .counting import enumerate_avoiders
@@ -47,21 +49,33 @@ from .counting import enumerate_avoiders
 CLASS_IDS = ("pi1", "pi2", "pi3")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RecurrenceTable:
-    """Vectors a_n(1..n) and b_n(1..n) for one class at one length."""
+    """
+    Vectors a_n(1..n) and b_n(1..n) for one class at one length.
+
+    Built from a and b; a is kept as its running sums, the form `advance`
+    reads, and derived from them when read.  Two tables are equal when
+    their class, length, a- and b-vectors are.
+    """
 
     class_id: str
     n: int
-    a: tuple[int, ...]
     b: tuple[int, ...]
-    #: running sums of a, a_n(1) + ... + a_n(i) for i = 1..n; computed from
-    #: a when not given, and not compared
-    sums: tuple[int, ...] = field(default=None, compare=False, repr=False)
+    #: running sums of a, a_n(1) + ... + a_n(i) for i = 1..n
+    sums: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.sums is None:
-            object.__setattr__(self, "sums", tuple(accumulate(self.a)))
+    def __init__(self, class_id: str, n: int, a: Iterable[int],
+                 b: tuple[int, ...]) -> None:
+        object.__setattr__(self, "class_id", class_id)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "sums", tuple(accumulate(a)))
+
+    @property
+    def a(self) -> tuple[int, ...]:
+        """a_n(1..n), the differences of the running sums."""
+        return tuple(map(sub, self.sums, (0,) + self.sums[:-1]))
 
     @property
     def total(self) -> int:
@@ -108,11 +122,12 @@ def advance(table: RecurrenceTable, prev_total: int) -> RecurrenceTable:
         b += (prev_total, 0, prev_total)   # b_n(n-2), b_n(n-1), b_n(n)
     else:
         b += (prev_total, prev_total, 0)
-    # interior: the running sums of the level below plus the new b
-    a = list(map(add, islice(table.sums, n - 3), b))
+    # interior: the running sums of the level below plus the new b; the
+    # table keeps only the running sums of this a
     total = table.total
-    a += (total, total, total)             # a_n(n-2), a_n(n-1), a_n(n)
-    return RecurrenceTable(cid, n, tuple(a), tuple(b), tuple(accumulate(a)))
+    a = chain(map(add, islice(table.sums, n - 3), b),
+              (total, total, total))       # a_n(n-2), a_n(n-1), a_n(n)
+    return RecurrenceTable(cid, n, a, tuple(b))
 
 
 def _tables(class_id: str) -> Iterator[RecurrenceTable]:

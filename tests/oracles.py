@@ -327,10 +327,11 @@ def reference_advance(table: RecurrenceTable, prev_total: int) -> RecurrenceTabl
         b[n - 3], b[n - 2], b[n - 1] = prev_total, 0, prev_total
     else:
         b[n - 3], b[n - 2], b[n - 1] = prev_total, prev_total, 0
+    below = table.a
     a = [0] * n
     run = 0
     for i in range(1, n - 2):
-        run += table.a[i - 1]
+        run += below[i - 1]
         a[i - 1] = run + b[i - 1]
-    a[n - 3] = a[n - 2] = a[n - 1] = sum(table.a)
+    a[n - 3] = a[n - 2] = a[n - 1] = sum(below)
     return RecurrenceTable(table.class_id, n, tuple(a), tuple(b))

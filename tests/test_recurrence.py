@@ -133,8 +133,8 @@ def test_recurrence_matches_main_series_to_300():
 
 
 def test_count_via_recurrence_holds_two_levels():
-    # all 1001 tables of up to ~2080-bit entries (a, b and the running sums
-    # of a) take about 218 MB; two take ~2.0 MB
+    # all 1001 tables of up to ~2080-bit entries (b and the running sums of
+    # a) take about 145 MiB; two take ~1.4 MiB
     tracemalloc.start()
     try:
         count_via_recurrence("pi1", 1000)

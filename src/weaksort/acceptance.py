@@ -146,10 +146,30 @@ def criterion_7_peak_censuses() -> None:
             assert indec.get(1, 0) == comb(2 * n - 3, n - 2), (n, indec)
 
 
+def _conditions_3_and_4(p: tuple[int, ...]) -> str | None:
+    """
+    Conditions 3 and 4 of the structure theorem read off `decompose(p)`:
+    the reason `check_structure` gives for the first that fails, or None.
+    The head must also end at the maximum: a head cut one entry early
+    leaves the keys as they are, since the maximum then opens the tail.
+    """
+    d = class5.decompose(p)
+    assert d.upper_head[-1:] == (len(p),), (p, d.upper_head)
+    tail = d.lower_tail
+    if any(a > b for a, b in zip(tail, tail[1:])):
+        return "lower tail not increasing"
+    # p ends in an upper entry, so every block has a right neighbour
+    keys = set(d.key_values)
+    if any(p[p.index(block[-1]) + 1] not in keys for block in d.blocks):
+        return "lower block not flush against a key entry"
+    return None
+
+
 def criterion_8_class5_formula() -> None:
     """Direct count equals brute force (0 <= n <= 9, the values given
     directly for n <= 2 included); the structure theorem agrees with the
-    enumerated avoider set on every permutation, n <= 8; construction and
+    enumerated avoider set on every permutation, n <= 8, and conditions 3
+    and 4 read off `decompose` agree with it (n <= 7); construction and
     decomposition are mutually inverse on the middle stratum (n <= 7)."""
     patterns = TRIPLES["pi5"]
     brute = counting.counting_sequence(patterns, 9)
@@ -159,11 +179,14 @@ def criterion_8_class5_formula() -> None:
     levels = counting.avoider_levels(patterns, 8)
     sizes = [len(level) for level in levels]
     assert sizes == brute[:9], (sizes, brute[:9])
+    conditions_1_and_2 = ("upper part contains 213", "lower part contains 321")
     for n in range(1, 9):
         avoiders = set(levels[n])
         for p in all_perms(n):
-            ok, _ = class5.check_structure(p)
+            ok, reason = class5.check_structure(p)
             assert ok == (p in avoiders), p
+            if n <= 7 and reason not in conditions_1_and_2:
+                assert _conditions_3_and_4(p) == reason, (p, reason)
     for n in range(4, 8):
         built = class5.constructions(n)
         stratum = [p for p in levels[n] if 3 <= class5.decompose(p).a <= n - 1]
@@ -172,12 +195,16 @@ def criterion_8_class5_formula() -> None:
 
 
 def criterion_9_indecomposable_and_bivariate() -> None:
-    """Indecomposable counts match the published sequence; the bivariate
-    series matches the per-component census (n <= 8) and collapses at y = 1
-    to the nonempty-avoider series through order 40."""
-    assert [class5.count_indecomposable(n) for n in range(1, 8)] == [
-        1, 1, 3, 11, 43, 173, 707,
-    ]
+    """Indecomposable counts match the A026671 fixture (1 <= n <= 41); the
+    bivariate series matches the per-component census (n <= 8) and
+    collapses at y = 1 to the nonempty-avoider series through order 40."""
+    fixture = oeis.fetch("A026671")
+    assert fixture.offset == 0, fixture.offset
+    for index, term in enumerate(fixture.prefix(41)):
+        # the term at index n - 1 counts the indecomposable avoiders of
+        # length n
+        n = index + 1
+        assert class5.count_indecomposable(n) == term, n
     biv = series.gf_catalog("class5_bivariate", 40)
     levels = counting.avoider_levels(TRIPLES["pi5"], 8)
     for n in range(1, 9):

@@ -20,6 +20,11 @@ p avoids the triple exactly when four conditions hold:
        immediately left of a key entry (except the initial block, which
        starts the permutation).
 
+`check_structure` tests conditions 1 and 2 by containment on the upper and
+lower value lists, and reads conditions 3 and 4 in one pass over p without
+building a `Decomposition`; criterion 8 of `weaksort verify` holds those
+two conditions read off `decompose` against it.
+
 Counting by a = |upper|, k = #keys, i = |lower tail| turns the
 characterization into the closed formula `count_avoiders`, built from
 generalized Catalan numbers C_{n,k} (see `series.gen_catalan`) and the
@@ -148,26 +153,45 @@ def check_structure(p: Perm) -> tuple[bool, str | None]:
 
     Conditions 1 and 2 read only the upper and lower value lists, so they
     are tested on those lists directly, and the check stops at the first
-    that fails.  Only a permutation that passes both is decomposed, for
-    the lower tail and key entries that conditions 3 and 4 read.
+    that fails.  Conditions 3 and 4 are then read in one pass over p, and
+    no `Decomposition` is built.  The pass carries whether an upper entry
+    has been seen (a lower entry after one is in the lower tail), whether
+    the maximum n has been passed (an upper entry after it is in the upper
+    tail), the least upper-tail entry so far (a tail entry below it is a
+    key), the last lower-tail value, and whether the previous entry was
+    lower (the entry after a lower block must be a key).  A misplaced
+    block does not end the pass, since condition 3 is reported first.
     """
     if not p:
         raise ValueError("cannot decompose the empty permutation")
-    last = p[-1]
+    n, last = len(p), p[-1]
     # containment reads only relative order, and the upper entries are
     # distinct, so the upper part is tested as it stands
     if contains([v for v in p if v >= last], (2, 1, 3)):
         return False, "upper part contains 213"
     if contains([v for v in p if v < last], (3, 2, 1)):
         return False, "lower part contains 321"
-    d = decompose(p)
-    tail = d.lower_tail
-    if any(a > b for a, b in zip(tail, tail[1:])):
-        return False, "lower tail not increasing"
-    # p ends in an upper entry, so every lower block has an upper right
-    # neighbour, which must be a key
-    keys = set(d.key_values)
-    if any(x < last <= y and y not in keys for x, y in zip(p, p[1:])):
+    seen_upper = past_max = after_lower = misplaced = False
+    tail_low = n + 1
+    tail_last = 0
+    for v in p:
+        if v < last:
+            if seen_upper:
+                if v < tail_last:
+                    return False, "lower tail not increasing"
+                tail_last = v
+            after_lower = True
+            continue
+        if past_max:
+            if v < tail_low:
+                tail_low = v
+            elif after_lower:
+                misplaced = True
+        elif v == n:
+            past_max = True
+        seen_upper = True
+        after_lower = False
+    if misplaced:
         return False, "lower block not flush against a key entry"
     return True, None
 

@@ -2,6 +2,7 @@
 The verification gate: one test per criterion, same functions that back
 `weaksort verify`.  Every check is exact.
 """
+import dataclasses
 import io
 import os
 import re
@@ -53,6 +54,30 @@ def _plant_wrong_verdict(monkeypatch, avoider: bool) -> tuple[int, ...]:
 def test_criterion_8_catches_a_wrong_verdict(monkeypatch, avoider):
     wrong = _plant_wrong_verdict(monkeypatch, avoider)
     with pytest.raises(AssertionError, match=re.escape(str(wrong))):
+        acceptance.criterion_8_class5_formula()
+
+
+# a lower tail that starts one entry late, and a head cut one entry early
+# (the keys stay as they are, since n then opens the tail)
+DECOMPOSE_FAULTS = {
+    "late-lower-tail": lambda d: {"lower_tail": d.lower_tail[1:]},
+    "early-head-cut": lambda d: {
+        "upper_head": d.upper_head[:-1],
+        "upper_tail": d.upper_head[-1:] + d.upper_tail,
+    },
+}
+
+
+@pytest.mark.parametrize("fault", DECOMPOSE_FAULTS)
+def test_criterion_8_catches_a_decompose_fault(monkeypatch, fault):
+    real = class5.decompose
+
+    def decompose(p):
+        d = real(p)
+        return dataclasses.replace(d, **DECOMPOSE_FAULTS[fault](d))
+
+    monkeypatch.setattr(class5, "decompose", decompose)
+    with pytest.raises(AssertionError):
         acceptance.criterion_8_class5_formula()
 
 

@@ -159,6 +159,38 @@ def test_avoids_examples():
     assert avoids((3, 4, 1, 2), TRIPLES["pi5"])
 
 
+def assert_window_path_agrees(p):
+    # contains and avoids take the window path for 3-letter patterns; the
+    # scan is the oracle
+    for tau in all_perms(3):
+        want = next(occurrences(p, tau), None) is not None
+        assert contains(p, tau) == want, (p, tau)
+        assert avoids(p, [tau]) == (not want), (p, tau)
+
+
+def test_window_path_agrees_with_the_scan_exhaustive():
+    for n in range(8):
+        for p in all_perms(n):
+            assert_window_path_agrees(p)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # gaps, entries above len(p), 0 and negatives
+        (-5, -1, 0, 2, 7, 11),
+        # a mask as wide as the span of these entries would not fit in
+        # memory, so the answers show that a sparse input is ranked first
+        (-(10**12), -(10**12) + 3, -7, 0, 10**12 - 1, 10**12),
+    ],
+    ids=["gaps", "sparse"],
+)
+def test_window_path_reads_any_distinct_integers(values):
+    for m in range(len(values) + 1):
+        for p in itertools.permutations(values, m):
+            assert_window_path_agrees(p)
+
+
 def test_symmetry_group_order():
     assert len(SYMMETRIES) == 8
     assert SYMMETRIES["e"] == ()

@@ -21,7 +21,8 @@ index order: the lines are the bytes of running the criteria one at a
 time, any other exception is raised where that loop raised it, and a
 worker that dies raises `BrokenProcessPool`.  `multiprocessing` and
 `concurrent.futures` are imported inside `run_all`, so importing the CLI
-does not load them.
+does not load them.  Enumeration inside the criteria stays in its worker,
+with the library's default of one process, so no worker forks again.
 """
 from __future__ import annotations
 

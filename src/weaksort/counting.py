@@ -63,14 +63,39 @@ per parent stays small:
 - The Wilf search drops a set's bit as soon as its count at some length
   differs from the target, so the orbits that diverge early cost nothing
   further.
+
+Nearly all of a sweep's work lies in its last two lengths, nmax - 1 (built)
+and nmax (counted), and a child has exactly one parent, so the subtrees
+below the prefixes of length nmax - 2 are disjoint and can be counted apart.
+With workers > 1 and no level kept, that level is split into interleaved
+chunks level[w::W], so that neighbouring prefixes, which cost about the
+same, go to different processes.  Chunk 0 stays in this process; every
+other chunk goes to a child made by `os.fork`, which builds its share of
+length nmax - 1, counts its share of length nmax, and writes the two
+tallies, keyed by set bits as above, to a pipe as one pickle before it
+leaves by `os._exit`.  The tallies are summed, and the rows and the
+target's drops then run length by length as in one process.  A set
+dropped at nmax - 1 is still counted at nmax by the children, which cannot
+know of the drop, but its total there is read by no row, and a tally key
+counts each of its sets alone, so every other row is exact.  The split
+level must hold MIN_CHUNK prefixes per process, so a small sweep never
+forks.  Raw fork, not a `concurrent.futures` pool: importing a pool's
+modules takes about 30 ms and starting and stopping the pool about 15 ms
+more, against about 2 ms for a fork and its wait (2-CPU machine, Python
+3.11.7), a sizeable share of a sweep that is over in a tenth of a second;
+and fork is safe here because the enumeration starts no thread.  The
+library default is one process: `acceptance.run_all` already runs the
+criteria one per CPU, and a criterion that forked again would only crowd
+the same CPUs.  The command line passes the CPUs it may run on.
 """
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .perms import (
     SYMMETRIES,
@@ -277,11 +302,106 @@ def _spread(tally: dict[int, int], width: int) -> list[int]:
     return totals
 
 
+#: fewest prefixes of the split level that a process is given; below twice
+#: this many the last two levels are counted in one process
+MIN_CHUNK = 64
+
+
+def _processes(workers: int, size: int) -> int:
+    """How many processes count the last two levels below a split level of
+    size prefixes: at most workers, each with at least MIN_CHUNK prefixes,
+    and at least one (this process alone)."""
+    return max(1, min(workers, size // MIN_CHUNK))
+
+
+def _tails(
+    level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys
+) -> list[dict[int, int]]:
+    """The tallies of the two levels below prefixes of length m: the first
+    built, the second counted."""
+    level, bits = _next_level(level, bits, m, heads, keys)
+    return [Counter(bits), _child_counts(level, bits, m + 1, heads, keys)]
+
+
+def _tails_child(
+    out: int, level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys
+) -> NoReturn:
+    """In a forked child: write ("ok", `_tails`) or ("error", exception),
+    pickled, to the pipe end out, and leave without running any exit hook
+    of the parent's."""
+    import pickle
+
+    status = 1
+    try:
+        try:
+            result = ("ok", _tails(level, bits, m, heads, keys))
+        except BaseException as exc:  # interrupts too: the parent raises it
+            result = ("error", exc)
+        with open(out, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked_tails(
+    level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys, processes: int
+) -> list[dict[int, int]]:
+    """
+    `_tails` of the whole level, as the sums of `_tails` of the interleaved
+    chunks level[w::processes]: chunk 0 in this process, each other chunk
+    in a forked child.  Every child's pipe is read to its end and every
+    child reaped, whatever fails; then this process's own error is raised,
+    else a child's, in chunk order.  `pickle` is imported here, so that
+    the commands that never fork do not load it.
+    """
+    import pickle
+
+    children: list[tuple[int, int]] = []
+    replies: list[tuple[int, bytes, int]] = []
+    try:
+        for w in range(1, processes):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _tails_child(write_end, level[w::processes], bits[w::processes],
+                             m, heads, keys)
+            os.close(write_end)
+            children.append((pid, read_end))
+        tallies = _tails(level[::processes], bits[::processes], m, heads, keys)
+    finally:
+        for pid, read_end in children:
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+            replies.append((pid, data, os.waitpid(pid, 0)[1]))
+    for pid, data, status in replies:
+        # a child writes its whole reply before it exits with status 0
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise RuntimeError(
+                f"enumeration worker {pid} exited with status {code} and no result"
+            )
+        kind, value = pickle.loads(data)  # written by _tails_child alone
+        if kind == "error":
+            raise value
+        for tally, part in zip(tallies, value):
+            for key, count in part.items():
+                tally[key] = tally.get(key, 0) + count
+    return tallies
+
+
 def _sweep(
     sets: Sequence[PatternSet],
     nmax: int,
     target: Sequence[int] | None = None,
     keep: bool = False,
+    workers: int = 1,
 ) -> tuple[list[list[int]], list[list[Perm]]]:
     """
     Carry every set through lengths 0..nmax on one shared level; return each
@@ -290,6 +410,7 @@ def _sweep(
     The last level is counted, not built, unless keep; without keep no
     level outlives the next.  With a target, a set whose count at length n
     differs from target[n] is dropped after n: its row stops there.
+    Without keep, up to workers processes count the last two levels.
     """
     width = len(sets)
     heads, keys = _table(sets)
@@ -300,9 +421,18 @@ def _sweep(
     live = sum(1 << i for i, patterns in enumerate(sets) if () not in patterns)
     level, bits = ([()], [live]) if live else ([], [])
     levels: list[list[Perm]] = []
+    tails: list[dict[int, int]] = []
     for m in range(nmax + 1):
-        if m == nmax > 0 and not keep:
-            tally: dict[int, int] = _child_counts(level, bits, m - 1, heads, keys)
+        if m == nmax - 1 > 0 and not keep:
+            processes = _processes(workers, len(level))
+            if processes > 1:
+                tails = _forked_tails(level, bits, m - 1, heads, keys, processes)
+                # the tallies stand for both levels; a drop needs no level
+                level, bits = [], []
+        if tails:
+            tally: dict[int, int] = tails.pop(0)
+        elif m == nmax > 0 and not keep:
+            tally = _child_counts(level, bits, m - 1, heads, keys)
         else:
             if m:
                 level, bits = _next_level(level, bits, m - 1, heads, keys)
@@ -326,7 +456,7 @@ def _sweep(
 
 
 def counting_sequences(
-    pattern_sets: Iterable[Iterable[Sequence[int]]], nmax: int
+    pattern_sets: Iterable[Iterable[Sequence[int]]], nmax: int, *, workers: int = 1
 ) -> list[list[int]]:
     """
     [|S_0(T)|, ..., |S_nmax(T)|] for each pattern set T, in order, by one
@@ -337,17 +467,20 @@ def counting_sequences(
 
     The cost grows like the counting sequences themselves, which may be
     factorial; nmax is taken as given (the command line's size limit is in
-    `weaksort.cli`).
+    `weaksort.cli`).  Up to workers processes, this one and forked children,
+    count the last two lengths; the rows do not depend on workers.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     sets = [frozenset(tuple(t) for t in patterns) for patterns in pattern_sets]
-    return _sweep(sets, nmax)[0]
+    return _sweep(sets, nmax, workers=workers)[0]
 
 
-def counting_sequence(patterns: Iterable[Sequence[int]], nmax: int) -> list[int]:
+def counting_sequence(
+    patterns: Iterable[Sequence[int]], nmax: int, *, workers: int = 1
+) -> list[int]:
     """[|S_0(T)|, ..., |S_nmax(T)|]: `counting_sequences` of one set."""
-    return counting_sequences([patterns], nmax)[0]
+    return counting_sequences([patterns], nmax, workers=workers)[0]
 
 
 def avoider_levels(patterns: Iterable[Sequence[int]], nmax: int) -> list[list[Perm]]:
@@ -420,7 +553,9 @@ def triple_orbits() -> dict[tuple[Perm, ...], int]:
     return orbits
 
 
-def wilf_search(nmax: int, target: Sequence[int]) -> WilfSearchReport:
+def wilf_search(
+    nmax: int, target: Sequence[int], *, workers: int = 1
+) -> WilfSearchReport:
     """
     Find every symmetry orbit of triples of 4-letter patterns whose counting
     sequence agrees with target through length nmax.
@@ -437,7 +572,8 @@ def wilf_search(nmax: int, target: Sequence[int]) -> WilfSearchReport:
     prefix = tuple(target[: nmax + 1])
     orbits = triple_orbits()
     reps = list(orbits)
-    rows, _ = _sweep([frozenset(rep) for rep in reps], nmax, target=prefix)
+    sets = [frozenset(rep) for rep in reps]
+    rows, _ = _sweep(sets, nmax, target=prefix, workers=workers)
     matches = sorted(rep for rep, row in zip(reps, rows) if tuple(row) == prefix)
     diverged = Counter(len(row) - 1 for row in rows if tuple(row) != prefix)
     return WilfSearchReport(

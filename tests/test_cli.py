@@ -1,5 +1,6 @@
 """Command-line surface: formats, determinism, exit codes, imports."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,67 @@ def test_byte_identical_repeat_invocations(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_main_in_one_process_equals_separate_runs(capsys):
+    # one parser serves every main call of a process; calls around usage
+    # errors (a required group left out, an unknown choice, the size limit)
+    # print and exit as each command does in an interpreter of its own
+    argvs = [
+        ["count", "--class", "pi5", "--n", "6", "--format", "json"],
+        ["count", "--n", "4"],
+        ["count", "--patterns", "3 2 1 4; 4 2 1 3", "--n", "5"],
+        ["search", "--n", "6", "--format", "csv"],
+        ["search", "--n", "9"],
+        ["sequence", "--classes", "pi2,pi4", "--n", "5", "--format", "csv"],
+    ]
+    together = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        together.append((code, capsys.readouterr().out))
+    separate = [
+        subprocess.run(
+            [sys.executable, "-m", "weaksort.cli", *argv],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": SRC},
+        )
+        for argv in argvs
+    ]
+    assert together == [(done.returncode, done.stdout) for done in separate]
+    assert [code for code, _ in together] == [0, 2, 0, 2, 2, 0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["search", "--n", "8"], ["sequence", "--classes", "all", "--n", "9"], ["count", "--class", "pi3", "--n", "9"]],
+    ids=["search", "sequence", "count"],
+)
+def test_enumerating_commands_fork_one_process_per_cpu(capsys, monkeypatch, argv):
+    # one CPU, three, and a platform that cannot read its CPU set: the same
+    # bytes, with a child for each CPU past the first
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    outputs = []
+    for cpus, children in (({0}, 0), ({0, 1, 2}, 2), (None, 0)):
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        forks.clear()
+        outputs.append(run(capsys, *argv))
+        assert len(forks) == children, cpus
+    assert outputs[0][0] == 0
+    assert outputs[1:] == outputs[:1] * 2
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,6 +1,8 @@
 """Pruned enumeration, counting sequences, and the triple classification."""
 import functools
+import os
 import random
+import signal
 from collections import Counter
 
 import pytest
@@ -10,9 +12,12 @@ from oracles import (
     triple_orbits_canonical,
 )
 
+from weaksort import counting
 from weaksort.counting import (
+    MIN_CHUNK,
     WilfSearchReport,
     _middle_pass,
+    _processes,
     avoider_levels,
     counting_sequence,
     counting_sequences,
@@ -29,6 +34,19 @@ from weaksort.perms import (
 )
 
 TARGET = (1, 1, 2, 6, 21, 79, 309, 1237, 5026)
+#: the forking path's worker counts: two processes, and three, which leave
+#: chunks of unequal size
+FORKED = (2, 3)
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Split every level of at least one prefix per process, so that small
+    sweeps fork too; at the end, no child of this process is left."""
+    monkeypatch.setattr(counting, "MIN_CHUNK", 1)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @functools.cache
@@ -65,17 +83,29 @@ def test_counting_sequence_values():
     assert counting_sequence(SCHRODER_PAIR, 6) == [1, 1, 2, 6, 22, 90, 394]
 
 
-def test_counting_sequences_shared_level_equals_filter():
+def test_counting_sequences_shared_level_equals_filter(forking):
     # every kind of set on one shared level: the five triples, the Schroder
     # pair, the empty pattern (which zeroes only its own row), lengths 2, 3
-    # and 5 in one set, one set twice, and no pattern at all
+    # and 5 in one set, one set twice, and no pattern at all; in one process
+    # and with the last two lengths counted in forked children
     mixed = frozenset({(2, 1), (1, 3, 2), (1, 2, 3, 4, 5)})
     sets = [*TRIPLES.values(), SCHRODER_PAIR, frozenset({()}), mixed]
     sets += [SCHRODER_PAIR, frozenset()]
-    rows = counting_sequences(sets, 7)
-    for patterns, row in zip(sets, rows):
-        assert row == [len(_filtered(n, patterns)) for n in range(8)], patterns
-    assert rows[sets.index(mixed)] == [1, 1, 1, 1, 1, 0, 0, 0]
+    for workers in (1, *FORKED):
+        rows = counting_sequences(sets, 7, workers=workers)
+        for patterns, row in zip(sets, rows):
+            assert row == [len(_filtered(n, patterns)) for n in range(8)], (patterns, workers)
+        assert rows[sets.index(mixed)] == [1, 1, 1, 1, 1, 0, 0, 0]
+
+
+def test_forked_counts_equal_serial_for_the_five_classes(forking):
+    # every split from the first (nmax = 4, a level of two prefixes) to the
+    # deepest the command line runs by default
+    for n in range(10):
+        serial = counting_sequences(TRIPLES.values(), n)
+        assert serial == [[*TARGET, 20626][: n + 1]] * 5, n
+        for workers in FORKED:
+            assert counting_sequences(TRIPLES.values(), n, workers=workers) == serial, n
 
 
 def test_avoider_levels_equal_filter():
@@ -125,17 +155,20 @@ def test_middle_pass_equals_occurrence_windows():
                 assert _middle_pass(q, head, bounds) == want, (head, q)
 
 
-def _assert_pruned_equals_filter(patterns) -> list[int]:
+def _assert_pruned_equals_filter(patterns, workers=(1,)) -> list[int]:
     """
-    Hold the built levels and the counted last level against plain
-    filtering for n <= 7; return the oracle's counting sequence.
+    Hold the built levels and the counted last level, counted in each
+    number of processes in workers, against plain filtering for n <= 7;
+    return the oracle's counting sequence.
     """
     counts = []
     for n in range(8):
         oracle = enumerate_avoiders_filter(n, patterns)
         assert enumerate_avoiders(n, patterns) == oracle, (patterns, n)
         # level n is the last of this sequence, so it is counted, not built
-        assert counting_sequence(patterns, n)[n] == len(oracle), (patterns, n)
+        for w in workers:
+            seq = counting_sequence(patterns, n, workers=w)
+            assert seq[n] == len(oracle), (patterns, n, w)
         counts.append(len(oracle))
     return counts
 
@@ -179,11 +212,11 @@ def test_pruned_equals_filter_on_sampled_orbits():
         TRIPLES["pi1"],
     ],
 )
-def test_pruned_equals_filter_on_other_lengths(patterns):
+def test_pruned_equals_filter_on_other_lengths(forking, patterns):
     # lengths 1, 2, 3 and 5, alone and mixed: the generic occurrence path
     # and the forbidden-rank windows at their extremes; and heads shared by
-    # two or three patterns
-    _assert_pruned_equals_filter(patterns)
+    # two or three patterns; in one process and in forked children
+    _assert_pruned_equals_filter(patterns, workers=(1, *FORKED))
 
 
 def test_counting_invariant_under_symmetry():
@@ -222,6 +255,104 @@ def test_wilf_search_finds_exactly_the_five_classes():
 def test_wilf_search_all_ones_target_matches_nothing():
     report = wilf_search(8, (1,) * 9)
     assert report.matches == ()
+
+
+@pytest.mark.parametrize("nmax", [6, 7, 8])
+def test_forked_wilf_search_equals_serial(forking, nmax):
+    # the weak sorting numbers, and targets off by one only at nmax - 1 or
+    # only at nmax, so that every orbit left is dropped after the split: the
+    # split counts length nmax for sets it already dropped at nmax - 1
+    five = {canonical_form(T) for T in TRIPLES.values()}
+    for n in (None, nmax - 1, nmax):
+        target = list(TARGET)
+        if n is not None:
+            target[n] += 1
+        serial = wilf_search(nmax, target)
+        for workers in FORKED:
+            assert wilf_search(nmax, target, workers=workers) == serial, (n, workers)
+        # the five classes match the weak sorting numbers, and are dropped
+        # at n from the others
+        assert five <= set(serial.matches) if n is None else not five & set(serial.matches)
+        assert n is None or dict(serial.diverged)[n] >= 5, serial.diverged
+
+
+def test_process_count_is_capped_by_the_split_level():
+    # at 1, 2 and 4096 CPUs, without forking: at most one process per
+    # MIN_CHUNK prefixes, and a level too small to split stays in this one
+    for size in (0, 1, MIN_CHUNK - 1, MIN_CHUNK, 2 * MIN_CHUNK - 1, 10**6):
+        assert _processes(1, size) == 1
+        assert _processes(2, size) == (2 if size >= 2 * MIN_CHUNK else 1)
+        assert _processes(4096, size) == max(1, min(4096, size // MIN_CHUNK))
+    assert _processes(4096, 4096 * MIN_CHUNK) == 4096
+
+
+def test_small_sweep_never_forks(monkeypatch):
+    # the split level of n = 7 holds 120 prefixes, too few for two chunks
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert counting_sequences(TRIPLES.values(), 7, workers=4096) == [list(TARGET[:8])] * 5
+
+
+@pytest.fixture
+def planted(forking, monkeypatch):
+    """
+    Replace the chunk count with plant(in_child), whose value or exception
+    stands for it, in this process (False) and in the forked children
+    (True); a guard alarm turns a hang into an error.
+    """
+    parent, real = os.getpid(), counting._tails
+
+    def plant(fn):
+        def tails(*args):
+            result = fn(os.getpid() != parent)
+            return real(*args) if result is None else result
+
+        monkeypatch.setattr(counting, "_tails", tails)
+
+    def hung(signum, frame):
+        raise TimeoutError("the parent waits on a child that waits on its pipe")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield plant
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_child_error_is_raised_in_the_parent(planted):
+    # a message far longer than a pipe holds: the parent must read each
+    # pipe to its end before it waits for the child
+    message = "planted in a child " + "x" * 200_000
+
+    def fail(in_child):
+        if in_child:
+            raise LookupError(message)
+
+    planted(fail)
+    with pytest.raises(LookupError) as caught:
+        counting_sequences(TRIPLES.values(), 8, workers=3)
+    assert caught.value.args == (message,)
+
+
+def test_child_without_result_raises_runtime_error(planted):
+    planted(lambda in_child: os._exit(3) if in_child else None)
+    with pytest.raises(RuntimeError, match=r"worker \d+ exited with status 3 and no result"):
+        counting_sequences(TRIPLES.values(), 8, workers=2)
+
+
+def test_parent_error_still_reaps_every_child(planted):
+    # the forking fixture checks that no child is left unreaped
+    def fail(in_child):
+        if not in_child:
+            raise ValueError("planted in the parent")
+
+    planted(fail)
+    with pytest.raises(ValueError, match="^planted in the parent$"):
+        wilf_search(8, TARGET, workers=3)
 
 
 def test_wilf_search_preconditions():

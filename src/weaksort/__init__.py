@@ -12,6 +12,7 @@ schroder    Schroder paths, bounding staircases, and the bijections
 class5      structure theorem and direct counting for the fifth triple
 oeis        b-file parser and the four bundled OEIS fixtures
 acceptance  the end-to-end verification suite (also: `weaksort verify`)
+_fork       forked children for `verify` and the enumeration's last lengths
 """
 from .perms import (
     TRIPLES,

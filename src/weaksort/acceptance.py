@@ -6,31 +6,19 @@ anywhere.  `run_all` prints one PASS/FAIL line per criterion and is what
 `weaksort verify` executes; the pytest acceptance module runs the same
 functions one test each.
 
-The criteria share no state, so `run_all` runs them side by side in a
-`ProcessPoolExecutor` on the fork start method (asked for by name, since
-Python 3.14 makes forkserver the Linux default), with one worker per CPU
-this process may run on, at most one per criterion.  Fork is safe because
-the caller has no other thread (the CLI has none) and the pool forks all
-its workers before it starts its manager thread; spawn would pay a fresh
-import per worker.  A worker gets an index into `CRITERIA`, not the
-function, so the table may hold functions that cannot be pickled, and
-sends back None or the text of the criterion's AssertionError.  The last
-criterion is submitted first, so the costly late ones start at once and a
-run takes about as long as its slowest criterion.  Results are read in
-index order: the lines are the bytes of running the criteria one at a
-time, any other exception is raised where that loop raised it, and a
-worker that dies raises `BrokenProcessPool`.  `multiprocessing` and
-`concurrent.futures` are imported inside `run_all`, so importing the CLI
-does not load them.  Enumeration inside the criteria stays in its worker,
-with the library's default of one process, so no worker forks again.
+The criteria share no state, so `run_all` runs each in a forked child
+through `weaksort._fork`, one child per CPU at a time, the last criterion
+first, so the costly late ones start at once.  The lines come in index
+order, as the bytes of running the criteria one at a time; any exception
+but an AssertionError is raised where that loop raised it.
 """
 from __future__ import annotations
 
-import os
+import functools
 from math import comb
 from typing import Callable
 
-from . import class5, counting, oeis, recurrence, schroder, series
+from . import _fork, class5, counting, oeis, recurrence, schroder, series
 from .perms import (
     SCHRODER_PAIR,
     TRIPLES,
@@ -243,34 +231,27 @@ CRITERIA: tuple[tuple[str, Callable[[], None]], ...] = (
 )
 
 
-def _run_criterion(index: int) -> str | None:
-    """Run CRITERIA[index]; the text of its AssertionError, or None."""
+def _verdict(check: Callable[[], None]) -> Exception | None:
+    """One job of `run_all`: the exception that check raises, or None."""
     try:
-        CRITERIA[index][1]()
-    except AssertionError as exc:
-        return str(exc)
+        check()
+    except Exception as exc:
+        return exc
     return None
 
 
 def run_all() -> bool:
-    """Run every criterion in a pool of forked workers, one per CPU this
-    process may run on; print one PASS/FAIL line each, in index order; True
-    when all pass."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(len(os.sched_getaffinity(0)), len(CRITERIA))
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        # last index first, so that the slow late criteria start at once
-        order = reversed(range(len(CRITERIA)))
-        futures = {i: pool.submit(_run_criterion, i) for i in order}
-        all_ok = True
-        for index, (name, _) in enumerate(CRITERIA):
-            failure = futures[index].result()
-            if failure is None:
-                print(f"PASS {index + 1:2d}  {name}")
-            else:
-                all_ok = False
-                print(f"FAIL {index + 1:2d}  {name}: {failure}")
+    """Run every criterion in a forked child; print one PASS/FAIL line each,
+    in index order; True when all pass."""
+    jobs = [functools.partial(_verdict, check) for _, check in reversed(CRITERIA)]
+    verdicts = _fork.run(jobs, _fork.cpus())[::-1]
+    all_ok = True
+    for index, ((name, _), verdict) in enumerate(zip(CRITERIA, verdicts)):
+        if verdict is None:
+            print(f"PASS {index + 1:2d}  {name}")
+        elif isinstance(verdict, AssertionError):
+            all_ok = False
+            print(f"FAIL {index + 1:2d}  {name}: {verdict}")
+        else:
+            raise verdict
     return all_ok

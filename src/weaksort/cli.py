@@ -26,9 +26,9 @@ sequence, search) refuse an --n above SIZE_LIMITS with exit 2 unless
 --limit-override is given, because their cost grows with the counting
 sequence, which may be factorial.  This is the only size check; the library
 takes n as given.  series, recurrence, class5 and bijection have polynomial
-cost and no limit.  count, sequence and search count their last two lengths
-in up to one forked process per CPU this process may run on (see
-`weaksort.counting`); their output does not depend on the number.
+cost and no limit.  count, sequence and search count their last two lengths,
+and verify runs its criteria, in one forked child per CPU this process may
+run on (`weaksort._fork`); the output does not depend on the number.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import acceptance, class5, counting, oeis, recurrence, schroder, series
+from . import _fork, acceptance, class5, counting, oeis, recurrence, schroder, series
 from .perms import (
     TRIPLES,
     format_perm,
@@ -91,15 +91,6 @@ def _resolve_target(text: str, nmax: int) -> tuple[int, ...]:
     return terms
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on, as `verify` reads it: the
-    enumerating commands count their last two lengths in up to this many
-    processes.  Where the CPU set cannot be read (not on Linux), one."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _class_list(selector: str) -> list[str]:
     if selector == "all":
         return list(TRIPLES)
@@ -116,7 +107,7 @@ def _class_list(selector: str) -> list[str]:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     patterns = TRIPLES[args.cls] if args.cls else parse_pattern_set(args.patterns)
-    seq = counting.counting_sequence(patterns, args.n, workers=_cpus())
+    seq = counting.counting_sequence(patterns, args.n, workers=_fork.cpus())
     label = args.cls or "custom"
     if args.format == "json":
         print(json.dumps({"name": label, "n": args.n, "count": seq[args.n]}))
@@ -131,7 +122,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_sequence(args: argparse.Namespace) -> int:
     classes = _class_list(args.classes)
     seqs = counting.counting_sequences(
-        [TRIPLES[cid] for cid in classes], args.n, workers=_cpus()
+        [TRIPLES[cid] for cid in classes], args.n, workers=_fork.cpus()
     )
     rows = dict(zip(classes, seqs))
     if args.format == "json":
@@ -149,7 +140,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     target = _resolve_target(args.target, args.n)
-    report = counting.wilf_search(args.n, target, workers=_cpus())
+    report = counting.wilf_search(args.n, target, workers=_fork.cpus())
     # the closest impostors go to stderr, so stdout is the same in both formats
     diverged = ", ".join(f"n={n}: {count}" for n, count in report.diverged) or "none"
     print(

@@ -69,34 +69,25 @@ and nmax (counted), and a child has exactly one parent, so the subtrees
 below the prefixes of length nmax - 2 are disjoint and can be counted apart.
 With workers > 1 and no level kept, that level is split into interleaved
 chunks level[w::W], so that neighbouring prefixes, which cost about the
-same, go to different processes.  Chunk 0 stays in this process; every
-other chunk goes to a child made by `os.fork`, which builds its share of
-length nmax - 1, counts its share of length nmax, and writes the two
-tallies, keyed by set bits as above, to a pipe as one pickle before it
-leaves by `os._exit`.  The tallies are summed, and the rows and the
-target's drops then run length by length as in one process.  A set
-dropped at nmax - 1 is still counted at nmax by the children, which cannot
-know of the drop, but its total there is read by no row, and a tally key
-counts each of its sets alone, so every other row is exact.  The split
-level must hold MIN_CHUNK prefixes per process, so a small sweep never
-forks.  Raw fork, not a `concurrent.futures` pool: importing a pool's
-modules takes about 30 ms and starting and stopping the pool about 15 ms
-more, against about 2 ms for a fork and its wait (2-CPU machine, Python
-3.11.7), a sizeable share of a sweep that is over in a tenth of a second;
-and fork is safe here because the enumeration starts no thread.  The
-library default is one process: `acceptance.run_all` already runs the
-criteria one per CPU, and a criterion that forked again would only crowd
-the same CPUs.  The command line passes the CPUs it may run on.
+same, go to different processes: each chunk builds its share of length
+nmax - 1 and counts its share of nmax in a child of `weaksort._fork`, and
+the tallies, keyed by set bits as above, are summed.  A set dropped at
+nmax - 1 is still counted at nmax by the children, but no row reads that
+total, and a tally key counts each of its sets alone, so every other row
+is exact.  The split level must hold MIN_CHUNK prefixes per process, so a
+small sweep never forks.  The library default is one process, as
+`acceptance.run_all` already runs the criteria one per CPU.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import os
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Sequence
 
+from . import _fork
 from .perms import (
     SYMMETRIES,
     PatternSet,
@@ -323,76 +314,19 @@ def _tails(
     return [Counter(bits), _child_counts(level, bits, m + 1, heads, keys)]
 
 
-def _tails_child(
-    out: int, level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys
-) -> NoReturn:
-    """In a forked child: write ("ok", `_tails`) or ("error", exception),
-    pickled, to the pipe end out, and leave without running any exit hook
-    of the parent's."""
-    import pickle
-
-    status = 1
-    try:
-        try:
-            result = ("ok", _tails(level, bits, m, heads, keys))
-        except BaseException as exc:  # interrupts too: the parent raises it
-            result = ("error", exc)
-        with open(out, "wb") as pipe:
-            pipe.write(pickle.dumps(result))
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _forked_tails(
     level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys, processes: int
 ) -> list[dict[int, int]]:
-    """
-    `_tails` of the whole level, as the sums of `_tails` of the interleaved
-    chunks level[w::processes]: chunk 0 in this process, each other chunk
-    in a forked child.  Every child's pipe is read to its end and every
-    child reaped, whatever fails; then this process's own error is raised,
-    else a child's, in chunk order.  `pickle` is imported here, so that
-    the commands that never fork do not load it.
-    """
-    import pickle
-
-    children: list[tuple[int, int]] = []
-    replies: list[tuple[int, bytes, int]] = []
-    try:
-        for w in range(1, processes):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                os.close(read_end)
-                _tails_child(write_end, level[w::processes], bits[w::processes],
-                             m, heads, keys)
-            os.close(write_end)
-            children.append((pid, read_end))
-        tallies = _tails(level[::processes], bits[::processes], m, heads, keys)
-    finally:
-        for pid, read_end in children:
-            with open(read_end, "rb") as pipe:
-                data = pipe.read()
-            replies.append((pid, data, os.waitpid(pid, 0)[1]))
-    for pid, data, status in replies:
-        # a child writes its whole reply before it exits with status 0
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            raise RuntimeError(
-                f"enumeration worker {pid} exited with status {code} and no result"
-            )
-        kind, value = pickle.loads(data)  # written by _tails_child alone
-        if kind == "error":
-            raise value
-        for tally, part in zip(tallies, value):
-            for key, count in part.items():
-                tally[key] = tally.get(key, 0) + count
+    """`_tails` of the whole level, as the sums of `_tails` of the
+    interleaved chunks level[w::processes], each in a forked child."""
+    chunks = [
+        functools.partial(_tails, level[w::processes], bits[w::processes], m, heads, keys)
+        for w in range(processes)
+    ]
+    tallies: list[dict[int, int]] = [Counter(), Counter()]
+    for part in _fork.run(chunks, processes):
+        for tally, counts in zip(tallies, part):
+            tally.update(counts)
     return tallies
 
 
@@ -467,8 +401,8 @@ def counting_sequences(
 
     The cost grows like the counting sequences themselves, which may be
     factorial; nmax is taken as given (the command line's size limit is in
-    `weaksort.cli`).  Up to workers processes, this one and forked children,
-    count the last two lengths; the rows do not depend on workers.
+    `weaksort.cli`).  Up to workers forked children count the last two
+    lengths; the rows do not depend on workers.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")

@@ -95,7 +95,7 @@ def test_criterion_8_catches_a_dropped_avoider(monkeypatch):
         acceptance.criterion_8_class5_formula()
 
 
-# the worker pool of `run_all` against the one-at-a-time loop it replaces
+# the forked children of `run_all` against the one-at-a-time loop it replaces
 
 
 def _sequential_stdout(criteria) -> str:
@@ -122,8 +122,8 @@ def _planted(exc: Exception):
 
 
 def _stubs(middle):
-    """Five stub criteria with `middle` third; the first finishes last in any
-    pool, so completion order is never index order."""
+    """Five stub criteria with `middle` third; the first finishes last on
+    any number of CPUs, so completion order is never index order."""
     return (
         ("slow first", lambda: time.sleep(0.3)),
         ("second", lambda: None),
@@ -153,6 +153,13 @@ def test_run_all_raises_other_exceptions_from_the_worker(capsys, monkeypatch):
     assert captured.out == _sequential_stdout(stubs) == "PASS  1  slow first\nPASS  2  second\n"
 
 
+def _stamped():
+    """A stub criterion that fails with the times it started and ended."""
+    start = time.monotonic()
+    time.sleep(0.05)
+    raise AssertionError(f"{start!r} {time.monotonic()!r}")
+
+
 def test_run_all_on_one_cpu_prints_the_same_bytes(capsys, monkeypatch):
     stubs = _stubs(_planted(AssertionError("planted on purpose")))
     monkeypatch.setattr(acceptance, "CRITERIA", stubs)
@@ -161,19 +168,35 @@ def test_run_all_on_one_cpu_prints_the_same_bytes(capsys, monkeypatch):
     assert code == 1
     assert capsys.readouterr().out == _sequential_stdout(stubs)
 
-    # and one worker runs them all, though the first one submitted, the
-    # last, holds its worker while the others run
-    def pid():
-        raise AssertionError(os.getpid())
+    # and the criteria run one at a time: no two spans overlap
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple((f"c{i}", _stamped) for i in range(4)))
+    assert main(["verify"]) == 1
+    spans = sorted(
+        tuple(map(float, line.split(": ")[1].split()))
+        for line in capsys.readouterr().out.splitlines()
+    )
+    assert len(spans) == 4
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:])), spans
 
-    def slow_pid():
-        time.sleep(0.2)
-        pid()
 
-    monkeypatch.setattr(acceptance, "CRITERIA", (("a", pid), ("b", pid), ("c", slow_pid)))
-    main(["verify"])
-    out = capsys.readouterr().out.splitlines()
-    assert len(out) == 3 and len({line.split(": ")[1] for line in out}) == 1
+def test_run_all_without_a_cpu_set_prints_the_same_bytes(capsys, monkeypatch):
+    # where os.sched_getaffinity is missing (macOS, the BSDs), one CPU
+    stubs = _stubs(_planted(AssertionError("planted on purpose")))
+    monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out == _sequential_stdout(stubs)
+
+
+def test_run_all_prints_a_long_failure_whole(capsys, monkeypatch):
+    # far more than a pipe holds
+    message = "y" * 200_000
+    stubs = _stubs(_planted(AssertionError(message)))
+    monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert out == _sequential_stdout(stubs)
+    assert out.splitlines()[2] == f"FAIL  3  middle: {message}"
 
 
 def test_run_all_fails_when_a_worker_dies():

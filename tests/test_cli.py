@@ -223,7 +223,7 @@ def test_main_in_one_process_equals_separate_runs(capsys):
 )
 def test_enumerating_commands_fork_one_process_per_cpu(capsys, monkeypatch, argv):
     # one CPU, three, and a platform that cannot read its CPU set: the same
-    # bytes, with a child for each CPU past the first
+    # bytes, with a child for each CPU when there are several, else none
     forks = []
     real_fork = os.fork
 
@@ -235,7 +235,7 @@ def test_enumerating_commands_fork_one_process_per_cpu(capsys, monkeypatch, argv
 
     monkeypatch.setattr(os, "fork", fork)
     outputs = []
-    for cpus, children in (({0}, 0), ({0, 1, 2}, 2), (None, 0)):
+    for cpus, children in (({0}, 0), ({0, 1, 2}, 3), (None, 0)):
         if cpus is None:
             monkeypatch.delattr(os, "sched_getaffinity")
         else:

@@ -3,6 +3,7 @@ import functools
 import os
 import random
 import signal
+import time
 from collections import Counter
 
 import pytest
@@ -298,16 +299,17 @@ def test_small_sweep_never_forks(monkeypatch):
 @pytest.fixture
 def planted(forking, monkeypatch):
     """
-    Replace the chunk count with plant(in_child), whose value or exception
-    stands for it, in this process (False) and in the forked children
-    (True); a guard alarm turns a hang into an error.
+    Replace the count of a chunk with plant(chunk), whose value or exception
+    stands for it in the forked child that counts the chunk (the prefixes
+    of the split level it was given); a guard alarm turns a hang into an
+    error.
     """
-    parent, real = os.getpid(), counting._tails
+    real = counting._tails
 
     def plant(fn):
-        def tails(*args):
-            result = fn(os.getpid() != parent)
-            return real(*args) if result is None else result
+        def tails(level, *args):
+            result = fn(level)
+            return real(level, *args) if result is None else result
 
         monkeypatch.setattr(counting, "_tails", tails)
 
@@ -328,9 +330,8 @@ def test_child_error_is_raised_in_the_parent(planted):
     # pipe to its end before it waits for the child
     message = "planted in a child " + "x" * 200_000
 
-    def fail(in_child):
-        if in_child:
-            raise LookupError(message)
+    def fail(chunk):
+        raise LookupError(message)
 
     planted(fail)
     with pytest.raises(LookupError) as caught:
@@ -339,19 +340,21 @@ def test_child_error_is_raised_in_the_parent(planted):
 
 
 def test_child_without_result_raises_runtime_error(planted):
-    planted(lambda in_child: os._exit(3) if in_child else None)
+    planted(lambda chunk: os._exit(3))
     with pytest.raises(RuntimeError, match=r"worker \d+ exited with status 3 and no result"):
         counting_sequences(TRIPLES.values(), 8, workers=2)
 
 
-def test_parent_error_still_reaps_every_child(planted):
-    # the forking fixture checks that no child is left unreaped
-    def fail(in_child):
-        if not in_child:
-            raise ValueError("planted in the parent")
+def test_child_error_still_reaps_its_slower_siblings(planted):
+    # one chunk fails at once while the other two are still counting; the
+    # forking fixture checks that no child is left unreaped
+    def fail(chunk):
+        if (1, 2, 3, 4, 5, 6) in chunk:
+            raise ValueError("planted in one child")
+        time.sleep(0.3)
 
     planted(fail)
-    with pytest.raises(ValueError, match="^planted in the parent$"):
+    with pytest.raises(ValueError, match="^planted in one child$"):
         wilf_search(8, TARGET, workers=3)
 
 

@@ -1,14 +1,13 @@
 """
-Jobs side by side in forked children: the criteria of `weaksort verify`
-and the chunks of an enumeration's last two lengths.
-
-Why raw fork, not a process pool of the standard library: a pool's import
-and start-up take about 45 ms, against about 2 ms for a fork and its
-wait (2-CPU machine, Python 3.11.7), and a job may be any callable, since
-only its reply is pickled.  Why it is safe: the package starts no thread,
-so no child inherits a lock held by another thread.  The parent runs no
-job, so its peak memory is the coordinator's.  `pickle` and `select` are
-imported inside `run`, so the commands that never fork do not load them.
+Jobs side by side in forked children: `weaksort verify`'s criteria and the
+chunks of an enumeration's last two lengths.  Why raw fork, not a process
+pool of the standard library: a pool's import and start-up take about
+45 ms, against about 2 ms for a fork and its wait (2-CPU machine, Python
+3.11.7), and a job may be any callable, since only its reply is pickled.
+Why it is safe: the package starts no thread, so no child inherits a lock
+held by another thread.  The parent runs no job, so its peak memory is the
+coordinator's.  `pickle` and `select` are imported inside `run`, so the
+commands that never fork do not load them.
 """
 from __future__ import annotations
 
@@ -78,9 +77,10 @@ def run(jobs: Sequence[Callable[[], Any]], processes: int) -> list:
                     os.close(fd)
                     done[index] = (pid, os.waitpid(pid, 0)[1], b"".join(chunks))
     finally:
-        # a child whose pipe is closed early fails its write and exits
-        for fd, (_, pid, _) in live.items():
+        # close all, then wait: later siblings hold copies of earlier pipes
+        for fd in live:
             os.close(fd)
+        for _, pid, _ in live.values():
             os.waitpid(pid, 0)
     values = []
     for pid, status, data in done:

@@ -129,6 +129,23 @@ def test_every_child_is_reaped_after_a_failure():
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_failed_fork_still_reaps_the_running_children(monkeypatch, reaped):
+    # the two running children each have a reply far larger than a pipe to
+    # write, and the second holds a copy of the first one's pipe
+    real_fork, forked = os.fork, []
+
+    def fork():
+        if len(forked) == 2:
+            raise OSError("planted fork failure")
+        forked.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    jobs = [_sleeper(0.1, "x" * 500_000), _sleeper(0.2, "y" * 500_000), _sleeper(0.0)]
+    with pytest.raises(OSError, match="^planted fork failure$"):
+        _fork.run(jobs, 3)
+
+
 def test_commands_that_never_fork_load_no_pickle_or_select():
     script = (
         "import sys\n"

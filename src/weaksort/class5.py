@@ -49,10 +49,10 @@ assembles every one of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 from operator import add, mul
+from typing import NamedTuple
 
 from .counting import enumerate_avoiders
 from .perms import Perm, contains
@@ -66,8 +66,7 @@ def _comb0(m: int, r: int) -> int:
     return comb(m, r)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """The split of a permutation used by the structure theorem.  Every part
     is a tuple of values in position order, `blocks` a tuple of such tuples;
     `key_positions` are the keys' positions in p, 1-based."""

@@ -83,9 +83,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _fork
 from .perms import (
@@ -283,14 +282,32 @@ def _child_counts(
 
 
 def _spread(tally: dict[int, int], width: int) -> list[int]:
-    """Per-set totals from totals keyed by the bits of the sets they count."""
-    totals = [0] * width
+    """
+    Per-set totals from totals keyed by the bits of the sets they count.
+
+    The totals are summed in bit planes: bit i of plane k is bit k of set
+    i's total, so a key's count is added to all of its sets at once, one
+    carry chain over the planes, whatever the number of its sets.  Set i's
+    total is then read down column i of the planes.
+    """
+    planes = [0]
     for bits, count in tally.items():
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            totals[bit.bit_length() - 1] += count
-    return totals
+        carry = 0
+        k = 0
+        while count or carry:
+            if k == len(planes):
+                planes.append(0)
+            plane = planes[k]
+            added = bits if count & 1 else 0
+            partial = plane ^ added
+            planes[k] = partial ^ carry
+            carry = plane & added | partial & carry
+            count >>= 1
+            k += 1
+    # each plane as width binary digits, set 0 first; a column lists set
+    # i's digits from the highest plane down
+    rows = (format(plane | 1 << width, "b")[:0:-1] for plane in reversed(planes))
+    return [int("".join(column), 2) for column in zip(*rows)]
 
 
 #: fewest prefixes of the split level that a process is given; below twice
@@ -447,8 +464,7 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
 # exhaustive search over triples of 4-letter patterns
 
 
-@dataclass(frozen=True)
-class WilfSearchReport:
+class WilfSearchReport(NamedTuple):
     """Outcome of the search over all 2024 triples of 4-letter patterns."""
 
     target: tuple[int, ...]
@@ -471,19 +487,25 @@ def triple_orbits() -> dict[tuple[Perm, ...], int]:
     canonical representative -> orbit size, in the order in which
     `itertools.combinations` first reaches each orbit.
 
-    The eight images of each of the 24 patterns are computed once; a
-    triple's representative is the least of its eight sorted images, as
-    `perms.canonical_form` would give.
+    Each of the eight symmetries is a map on the 24 patterns, built once.
+    The first triple of an orbit that `combinations` reaches gives the
+    whole orbit as its eight sorted images: the representative is their
+    least, as `perms.canonical_form` would give, and the orbit size their
+    number.  Every later triple of the orbit is among them, so it is
+    skipped.
     """
     s4 = list(itertools.permutations(range(1, 5)))
-    images = {
-        tau: [min(apply_symmetry(name, frozenset([tau]))) for name in SYMMETRIES]
-        for tau in s4
-    }
+    maps = [
+        {tau: min(apply_symmetry(name, frozenset([tau]))) for tau in s4}
+        for name in SYMMETRIES
+    ]
+    seen: set[tuple[Perm, ...]] = set()
     orbits: dict[tuple[Perm, ...], int] = {}
-    for a, b, c in itertools.combinations(s4, 3):
-        rep = min(tuple(sorted(img)) for img in zip(images[a], images[b], images[c]))
-        orbits[rep] = orbits.get(rep, 0) + 1
+    for triple in itertools.combinations(s4, 3):
+        if triple not in seen:
+            images = {tuple(sorted(map(m.get, triple))) for m in maps}
+            seen |= images
+            orbits[min(images)] = len(images)
     return orbits
 
 

@@ -13,8 +13,8 @@ Bundled fixtures:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 FIXTURE_IDS = ("A111279", "A006318", "A026671", "A060693")
 _ID_RE = re.compile(r"\AA[0-9]{6}\Z")
@@ -23,8 +23,7 @@ _ID_RE = re.compile(r"\AA[0-9]{6}\Z")
 _INT_RE = re.compile(r"-?[0-9]+")
 
 
-@dataclass(frozen=True)
-class OeisSequence:
+class OeisSequence(NamedTuple):
     id: str
     offset: int
     terms: tuple[int, ...]

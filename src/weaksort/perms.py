@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
 PatternSet = frozenset[Perm]
@@ -366,8 +365,7 @@ def components(p: Perm) -> tuple[Perm, ...]:
     return tuple(comps)
 
 
-@dataclass(frozen=True)
-class Extrema:
+class Extrema(NamedTuple):
     """Left-to-right maxima and right-to-left maxima, each as a tuple of
     (position, value) pairs in position order."""
 

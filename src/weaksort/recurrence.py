@@ -38,7 +38,6 @@ a thousand tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from operator import add, sub
 from typing import Iterable, Iterator
@@ -49,16 +48,16 @@ from .counting import enumerate_avoiders
 CLASS_IDS = ("pi1", "pi2", "pi3")
 
 
-@dataclass(frozen=True, init=False)
 class RecurrenceTable:
     """
     Vectors a_n(1..n) and b_n(1..n) for one class at one length.
 
     Built from a and b; a is kept as its running sums, the form `advance`
-    reads, and derived from them when read.  Two tables are equal when
-    their class, length, a- and b-vectors are.
+    reads, and derived from them when read.  No field is reassigned.  Two
+    tables are equal when their class, length, a- and b-vectors are.
     """
 
+    __slots__ = ("class_id", "n", "b", "sums")
     class_id: str
     n: int
     b: tuple[int, ...]
@@ -71,6 +70,32 @@ class RecurrenceTable:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "sums", tuple(accumulate(a)))
+
+    def _values(self) -> tuple:
+        return self.class_id, self.n, self.b, self.sums
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not RecurrenceTable:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"RecurrenceTable({fields})"
+
+    def __reduce__(self):
+        return RecurrenceTable, (self.class_id, self.n, self.a, self.b)
 
     @property
     def a(self) -> tuple[int, ...]:

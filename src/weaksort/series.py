@@ -24,7 +24,6 @@ only holds the result, x-major: row n lists the coefficients of x^n y^k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
@@ -60,19 +59,51 @@ def _exact(num: int, den: int, n: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class Series:
-    """A power series truncated at order len(coeffs)-1."""
+class _Coefficients:
+    """The value semantics shared by Series and BivariateSeries: one field,
+    coeffs, never reassigned, compared and hashed by value, and only
+    against the same type."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
+    def __init__(self, coeffs: tuple) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
+
+
+class Series(_Coefficients):
+    """A power series truncated at order len(coeffs)-1."""
+
+    __slots__ = ()
+    coeffs: tuple[int, ...]
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if not coeffs:
+            raise ValueError("a series needs at least the constant coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
@@ -174,16 +205,12 @@ def catalan_series(order: int) -> Series:
 # bivariate series
 
 
-@dataclass(frozen=True)
-class BivariateSeries:
+class BivariateSeries(_Coefficients):
     """x-truncated series in x and y, stored x-major: coeffs[n][k] is the
     coefficient of x^n y^k, for k <= n."""
 
+    __slots__ = ()
     coeffs: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
     def coefficient(self, n: int, k: int) -> int:
         """The coefficient of x^n y^k."""

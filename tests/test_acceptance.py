@@ -2,7 +2,6 @@
 The verification gate: one test per criterion, same functions that back
 `weaksort verify`.  Every check is exact.
 """
-import dataclasses
 import io
 import os
 import re
@@ -74,7 +73,7 @@ def test_criterion_8_catches_a_decompose_fault(monkeypatch, fault):
 
     def decompose(p):
         d = real(p)
-        return dataclasses.replace(d, **DECOMPOSE_FAULTS[fault](d))
+        return d._replace(**DECOMPOSE_FAULTS[fault](d))
 
     monkeypatch.setattr(class5, "decompose", decompose)
     with pytest.raises(AssertionError):

@@ -396,20 +396,27 @@ def test_guarded_n_with_override(capsys):
     assert (code, out.strip()) == (0, "0")
 
 
+def _loaded_by(setup: str) -> set[str]:
+    """The modules loaded once setup has run in a fresh interpreter, so
+    modules the test run already imported do not count."""
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; {setup}print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": SRC},
+    ).stdout
+    return set(out.split())
+
+
 def test_cli_import_loads_no_network_module():
-    # a fresh interpreter, so modules the test run already imported do not count
-    probe = "import sys; {}print(' '.join(sorted(sys.modules)))"
-
-    def loaded(setup):
-        out = subprocess.run(
-            [sys.executable, "-c", probe.format(setup)],
-            capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": SRC},
-        ).stdout
-        return set(out.split())
-
-    bare = loaded("")
-    cli = loaded("import weaksort.cli; weaksort.cli.build_parser(); ")
+    cli = _loaded_by("import weaksort.cli; weaksort.cli.build_parser(); ")
     assert "weaksort.cli" in cli
     network = {"socket", "ssl", "http.client", "urllib.request"}
-    assert (cli - bare) & network == set()
+    assert (cli - _loaded_by("")) & network == set()
+
+
+def test_cli_start_up_loads_no_dataclasses_or_inspect():
+    # every command pays for its imports: dataclasses alone pulls in
+    # inspect, ast, dis and tokenize, about 10 ms of each start
+    cli = _loaded_by("from weaksort import cli; cli.build_parser(); ")
+    assert "weaksort.cli" in cli
+    assert (cli - _loaded_by("")) & {"dataclasses", "inspect"} == set()

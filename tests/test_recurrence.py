@@ -1,4 +1,5 @@
 """Table recurrences for the first three triples and the kernel identity."""
+import pickle
 import tracemalloc
 from itertools import accumulate
 
@@ -9,6 +10,7 @@ from weaksort.counting import counting_sequence
 from weaksort.perms import TRIPLES
 from weaksort.recurrence import (
     CLASS_IDS,
+    RecurrenceTable,
     advance,
     count_via_recurrence,
     empirical_table,
@@ -24,6 +26,27 @@ def test_seed_tables_first_class():
     assert (t0.a, t0.b, t0.total) == ((), (), 1)
     assert (t1.a, t1.b, t1.total) == ((1,), (0,), 1)
     assert (t2.a, t2.b, t2.total) == ((1, 1), (0, 1), 2)
+
+
+def test_recurrence_table_is_an_immutable_value():
+    # built from a and b, equal and hashed by class, length, b and the
+    # running sums of a, printed in field order, and closed to assignment
+    t = RecurrenceTable("pi2", 3, (2, 2, 2), (1, 1, 0))
+    assert repr(t) == "RecurrenceTable(class_id='pi2', n=3, b=(1, 1, 0), sums=(2, 4, 6))"
+    same = RecurrenceTable("pi2", 3, iter([2, 2, 2]), (1, 1, 0))
+    assert t == same and hash(t) == hash(same)
+    assert t != RecurrenceTable("pi3", 3, (2, 2, 2), (1, 1, 0))
+    assert t != RecurrenceTable("pi2", 3, (2, 2, 2), (1, 0, 1))
+    assert t != RecurrenceTable("pi2", 3, (1, 3, 2), (1, 1, 0))
+    assert t != ("pi2", 3, (1, 1, 0), (2, 4, 6))
+    assert len({t, same}) == 1
+    assert pickle.loads(pickle.dumps(t)) == t
+    for name in ("class_id", "n", "b", "sums", "a"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+    with pytest.raises(AttributeError):
+        del t.sums
+    assert (t.a, t.total) == ((2, 2, 2), 6)
 
 
 def test_seed_tables_other_classes_track_their_own_definitions():

@@ -1,4 +1,6 @@
 """Exact series arithmetic and the generating-function catalog."""
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -192,5 +194,37 @@ def test_bivariate_rows_are_indecomposable_times_catalan_powers():
 
 
 def test_series_requires_constant_coefficient():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least the constant coefficient"):
         Series(())
+
+
+@pytest.mark.parametrize(
+    "value, same, other, text",
+    [
+        (Series((1, -2)), Series((1, -2)), Series((1, 2)), "Series(coeffs=(1, -2))"),
+        (
+            BivariateSeries(((0,), (0, 1))),
+            BivariateSeries(((0,), (0, 1))),
+            BivariateSeries(((0,), (0, 2))),
+            "BivariateSeries(coeffs=((0,), (0, 1)))",
+        ),
+    ],
+)
+def test_series_are_immutable_values(value, same, other, text):
+    # equal and hashed by coefficients, never equal to another type (not
+    # even the other series type with the same coefficients), printed as
+    # Name(coeffs=...), and closed to assignment
+    assert repr(value) == text
+    assert value == same and hash(value) == hash(same)
+    assert value != other
+    assert len({value, same, other}) == 2
+    assert value != value.coeffs
+    assert Series((0,)) != BivariateSeries((0,))
+    assert pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(AttributeError):
+        value.coeffs = other.coeffs
+    with pytest.raises(AttributeError):
+        del value.coeffs
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == same

@@ -282,32 +282,14 @@ def _child_counts(
 
 
 def _spread(tally: dict[int, int], width: int) -> list[int]:
-    """
-    Per-set totals from totals keyed by the bits of the sets they count.
-
-    The totals are summed in bit planes: bit i of plane k is bit k of set
-    i's total, so a key's count is added to all of its sets at once, one
-    carry chain over the planes, whatever the number of its sets.  Set i's
-    total is then read down column i of the planes.
-    """
-    planes = [0]
+    """Per-set totals from totals keyed by the bits of the sets they count."""
+    totals = [0] * width
     for bits, count in tally.items():
-        carry = 0
-        k = 0
-        while count or carry:
-            if k == len(planes):
-                planes.append(0)
-            plane = planes[k]
-            added = bits if count & 1 else 0
-            partial = plane ^ added
-            planes[k] = partial ^ carry
-            carry = plane & added | partial & carry
-            count >>= 1
-            k += 1
-    # each plane as width binary digits, set 0 first; a column lists set
-    # i's digits from the highest plane down
-    rows = (format(plane | 1 << width, "b")[:0:-1] for plane in reversed(planes))
-    return [int("".join(column), 2) for column in zip(*rows)]
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            totals[bit.bit_length() - 1] += count
+    return totals
 
 
 #: fewest prefixes of the split level that a process is given; below twice

@@ -12,8 +12,8 @@ Bundled fixtures:
 """
 from __future__ import annotations
 
+import os
 import re
-from importlib import resources
 from typing import NamedTuple
 
 FIXTURE_IDS = ("A111279", "A006318", "A026671", "A060693")
@@ -69,7 +69,8 @@ def fetch(seq_id: str) -> OeisSequence:
         raise KeyError(
             f"no offline fixture for {seq_id}; bundled: {', '.join(FIXTURE_IDS)}"
         )
-    text = (
-        resources.files("weaksort").joinpath("data", f"b{seq_id[1:]}.txt").read_text()
-    )
-    return parse_bfile(seq_id, text)
+    # a plain path, not importlib.resources: from Python 3.12 on that
+    # imports inspect, which every command would then pay for at start-up
+    path = os.path.join(os.path.dirname(__file__), "data", f"b{seq_id[1:]}.txt")
+    with open(path, encoding="utf-8") as f:
+        return parse_bfile(seq_id, f.read())

@@ -44,11 +44,12 @@ from typing import Iterable, Iterator
 
 from .perms import TRIPLES
 from .counting import enumerate_avoiders
+from .series import _Value
 
 CLASS_IDS = ("pi1", "pi2", "pi3")
 
 
-class RecurrenceTable:
+class RecurrenceTable(_Value):
     """
     Vectors a_n(1..n) and b_n(1..n) for one class at one length.
 
@@ -66,33 +67,7 @@ class RecurrenceTable:
 
     def __init__(self, class_id: str, n: int, a: Iterable[int],
                  b: tuple[int, ...]) -> None:
-        object.__setattr__(self, "class_id", class_id)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "sums", tuple(accumulate(a)))
-
-    def _values(self) -> tuple:
-        return self.class_id, self.n, self.b, self.sums
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not RecurrenceTable:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
-        )
-        return f"RecurrenceTable({fields})"
+        super().__init__(class_id, n, b, tuple(accumulate(a)))
 
     def __reduce__(self):
         return RecurrenceTable, (self.class_id, self.n, self.a, self.b)

@@ -59,15 +59,19 @@ def _exact(num: int, den: int, n: int) -> int:
     return q
 
 
-class _Coefficients:
-    """The value semantics shared by Series and BivariateSeries: one field,
-    coeffs, never reassigned, compared and hashed by value, and only
-    against the same type."""
+class _Value:
+    """Value semantics over the fields a subclass names in __slots__: set
+    once by __init__ in that order, never reassigned, compared and hashed
+    by value, only against the same type, and printed as Name(field=...)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: tuple) -> None:
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -78,32 +82,35 @@ class _Coefficients:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash((self.coeffs,))
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(coeffs={self.coeffs!r})"
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        return type(self), (self.coeffs,)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+        return type(self), self._values()
 
 
-class Series(_Coefficients):
+class Series(_Value):
     """A power series truncated at order len(coeffs)-1."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: tuple[int, ...]) -> None:
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(coeffs)
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
@@ -205,12 +212,13 @@ def catalan_series(order: int) -> Series:
 # bivariate series
 
 
-class BivariateSeries(_Coefficients):
+class BivariateSeries(_Value):
     """x-truncated series in x and y, stored x-major: coeffs[n][k] is the
     coefficient of x^n y^k, for k <= n."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
     coeffs: tuple[tuple[int, ...], ...]
+    order = Series.order
 
     def coefficient(self, n: int, k: int) -> int:
         """The coefficient of x^n y^k."""

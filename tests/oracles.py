@@ -11,10 +11,8 @@ from typing import Iterable, Iterator, Sequence
 from weaksort.class5 import Decomposition, decompose
 from weaksort.counting import enumerate_avoiders
 from weaksort.perms import (
-    SYMMETRIES,
     Perm,
     all_perms,
-    apply_symmetry,
     avoids,
     canonical_form,
     contains,
@@ -48,37 +46,6 @@ def triple_orbits_canonical() -> dict[tuple[Perm, ...], int]:
         rep = canonical_form(frozenset(triple))
         orbits[rep] = orbits.get(rep, 0) + 1
     return orbits
-
-
-def triple_orbits_images() -> dict[tuple[Perm, ...], int]:
-    """
-    Oracle for `counting.triple_orbits`, and its former body: every triple
-    of 4-letter patterns, in `combinations` order, mapped to the least of
-    its eight sorted images, each pattern's image under each symmetry
-    computed once.
-    """
-    s4 = list(permutations(range(1, 5)))
-    images = {
-        tau: [min(apply_symmetry(name, frozenset([tau]))) for name in SYMMETRIES]
-        for tau in s4
-    }
-    orbits: dict[tuple[Perm, ...], int] = {}
-    for a, b, c in combinations(s4, 3):
-        rep = min(tuple(sorted(img)) for img in zip(images[a], images[b], images[c]))
-        orbits[rep] = orbits.get(rep, 0) + 1
-    return orbits
-
-
-def spread_per_bit(tally: dict[int, int], width: int) -> list[int]:
-    """Oracle for `counting._spread`, and its former body: each key's count
-    added to its sets one set bit at a time."""
-    totals = [0] * width
-    for bits, count in tally.items():
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            totals[bit.bit_length() - 1] += count
-    return totals
 
 
 def occurrence_windows(

@@ -10,9 +10,7 @@ import pytest
 from oracles import (
     enumerate_avoiders_filter,
     occurrence_windows,
-    spread_per_bit,
     triple_orbits_canonical,
-    triple_orbits_images,
 )
 
 from weaksort import counting
@@ -21,7 +19,6 @@ from weaksort.counting import (
     WilfSearchReport,
     _middle_pass,
     _processes,
-    _spread,
     avoider_levels,
     counting_sequence,
     counting_sequences,
@@ -235,27 +232,6 @@ def test_triple_orbits_match_canonical_forms():
     # the table of pattern images gives the same orbits, sizes and order as
     # canonical_form applied to every triple
     assert list(triple_orbits().items()) == list(triple_orbits_canonical().items())
-
-
-def test_triple_orbits_match_former_image_table():
-    # each orbit built once from its first triple: the same dict as one
-    # representative per triple, insertion order included
-    assert list(triple_orbits().items()) == list(triple_orbits_images().items())
-
-
-@pytest.mark.parametrize("width", [0, 1, 5, 64, 317, 1000])
-def test_spread_matches_per_bit_sums(width):
-    # bit planes against one addition per set bit: seeded tallies with
-    # sparse and dense keys, counts from 0 to 10**6, and the empty tally
-    rng = random.Random(width)
-    assert _spread({}, width) == [0] * width
-    for _ in range(20):
-        tally = {}
-        for _ in range(rng.randrange(1, 40)):
-            density = rng.choice((0.02, 0.5, 1.0))
-            bits = sum(1 << i for i in range(width) if rng.random() < density)
-            tally[bits] = rng.choice((0, 1, rng.randrange(10**6 + 1), 10**6))
-        assert _spread(tally, width) == spread_per_bit(tally, width), tally
 
 
 def test_triple_orbits_partition():

@@ -87,8 +87,11 @@ def criterion_6_bijection_suite() -> None:
     the fourth triple's avoiders onto paths with <= 1 peak per component;
     every other permutation of length n <= 6 is rejected, and
     `find_occurrence` names a witness of 3214 or 4213 in it whose values
-    standardize to the pattern."""
-    schroder_numbers = (1, 2, 6, 22, 90, 394, 1806)
+    standardize to the pattern; the counts are the bundled A006318
+    fixture's (large Schroder numbers)."""
+    fixture = oeis.fetch("A006318")
+    assert fixture.offset == 0, fixture.offset
+    schroder_numbers = fixture.prefix(7)
     levels = counting.avoider_levels(SCHRODER_PAIR, 7)
     pi4_levels = counting.avoider_levels(TRIPLES["pi4"], 7)
     for n in range(1, 8):

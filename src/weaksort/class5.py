@@ -28,8 +28,9 @@ two conditions read off `decompose` against it.
 Counting by a = |upper|, k = #keys, i = |lower tail| turns the
 characterization into the closed formula `count_avoiders`, built from
 generalized Catalan numbers C_{n,k} (see `series.gen_catalan`) and the
-count `keyed_213_count`; C_{n-i,i} counts the 321-avoiders of length n
-whose last i entries increase.  `count_avoiders(n)` and
+keyed sum of `_keyed_dot`, which counts the 213-avoiders ending in 1 by
+their number of keys; C_{n-i,i} counts the 321-avoiders of length n whose
+last i entries increase.  `count_avoiders(n)` and
 `count_indecomposable(n)` each fill one triangle of C_{m,k} with
 m + k <= n at the start of the call (row 0 from `gen_catalan`, every later
 row as prefix sums of the row above), and loop over k on
@@ -50,20 +51,12 @@ assembles every one of them.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb
 from operator import add, mul
 from typing import NamedTuple
 
 from .counting import enumerate_avoiders
 from .perms import Perm, contains
 from .series import catalan, gen_catalan
-
-
-def _comb0(m: int, r: int) -> int:
-    """Binomial that vanishes outside 0 <= r <= m (m may go negative)."""
-    if m < 0 or r < 0 or r > m:
-        return 0
-    return comb(m, r)
 
 
 class Decomposition(NamedTuple):
@@ -224,29 +217,6 @@ def _keyed_dot(binoms: list[int], row: list[int], k: int) -> int:
     C_{m, k-3}, one factor per binomial.
     """
     return sum(map(mul, binoms, row[k - 2 :: -1]))
-
-
-def keyed_213_count(n: int, k: int) -> int:
-    """
-    Number of 213-avoiding permutations of 1..n ending in 1 that have k key
-    entries:  sum_j binom(k-2, j-1) * C_{n-k, k-2-j}.  The binomial
-    vanishes for j >= k, and C_{n-k, .} for k > n, so j runs over 1..k-1.
-    """
-    if n < 2:
-        raise ValueError("defined for n >= 2")
-    if k < 2:
-        return 0
-    binoms = [comb(k - 2, r) for r in range(k - 1)]
-    return _keyed_dot(binoms, [gen_catalan(n - k, t - 1) for t in range(k - 1)], k)
-
-
-def keyed_213_count_by_max_position(n: int, j: int, k: int) -> int:
-    """
-    Same count, refined by the position j of the maximum entry n:
-    binom(k-2, j-1) * C_{n-k, k-2-j}.  At j = 1 (maximum first) this is
-    C_{n-k, k-3}.
-    """
-    return _comb0(k - 2, j - 1) * gen_catalan(n - k, k - 2 - j)
 
 
 def _tail_increasing(q: Perm, i: int) -> bool:

@@ -57,16 +57,22 @@ def _usage(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _emit_terms(name: str, pairs: list[tuple[int, int]], fmt: str) -> None:
+def _emit_terms(
+    name: str, rows: list[tuple[int, ...]], fmt: str, index: tuple[str, ...] = ("n",)
+) -> None:
+    """Print rows of index entries and a value, the index columns named by
+    index; the JSON terms are the bare values under one index, whole rows
+    under more."""
     if fmt == "table":
-        for n, v in pairs:
-            print(n, v)
+        for row in rows:
+            print(*row)
     elif fmt == "csv":
-        print("n,value")
-        for n, v in pairs:
-            print(f"{n},{v}")
+        print(",".join((*index, "value")))
+        for row in rows:
+            print(",".join(map(str, row)))
     else:
-        print(json.dumps({"name": name, "terms": [v for _, v in pairs]}))
+        terms = [row[-1] for row in rows] if len(index) == 1 else list(map(list, rows))
+        print(json.dumps({"name": name, "terms": terms}))
 
 
 def _resolve_target(text: str, nmax: int) -> tuple[int, ...]:
@@ -174,31 +180,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_series(args: argparse.Namespace) -> int:
     f = series.gf_catalog(args.name, args.n)
     if isinstance(f, series.BivariateSeries):
-        triples = [
-            (n, k, f.coefficient(n, k))
-            for n in range(f.order + 1)
-            for k in range(len(f.coeffs[n]))
+        rows = [
+            (n, k, c) for n, row in enumerate(f.coeffs) for k, c in enumerate(row) if c
         ]
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "name": args.name,
-                        "terms": [[n, k, c] for n, k, c in triples if c],
-                    }
-                )
-            )
-        elif args.format == "csv":
-            print("n,k,value")
-            for n, k, c in triples:
-                if c:
-                    print(f"{n},{k},{c}")
-        else:
-            for n, k, c in triples:
-                if c:
-                    print(n, k, c)
-        return 0
-    _emit_terms(args.name, list(enumerate(f.coeffs)), args.format)
+        _emit_terms(args.name, rows, args.format, index=("n", "k"))
+    else:
+        _emit_terms(args.name, list(enumerate(f.coeffs)), args.format)
     return 0
 
 
@@ -224,25 +211,8 @@ def _cmd_class5(args: argparse.Namespace) -> int:
         print(class5.count_indecomposable(args.indec))
     else:
         d = class5.decompose(parse_perm(args.decompose))
-        print(
-            json.dumps(
-                {
-                    "perm": format_perm(d.perm),
-                    "upper": d.upper,
-                    "lower": d.lower,
-                    "upper_head": d.upper_head,
-                    "upper_tail": d.upper_tail,
-                    "lower_tail": d.lower_tail,
-                    "key_positions": d.key_positions,
-                    "key_values": d.key_values,
-                    "blocks": d.blocks,
-                    "a": d.a,
-                    "k": d.k,
-                    "i": d.i,
-                },
-                sort_keys=True,
-            )
-        )
+        fields = {**d._asdict(), "perm": format_perm(d.perm)}
+        print(json.dumps({**fields, "a": d.a, "k": d.k, "i": d.i}, sort_keys=True))
     return 0
 
 

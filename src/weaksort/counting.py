@@ -12,32 +12,10 @@ standardized prefixes are precisely the avoiders of length n.
 
 Each extension only needs to look for pattern occurrences that use the new
 last entry: the rest of the prefix was already checked.  Those are found
-once per parent q of length m, for all m+1 children together, as a set of
-forbidden insertion ranks.  Split a pattern tau into its head tau[:-1] and
-its last letter.  For every occurrence of the standardized head in q, let lo
-be the largest value among the head letters that lie below tau[-1] (0 if
-none) and hi the smallest among those above it (m+1 if none).  The child
-with new last rank r ends an occurrence of tau on that head exactly when
-lo < r <= hi: the entries below r keep their values and those from r up are
-bumped.  The windows of all occurrences of a set's patterns form its
-forbidden mask, and only the ranks outside it are extended.
-
-A head of length 3, which every 4-letter pattern has, is not read
-occurrence by occurrence.  One pass runs over the position j of its middle
-letter y = q[j], with the values left of j and those right of j as two
-bitmasks.  The first head letter x ranges over the left values and the last
-letter z over the right ones, each on the side of y that the head gives it.
-When x and z lie on the same side of y, the head also fixes their order, so
-only values with a partner are kept: x below the largest z and z above the
-least x, or the mirror image.  A window's lo is then 0, y, or the least
-kept value of x or z, and its hi is y, the largest kept value of x or z, or
-m+1; a bitmask's largest value is read off with `bit_length`, its least as
-its lowest set bit.  For one j the occurrence windows union to one
-interval, because the pair of extreme kept values is itself an occurrence
-and its window holds every other.  A parent thus costs O(m) mask steps per
-head, not one step per occurrence (O(m^3)).  Heads of every other length,
-from patterns of any length but 4, list their occurrences with
-`perms.occurrences`, the one containment matcher.
+once per parent q of length m, for all m+1 children together, as a mask of
+forbidden insertion ranks: the union of the windows that `perms._windows`
+gives for the heads of a set's patterns (the `weaksort.perms` docstring
+describes that kernel).  Only the ranks outside the mask are extended.
 
 Many pattern sets go through one shared level.  A prefix is a prefix of an
 avoider of several sets at once, so each level is one list of prefixes, and
@@ -67,16 +45,17 @@ per parent stays small:
 Nearly all of a sweep's work lies in its last two lengths, nmax - 1 (built)
 and nmax (counted), and a child has exactly one parent, so the subtrees
 below the prefixes of length nmax - 2 are disjoint and can be counted apart.
-With workers > 1 and no level kept, that level is split into interleaved
-chunks level[w::W], so that neighbouring prefixes, which cost about the
-same, go to different processes: each chunk builds its share of length
-nmax - 1 and counts its share of nmax in a child of `weaksort._fork`, and
-the tallies, keyed by set bits as above, are summed.  A set dropped at
-nmax - 1 is still counted at nmax by the children, but no row reads that
-total, and a tally key counts each of its sets alone, so every other row
-is exact.  The split level must hold MIN_CHUNK prefixes per process, so a
-small sweep never forks.  The library default is one process, as
-`acceptance.run_all` already runs the criteria one per CPU.
+Without a kept level, `_tails` builds nmax - 1 below that level and counts
+nmax, giving one tally per length, keyed by set bits as above.  With
+workers > 1, the level is split into interleaved chunks level[w::W], so
+that neighbouring prefixes, which cost about the same, go to different
+processes: each chunk runs `_tails` in a child of `weaksort._fork`, and the
+tallies are summed.  A set dropped at nmax - 1 is still counted at nmax,
+but no row reads that total, and a tally key counts each of its sets
+alone, so every other row is exact.  The split level must hold MIN_CHUNK
+prefixes per process, so a small sweep never forks.  The library default
+is one process, as `acceptance.run_all` already runs the criteria one per
+CPU.
 """
 from __future__ import annotations
 
@@ -87,15 +66,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _fork
-from .perms import (
-    SYMMETRIES,
-    PatternSet,
-    Perm,
-    apply_symmetry,
-    letter_bounds,
-    occurrences,
-    standardize,
-)
+from .perms import SYMMETRIES, PatternSet, Perm, _head_bounds, _windows, apply_symmetry
 
 #: each standardized head with the distinct (lo_at, hi_at) window bounds it
 #: takes in any set
@@ -107,10 +78,9 @@ Keys = list[list[tuple[int, list[int]]]]
 
 def _table(sets: Sequence[PatternSet]) -> tuple[Heads, Keys]:
     """
-    Each nonempty pattern as its standardized head and the head letters that
-    bound its window: the largest below the last letter and the smallest
-    above it (-1 if none), the last entry of `perms.letter_bounds`.
-    Patterns that share a head, in one set or in several, share one entry.
+    Each nonempty pattern as its standardized head and the bound of its
+    window, from `perms._head_bounds`.  Patterns that share a head, in one
+    set or in several, share one entry.
     """
     index: dict[Perm, int] = {}
     heads: Heads = []
@@ -120,87 +90,19 @@ def _table(sets: Sequence[PatternSet]) -> tuple[Heads, Keys]:
         for tau in patterns:
             if not tau:
                 continue  # such a set never reaches a level
-            head = standardize(tau[:-1])
-            lo_at, hi_at = letter_bounds(tuple(tau))[-1]
+            head, bound = _head_bounds(tau)
             if head not in index:
                 index[head] = len(heads)
                 heads.append((head, []))
             h = index[head]
             bounds = heads[h][1]
-            if (lo_at, hi_at) not in bounds:
-                bounds.append((lo_at, hi_at))
-            b = bounds.index((lo_at, hi_at))
+            if bound not in bounds:
+                bounds.append(bound)
+            b = bounds.index(bound)
             if b not in own.setdefault(h, []):
                 own[h].append(b)
         keys.append(list(own.items()))
     return heads, keys
-
-
-def _windows(prefix: Perm, head: Perm, bounds: list[tuple[int, int]]) -> list[int]:
-    """For each bound of head, the bitmask of the new last ranks r whose
-    child ends an occurrence on an occurrence of head in prefix."""
-    if len(head) == 3:
-        return _middle_pass(prefix, head, bounds)
-    m = len(prefix)
-    occs = list(occurrences(prefix, head))
-    windows = []
-    for lo_at, hi_at in bounds:
-        window = 0
-        for occ in occs:
-            lo = prefix[occ[lo_at]] if lo_at >= 0 else 0
-            hi = prefix[occ[hi_at]] if hi_at >= 0 else m + 1
-            window |= (1 << (hi + 1)) - (1 << (lo + 1))
-        windows.append(window)
-    return windows
-
-
-def _middle_pass(prefix: Perm, head: Perm, bounds: list[tuple[int, int]]) -> list[int]:
-    """
-    `_windows` for a head of length 3, without listing its occurrences: one
-    pass over the position of the middle letter y, with the values before
-    it and after it as bitmasks.  The first letter x is drawn from those
-    before and the last letter z from those after, each on its own side of
-    y; on the same side they are coupled by their order in the head.  The
-    slice's union of windows is the window of its extreme pair.
-    """
-    windows = [0] * len(bounds)
-    m = len(prefix)
-    if m < 3:
-        return windows
-    a, b, c = head
-    x_below, z_below, x_first = a < b, c < b, a < c
-    coupled = x_below == z_below
-    top = 4 << m  # 2 << hi for hi = m + 1
-    before = 1 << prefix[0]
-    after = (1 << (m + 1)) - 2 - before
-    for y in prefix[1:-1]:
-        bit = 1 << y
-        after ^= bit
-        xs = before & (bit - 1) if x_below else before & -(bit << 1)
-        zs = after & (bit - 1) if z_below else after & -(bit << 1)
-        before |= bit
-        if not (xs and zs):
-            continue
-        if coupled:
-            if x_first:  # x < z: keep x below the largest z, z above the least x
-                xs &= (1 << (zs.bit_length() - 1)) - 1
-                if not xs:
-                    continue
-                zs &= -((xs & -xs) << 1)
-            else:  # the mirror image
-                zs &= (1 << (xs.bit_length() - 1)) - 1
-                if not zs:
-                    continue
-                xs &= -((zs & -zs) << 1)
-        # 2 << lo and 2 << hi for the letter at each head position (x, y,
-        # z): lo is its least kept value, hi its largest, so the window
-        # (lo, hi] is highs[hi_at] - lows[lo_at]; position -1 (no such
-        # letter) reads lo = 0 and hi = m + 1
-        lows = ((xs & -xs) << 1, bit << 1, (zs & -zs) << 1, 2)
-        highs = (1 << xs.bit_length(), bit << 1, 1 << zs.bit_length(), top)
-        for k, (lo_at, hi_at) in enumerate(bounds):
-            windows[k] |= highs[hi_at] - lows[lo_at]
-    return windows
 
 
 def _groups(prefix: Perm, live: int, heads: Heads, keys: Keys) -> dict[int, int]:
@@ -343,7 +245,8 @@ def _sweep(
     The last level is counted, not built, unless keep; without keep no
     level outlives the next.  With a target, a set whose count at length n
     differs from target[n] is dropped after n: its row stops there.
-    Without keep, up to workers processes count the last two levels.
+    Without keep, `_tails` gives the last two levels' tallies, in up to
+    workers processes.
     """
     width = len(sets)
     heads, keys = _table(sets)
@@ -360,12 +263,12 @@ def _sweep(
             processes = _processes(workers, len(level))
             if processes > 1:
                 tails = _forked_tails(level, bits, m - 1, heads, keys, processes)
-                # the tallies stand for both levels; a drop needs no level
-                level, bits = [], []
+            else:
+                tails = _tails(level, bits, m - 1, heads, keys)
+            # the tallies stand for both levels; a drop needs no level
+            level, bits = [], []
         if tails:
             tally: dict[int, int] = tails.pop(0)
-        elif m == nmax > 0 and not keep:
-            tally = _child_counts(level, bits, m - 1, heads, keys)
         else:
             if m:
                 level, bits = _next_level(level, bits, m - 1, heads, keys)

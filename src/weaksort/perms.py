@@ -19,9 +19,36 @@ each letter's value must lie in.  For a 3-letter pattern, `contains` and
 `avoids` need no positions, and take a window path instead: one pass over p
 with the seen values and the values that would complete an occurrence as
 two bitmasks, the last letter's interval read from the table's last entry.
-The scan stays the oracle of that path.  Enumeration (`weaksort.counting`)
-reads each pattern's window from the same entry, and lists occurrences only
-for heads whose length is not 3.
+The scan stays the oracle of that path.
+
+Enumeration (`weaksort.counting`) extends a standardized prefix q of
+length m by a new last entry of every relative rank r at once (bumping
+the entries >= r), and asks this module which ranks end an occurrence of
+a pattern tau.  `_head_bounds` splits tau into its standardized head
+tau[:-1] and the head letters that bound its last letter, the last entry
+of `letter_bounds`.  For every occurrence of the head in q, let lo be the
+value of the lower bounding letter (0 if none) and hi that of the upper
+one (m+1 if none).  The child with new last rank r ends an occurrence of
+tau on it exactly when lo < r <= hi: the entries below r keep their
+values and those from r up are bumped.  `_windows` gives, for each bound
+that a head takes, the union of those windows as a bitmask of ranks (bit
+r for rank r).  A head whose length is not 3, from a pattern of any
+length but 4, lists its occurrences with the scan (`_listed_windows`).
+
+A head of length 3 is not read occurrence by occurrence (`_middle_pass`).
+One pass runs over the position j of its middle letter y = q[j], with the
+values left of j and those right of j as two bitmasks.  The first head
+letter x ranges over the left values and the last letter z over the right
+ones, each on the side of y that the head gives it.  When x and z lie on
+the same side of y, the head also fixes their order, so only values with
+a partner are kept: x below the largest z and z above the least x, or the
+mirror image.  A window's lo is then 0, y, or the least kept value of x or
+z, and its hi is y, the largest kept value of x or z, or m+1; a bitmask's
+largest value is read off with `bit_length`, its least as its lowest set
+bit.  For one j the occurrence windows union to one interval, because the
+pair of extreme kept values is itself an occurrence and its window holds
+every other.  A parent thus costs O(m) mask steps per head, not one step
+per occurrence (O(m^3)).  `_listed_windows` is the oracle of that pass.
 """
 from __future__ import annotations
 
@@ -250,6 +277,96 @@ def contains(p: Sequence[int], tau: Sequence[int]) -> bool:
 def avoids(p: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
     """True when p contains none of the given patterns."""
     return not any(contains(p, tau) for tau in patterns)
+
+
+# --------------------------------------------------------------------------
+# forbidden windows of a prefix's children
+
+
+def _head_bounds(tau: Sequence[int]) -> tuple[Perm, tuple[int, int]]:
+    """
+    The standardized head tau[:-1] of a nonempty pattern and the head
+    letters that bound its last letter: the last entry of `letter_bounds`.
+
+    >>> _head_bounds((1, 3, 4, 2))
+    ((1, 2, 3), (0, 1))
+    """
+    return standardize(tau[:-1]), letter_bounds(tuple(tau))[-1]
+
+
+def _windows(prefix: Perm, head: Perm, bounds: list[tuple[int, int]]) -> list[int]:
+    """For each bound of head, the bitmask of the new last ranks r whose
+    child ends an occurrence on an occurrence of head in prefix."""
+    if len(head) == 3:
+        return _middle_pass(prefix, head, bounds)
+    return _listed_windows(prefix, head, bounds)
+
+
+def _listed_windows(
+    prefix: Perm, head: Perm, bounds: list[tuple[int, int]]
+) -> list[int]:
+    """`_windows` as the union of the window of every occurrence of head in
+    prefix, listed by `occurrences`."""
+    m = len(prefix)
+    occs = list(occurrences(prefix, head))
+    windows = []
+    for lo_at, hi_at in bounds:
+        window = 0
+        for occ in occs:
+            lo = prefix[occ[lo_at]] if lo_at >= 0 else 0
+            hi = prefix[occ[hi_at]] if hi_at >= 0 else m + 1
+            window |= (1 << (hi + 1)) - (1 << (lo + 1))
+        windows.append(window)
+    return windows
+
+
+def _middle_pass(prefix: Perm, head: Perm, bounds: list[tuple[int, int]]) -> list[int]:
+    """
+    `_windows` for a head of length 3, without listing its occurrences: one
+    pass over the position of the middle letter y, with the values before
+    it and after it as bitmasks.  The first letter x is drawn from those
+    before and the last letter z from those after, each on its own side of
+    y; on the same side they are coupled by their order in the head.  The
+    slice's union of windows is the window of its extreme pair.
+    """
+    windows = [0] * len(bounds)
+    m = len(prefix)
+    if m < 3:
+        return windows
+    a, b, c = head
+    x_below, z_below, x_first = a < b, c < b, a < c
+    coupled = x_below == z_below
+    top = 4 << m  # 2 << hi for hi = m + 1
+    before = 1 << prefix[0]
+    after = (1 << (m + 1)) - 2 - before
+    for y in prefix[1:-1]:
+        bit = 1 << y
+        after ^= bit
+        xs = before & (bit - 1) if x_below else before & -(bit << 1)
+        zs = after & (bit - 1) if z_below else after & -(bit << 1)
+        before |= bit
+        if not (xs and zs):
+            continue
+        if coupled:
+            if x_first:  # x < z: keep x below the largest z, z above the least x
+                xs &= (1 << (zs.bit_length() - 1)) - 1
+                if not xs:
+                    continue
+                zs &= -((xs & -xs) << 1)
+            else:  # the mirror image
+                zs &= (1 << (xs.bit_length() - 1)) - 1
+                if not zs:
+                    continue
+                xs &= -((zs & -zs) << 1)
+        # 2 << lo and 2 << hi for the letter at each head position (x, y,
+        # z): lo is its least kept value, hi its largest, so the window
+        # (lo, hi] is highs[hi_at] - lows[lo_at]; position -1 (no such
+        # letter) reads lo = 0 and hi = m + 1
+        lows = ((xs & -xs) << 1, bit << 1, (zs & -zs) << 1, 2)
+        highs = (1 << xs.bit_length(), bit << 1, 1 << zs.bit_length(), top)
+        for k, (lo_at, hi_at) in enumerate(bounds):
+            windows[k] |= highs[hi_at] - lows[lo_at]
+    return windows
 
 
 # --------------------------------------------------------------------------

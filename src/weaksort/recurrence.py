@@ -42,14 +42,14 @@ from itertools import accumulate, chain, islice
 from operator import add, sub
 from typing import Iterable, Iterator
 
+from . import series
 from .perms import TRIPLES
 from .counting import enumerate_avoiders
-from .series import _Value
 
 CLASS_IDS = ("pi1", "pi2", "pi3")
 
 
-class RecurrenceTable(_Value):
+class RecurrenceTable(series._Value):
     """
     Vectors a_n(1..n) and b_n(1..n) for one class at one length.
 
@@ -187,8 +187,6 @@ def verify_kernel_identity(nmax: int):
     a nonzero residual rather than an exception.  Returns (identity holds,
     residual series 2B - rhs) at order nmax.
     """
-    from . import series
-
     if nmax < 2:
         raise ValueError("nmax must be >= 2")
     a_totals, b_totals = [], []

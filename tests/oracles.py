@@ -1,6 +1,8 @@
 """
 Brute-force oracles that the tests hold the library's routes against: plain
 filtering and enumeration, slow and independent of the route they check.
+Besides them, the keyed 213 counts of the class-5 analysis, which no route
+of the package reads, live here with their census.
 """
 from collections import Counter
 from itertools import combinations, groupby, permutations
@@ -8,7 +10,7 @@ from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from weaksort.class5 import Decomposition, decompose
+from weaksort.class5 import Decomposition, _keyed_dot, decompose
 from weaksort.counting import enumerate_avoiders
 from weaksort.perms import (
     Perm,
@@ -16,7 +18,6 @@ from weaksort.perms import (
     avoids,
     canonical_form,
     contains,
-    occurrences,
     standardize,
 )
 from weaksort.recurrence import RecurrenceTable
@@ -48,29 +49,6 @@ def triple_orbits_canonical() -> dict[tuple[Perm, ...], int]:
     return orbits
 
 
-def occurrence_windows(
-    prefix: Perm, head: Perm, bounds: Sequence[tuple[int, int]]
-) -> list[int]:
-    """
-    Oracle for `counting._middle_pass`: for each (lo_at, hi_at) bound, the
-    OR over every occurrence of head in prefix, listed by
-    `perms.occurrences`, of its window of new last ranks (lo, hi], where lo
-    is the value at head position lo_at (0 for -1) and hi the value at
-    hi_at (len(prefix) + 1 for -1).
-    """
-    m = len(prefix)
-    occs = list(occurrences(prefix, head))
-    windows = []
-    for lo_at, hi_at in bounds:
-        window = 0
-        for occ in occs:
-            lo = prefix[occ[lo_at]] if lo_at >= 0 else 0
-            hi = prefix[occ[hi_at]] if hi_at >= 0 else m + 1
-            window |= (1 << (hi + 1)) - (1 << (lo + 1))
-        windows.append(window)
-    return windows
-
-
 def occurrence_lists(
     n: int, lengths: Sequence[int]
 ) -> Iterator[tuple[Perm, dict[Perm, list[tuple[int, ...]]]]]:
@@ -98,12 +76,35 @@ def occurrence_lists(
         yield p, found
 
 
+def keyed_213_count(n: int, k: int) -> int:
+    """
+    Number of 213-avoiding permutations of 1..n ending in 1 that have k key
+    entries:  sum_j binom(k-2, j-1) * C_{n-k, k-2-j}.  The binomial
+    vanishes for j >= k, and C_{n-k, .} for k > n, so j runs over 1..k-1.
+    The sum is `class5._keyed_dot`, the kernel of the closed formulas.
+    """
+    if n < 2:
+        raise ValueError("defined for n >= 2")
+    if k < 2:
+        return 0
+    binoms = [comb(k - 2, r) for r in range(k - 1)]
+    return _keyed_dot(binoms, [gen_catalan(n - k, t - 1) for t in range(k - 1)], k)
+
+
+def keyed_213_count_by_max_position(n: int, j: int, k: int) -> int:
+    """
+    Same count, refined by the position j of the maximum entry n:
+    binom(k-2, j-1) * C_{n-k, k-2-j}.  At j = 1 (maximum first) this is
+    C_{n-k, k-3}.
+    """
+    return _comb0(k - 2, j - 1) * gen_catalan(n - k, k - 2 - j)
+
+
 def keyed_213_census(n: int) -> Counter[tuple[int, int]]:
     """
-    Oracle for `class5.keyed_213_count` and
-    `class5.keyed_213_count_by_max_position`: the 213-avoiders of length n
-    ending in 1, counted by (number of keys, 1-based position of n), from
-    one enumeration.
+    Oracle for `keyed_213_count` and `keyed_213_count_by_max_position`:
+    the 213-avoiders of length n ending in 1, counted by (number of keys,
+    1-based position of n), from one enumeration.
     """
     return Counter(
         (decompose(q).k, q.index(n) + 1)

@@ -9,6 +9,8 @@ from oracles import (
     count_indecomposable_termwise,
     decompose_groupby,
     keyed_213_census,
+    keyed_213_count,
+    keyed_213_count_by_max_position,
     tail_321_count_brute,
 )
 
@@ -20,8 +22,6 @@ from weaksort.class5 import (
     count_avoiders,
     count_indecomposable,
     decompose,
-    keyed_213_count,
-    keyed_213_count_by_max_position,
 )
 from weaksort.counting import enumerate_avoiders
 from weaksort.perms import TRIPLES, all_perms, avoids, components, contains

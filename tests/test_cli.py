@@ -122,6 +122,21 @@ def test_series_bivariate_rows(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,k,value"
     assert "4,1,11" in lines and "4,4,1" in lines
+    # the nonzero coefficients of x^n y^k in each format, the bytes pinned;
+    # at order 0 there is none, and csv still prints its header
+    rows = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 3), (3, 2, 2), (3, 3, 1)]
+    want = {
+        ("3", "table"): "".join(f"{n} {k} {c}\n" for n, k, c in rows),
+        ("3", "csv"): "n,k,value\n" + "".join(f"{n},{k},{c}\n" for n, k, c in rows),
+        ("3", "json"): '{"name": "class5_bivariate", "terms": [[1, 1, 1], '
+        '[2, 1, 1], [2, 2, 1], [3, 1, 3], [3, 2, 2], [3, 3, 1]]}\n',
+        ("0", "table"): "",
+        ("0", "csv"): "n,k,value\n",
+        ("0", "json"): '{"name": "class5_bivariate", "terms": []}\n',
+    }
+    for (n, fmt), text in want.items():
+        argv = ("series", "--name", "class5_bivariate", "--n", n, "--format", fmt)
+        assert run(capsys, *argv)[:2] == (0, text), (n, fmt)
 
 
 def test_bijection_roundtrip(capsys):

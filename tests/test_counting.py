@@ -7,17 +7,12 @@ import time
 from collections import Counter
 
 import pytest
-from oracles import (
-    enumerate_avoiders_filter,
-    occurrence_windows,
-    triple_orbits_canonical,
-)
+from oracles import enumerate_avoiders_filter, triple_orbits_canonical
 
 from weaksort import counting
 from weaksort.counting import (
     MIN_CHUNK,
     WilfSearchReport,
-    _middle_pass,
     _processes,
     avoider_levels,
     counting_sequence,
@@ -29,7 +24,6 @@ from weaksort.counting import (
 from weaksort.perms import (
     SCHRODER_PAIR,
     TRIPLES,
-    all_perms,
     apply_symmetry,
     canonical_form,
 )
@@ -139,21 +133,6 @@ def test_counting_sequence_guard():
     assert seq == [1, 1] + [0] * 11
     with pytest.raises(ValueError, match="nmax must be >= 0"):
         counting_sequence(TRIPLES["pi1"], -1)
-
-
-def test_middle_pass_equals_occurrence_windows():
-    # every 3-letter head with its four bounds in one call, one per last
-    # letter (so the 24 patterns of length 4), on every prefix of length
-    # <= 7, against the windows of the listed occurrences
-    for head in all_perms(3):
-        bounds = [
-            (head.index(s) if s >= 1 else -1, head.index(s + 1) if s < 3 else -1)
-            for s in range(4)
-        ]
-        for m in range(8):
-            for q in all_perms(m):
-                want = occurrence_windows(q, head, bounds)
-                assert _middle_pass(q, head, bounds) == want, (head, q)
 
 
 def _assert_pruned_equals_filter(patterns, workers=(1,)) -> list[int]:

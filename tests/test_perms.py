@@ -12,6 +12,8 @@ from weaksort.perms import (
     SYMMETRIES,
     TRIPLES,
     WEAK_SORTING_TRIPLE,
+    _listed_windows,
+    _middle_pass,
     all_perms,
     apply_symmetry,
     avoids,
@@ -189,6 +191,22 @@ def test_window_path_reads_any_distinct_integers(values):
     for m in range(len(values) + 1):
         for p in itertools.permutations(values, m):
             assert_window_path_agrees(p)
+
+
+def test_middle_pass_equals_listed_windows():
+    # every 3-letter head with its four bounds in one call, one per last
+    # letter (so the 24 patterns of length 4), on every prefix of length
+    # <= 7, against the windows of the listed occurrences, which enumeration
+    # takes for heads of every other length
+    for head in all_perms(3):
+        bounds = [
+            (head.index(s) if s >= 1 else -1, head.index(s + 1) if s < 3 else -1)
+            for s in range(4)
+        ]
+        for m in range(8):
+            for q in all_perms(m):
+                want = _listed_windows(q, head, bounds)
+                assert _middle_pass(q, head, bounds) == want, (head, q)
 
 
 def test_symmetry_group_order():

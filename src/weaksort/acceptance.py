@@ -22,6 +22,7 @@ from . import _fork, class5, counting, oeis, recurrence, schroder, series
 from .perms import (
     SCHRODER_PAIR,
     TRIPLES,
+    WEAK_SORTING_TRIPLE,
     all_perms,
     canonical_form,
     components,
@@ -50,12 +51,14 @@ def criterion_2_generating_function_agreement() -> None:
 
 
 def criterion_3_wilf_classification() -> None:
-    """Exactly five symmetry orbits of triples match A111279 at n <= 8."""
+    """Exactly five symmetry orbits of triples match A111279 at n <= 8, and
+    the weak sorting triple's orbit, the first class's, is among them."""
     report = counting.wilf_search(8, oeis.fetch("A111279").prefix(9))
     assert report.triples_total == comb(24, 3) == 2024, report.triples_total
     assert len(report.matches) == 5, f"{len(report.matches)} matching orbits"
     expected = {canonical_form(patterns) for patterns in TRIPLES.values()}
     assert set(report.matches) == expected, report.matches
+    assert canonical_form(WEAK_SORTING_TRIPLE) in report.matches, report.matches
 
 
 def criterion_4_recurrence_fidelity() -> None:
@@ -167,7 +170,7 @@ def criterion_8_class5_formula() -> None:
     brute = counting.counting_sequence(patterns, 9)
     for n in range(10):
         assert class5.count_avoiders(n) == brute[n], n
-    # the kept levels against the counting sweep of the same set
+    # the listed levels against the counting sweep: two loops of `_next_level`
     levels = counting.avoider_levels(patterns, 8)
     sizes = [len(level) for level in levels]
     assert sizes == brute[:9], (sizes, brute[:9])

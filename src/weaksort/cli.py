@@ -40,6 +40,7 @@ import sys
 from typing import Sequence
 
 from . import _fork, acceptance, class5, counting, oeis, recurrence, schroder, series
+from .oeis import _parse_int
 from .perms import (
     TRIPLES,
     format_perm,
@@ -255,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     chosen = p.add_mutually_exclusive_group(required=True)
     chosen.add_argument("--class", dest="cls", choices=list(TRIPLES))
     chosen.add_argument("--patterns", help='semicolon-separated, e.g. "3 2 1 4; 4 2 1 3"')
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_count)
 
@@ -265,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="'all' or a comma list of distinct classes like pi1,pi4",
     )
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=_parse_int, default=8)
     _add_format(p)
     p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("search", help="classify all 2024 triples by counting sequence")
     p.add_argument("--target", default="A111279", help="OEIS id or comma-separated terms")
-    p.add_argument("--n", type=int, default=8, help="match counts for 0..n (default 8)")
+    p.add_argument("--n", type=_parse_int, default=8, help="match counts for 0..n (default 8)")
     p.add_argument(
         "--format", choices=("table", "json"), default="table",
         help="output format (default %(default)s)",
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="coefficients of a catalog generating function")
     p.add_argument("--name", required=True, choices=series.CATALOG_NAMES)
-    p.add_argument("--n", type=int, default=20, help="truncation order (default 20)")
+    p.add_argument("--n", type=_parse_int, default=20, help="truncation order (default 20)")
     _add_format(p)
     p.set_defaults(func=_cmd_series)
 
@@ -294,14 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("class5", help="fifth-triple counts and decomposition")
     chosen = p.add_mutually_exclusive_group(required=True)
-    chosen.add_argument("--count", type=int)
+    chosen.add_argument("--count", type=_parse_int)
     chosen.add_argument("--decompose", help="permutation in one-line notation")
-    chosen.add_argument("--indec", type=int)
+    chosen.add_argument("--indec", type=_parse_int)
     p.set_defaults(func=_cmd_class5)
 
     p = sub.add_parser("recurrence", help="counting sequence via the table recurrence")
     p.add_argument("--class", dest="cls", required=True, choices=recurrence.CLASS_IDS)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
     _add_format(p, default="csv")
     p.set_defaults(func=_cmd_recurrence)
 

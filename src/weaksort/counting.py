@@ -29,9 +29,7 @@ per parent stays small:
   the head takes in any set, and each set ORs its own windows into its
   forbidden mask.
 - The sets are grouped by forbidden mask, and a child is built once per
-  rank that some group allows, carrying the bits of those groups.  A parent
-  whose sets all agree (always, for a single set) extends its allowed ranks
-  in one run.
+  rank that some group allows, carrying the bits of those groups.
 - Children are built by indexing, not by a loop per entry: for each level,
   bump[r][v] is v below r and v+1 from r up, so the child of q with new last
   rank r is itemgetter(*q)(bump[r]) + (r,).
@@ -45,17 +43,16 @@ per parent stays small:
 Nearly all of a sweep's work lies in its last two lengths, nmax - 1 (built)
 and nmax (counted), and a child has exactly one parent, so the subtrees
 below the prefixes of length nmax - 2 are disjoint and can be counted apart.
-Without a kept level, `_tails` builds nmax - 1 below that level and counts
-nmax, giving one tally per length, keyed by set bits as above.  With
-workers > 1, the level is split into interleaved chunks level[w::W], so
-that neighbouring prefixes, which cost about the same, go to different
-processes: each chunk runs `_tails` in a child of `weaksort._fork`, and the
-tallies are summed.  A set dropped at nmax - 1 is still counted at nmax,
-but no row reads that total, and a tally key counts each of its sets
-alone, so every other row is exact.  The split level must hold MIN_CHUNK
-prefixes per process, so a small sweep never forks.  The library default
-is one process, as `acceptance.run_all` already runs the criteria one per
-CPU.
+`_tails` builds nmax - 1 below that level and counts nmax, giving one tally
+per length, keyed by set bits as above.  With workers > 1, the level is
+split into interleaved chunks level[w::W], so that neighbouring prefixes,
+which cost about the same, go to different processes: each chunk runs
+`_tails` in a child of `weaksort._fork`, and the tallies are summed.  A set
+dropped at nmax - 1 is still counted at nmax, but no row reads that total,
+and a tally key counts each of its sets alone, so every other row is
+exact.  The split level must hold MIN_CHUNK prefixes per process, so a
+small sweep never forks.  The library default is one process, as
+`acceptance.run_all` already runs the criteria one per CPU.
 """
 from __future__ import annotations
 
@@ -111,14 +108,6 @@ def _groups(prefix: Perm, live: int, heads: Heads, keys: Keys) -> dict[int, int]
     mask -> bits of the sets that have it.  A head is scanned only when a
     live set needs it, and then once.
     """
-    if not live & (live - 1):
-        # one set: each of its heads is scanned once, so nothing is kept
-        forbidden = 0
-        for h, bs in keys[live.bit_length() - 1]:
-            windows = _windows(prefix, *heads[h])
-            for b in bs:
-                forbidden |= windows[b]
-        return {forbidden: live}
     windows: dict[int, list[int]] = {}
     groups: dict[int, int] = {}
     while live:
@@ -151,12 +140,6 @@ def _next_level(
             take = itemgetter(*q)
         else:  # itemgetter needs an index, and one index returns a bare value
             take = lambda row, q=q: tuple(row[v] for v in q)  # noqa: E731
-        if len(groups) == 1:
-            ((forbidden, live),) = groups.items()
-            kids = [take(bump[r]) + (r,) for r in ranks if not forbidden >> r & 1]
-            out += kids
-            out_bits += [live] * len(kids)
-            continue
         for r in ranks:
             allow = 0
             for forbidden, sets in groups.items():
@@ -235,18 +218,16 @@ def _sweep(
     sets: Sequence[PatternSet],
     nmax: int,
     target: Sequence[int] | None = None,
-    keep: bool = False,
     workers: int = 1,
-) -> tuple[list[list[int]], list[list[Perm]]]:
+) -> list[list[int]]:
     """
     Carry every set through lengths 0..nmax on one shared level; return each
-    set's counts and, if keep, every level, each sorted.
+    set's counts.
 
-    The last level is counted, not built, unless keep; without keep no
-    level outlives the next.  With a target, a set whose count at length n
-    differs from target[n] is dropped after n: its row stops there.
-    Without keep, `_tails` gives the last two levels' tallies, in up to
-    workers processes.
+    No level outlives the next, and `_tails` gives the last two levels'
+    tallies, in up to workers processes.  With a target, a set whose count
+    at length n differs from target[n] is dropped after n: its row stops
+    there.
     """
     width = len(sets)
     heads, keys = _table(sets)
@@ -256,10 +237,9 @@ def _sweep(
     # so its set has no prefix at all and counts 0 at every length
     live = sum(1 << i for i, patterns in enumerate(sets) if () not in patterns)
     level, bits = ([()], [live]) if live else ([], [])
-    levels: list[list[Perm]] = []
     tails: list[dict[int, int]] = []
     for m in range(nmax + 1):
-        if m == nmax - 1 > 0 and not keep:
+        if m == nmax - 1 > 0:
             processes = _processes(workers, len(level))
             if processes > 1:
                 tails = _forked_tails(level, bits, m - 1, heads, keys, processes)
@@ -273,8 +253,6 @@ def _sweep(
             if m:
                 level, bits = _next_level(level, bits, m - 1, heads, keys)
             tally = Counter(bits)
-            if keep:
-                levels.append(sorted(level))
         counts = _spread(tally, width)
         dropped = 0
         for i in range(width):
@@ -288,7 +266,7 @@ def _sweep(
             level, bits = [q for q, _ in kept], [b for _, b in kept]
         if not tracked:
             break
-    return rows, levels
+    return rows
 
 
 def counting_sequences(
@@ -309,7 +287,7 @@ def counting_sequences(
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     sets = [frozenset(tuple(t) for t in patterns) for patterns in pattern_sets]
-    return _sweep(sets, nmax, workers=workers)[0]
+    return _sweep(sets, nmax, workers=workers)
 
 
 def counting_sequence(
@@ -322,14 +300,22 @@ def counting_sequence(
 def avoider_levels(patterns: Iterable[Sequence[int]], nmax: int) -> list[list[Perm]]:
     """
     [S_0(T), ..., S_nmax(T)]: the avoiders of every length up to nmax, each
-    level in lexicographic order, from one pruned enumeration.
+    level in lexicographic order, by a loop of `_next_level` (`_sweep` only
+    counts).
 
     >>> avoider_levels([(1, 3, 2), (2, 3, 1)], 3)
     [[()], [(1,)], [(1, 2), (2, 1)], [(1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1)]]
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    return _sweep([frozenset(tuple(t) for t in patterns)], nmax, keep=True)[1]
+    pattern_set = frozenset(tuple(t) for t in patterns)
+    heads, keys = _table([pattern_set])
+    # the empty pattern occurs in every permutation, the empty one included
+    levels: list[list[Perm]] = [[] if () in pattern_set else [()]]
+    for m in range(nmax):
+        level = levels[m]
+        levels.append(sorted(_next_level(level, [1] * len(level), m, heads, keys)[0]))
+    return levels
 
 
 def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
@@ -414,7 +400,7 @@ def wilf_search(
     orbits = triple_orbits()
     reps = list(orbits)
     sets = [frozenset(rep) for rep in reps]
-    rows, _ = _sweep(sets, nmax, target=prefix, workers=workers)
+    rows = _sweep(sets, nmax, target=prefix, workers=workers)
     matches = sorted(rep for rep, row in zip(reps, rows) if tuple(row) == prefix)
     diverged = Counter(len(row) - 1 for row in rows if tuple(row) != prefix)
     return WilfSearchReport(

@@ -18,9 +18,17 @@ from typing import NamedTuple
 
 FIXTURE_IDS = ("A111279", "A006318", "A026671", "A060693")
 _ID_RE = re.compile(r"\AA[0-9]{6}\Z")
-#: an index or term: OEIS offsets and terms may be negative, and int() alone
-#: would also take "+5", "1_0" and non-ASCII digits
+#: a b-file index or term, or an integer option of the command line: OEIS
+#: offsets and terms may be negative, and int() alone would also take "+5",
+#: "1_0", blanks and non-ASCII digits
 _INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _parse_int(token: str) -> int:
+    """An integer written as `_INT_RE` requires."""
+    if not _INT_RE.fullmatch(token):
+        raise ValueError(f"not a signed ASCII integer: {token!r}")
+    return int(token)
 
 
 class OeisSequence(NamedTuple):
@@ -45,11 +53,12 @@ def parse_bfile(seq_id: str, text: str) -> OeisSequence:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{seq_id} b-file line {lineno}: expected 'index value'")
-        if not all(_INT_RE.fullmatch(part) for part in parts):
+        try:
+            idx, val = map(_parse_int, parts)
+        except ValueError:
             raise ValueError(
                 f"{seq_id} b-file line {lineno}: not an integer pair {line!r}"
-            )
-        idx, val = int(parts[0]), int(parts[1])
+            ) from None
         if indices and idx != indices[-1] + 1:
             raise ValueError(
                 f"{seq_id} b-file line {lineno}: index {idx} not contiguous"

@@ -310,6 +310,34 @@ def test_usage_errors_exit_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+#: the command line up to each integer option, the other required options
+#: included
+INTEGER_OPTIONS = {
+    "count": ["count", "--class", "pi1", "--n"],
+    "sequence": ["sequence", "--n"],
+    "search": ["search", "--n"],
+    "series": ["series", "--name", "main", "--n"],
+    "recurrence": ["recurrence", "--class", "pi1", "--n"],
+    "class5-count": ["class5", "--count"],
+    "class5-indec": ["class5", "--indec"],
+}
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0", "\u0663", "+5", " 5"], ids=["underscore", "arabic-indic", "plus", "blank"]
+)
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+def test_integer_options_exit_2_on_what_only_int_takes(capsys, option, text):
+    # int() takes each of these; an integer option takes only an optional
+    # minus sign and ASCII digits, as a b-file line does
+    with pytest.raises(SystemExit) as exc:
+        main([*INTEGER_OPTIONS[option], text])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"invalid _parse_int value: {text!r}" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, limit",
     [

@@ -95,17 +95,21 @@ def test_counting_sequences_shared_level_equals_filter(forking):
 
 def test_forked_counts_equal_serial_for_the_five_classes(forking):
     # every split from the first (nmax = 4, a level of two prefixes) to the
-    # deepest the command line runs by default
+    # deepest the command line runs by default; then the listed levels, a
+    # loop that shares only `_next_level` with the counting sweep, against
+    # the rows counted at n = 9, serial and forked alike
     for n in range(10):
         serial = counting_sequences(TRIPLES.values(), n)
         assert serial == [[*TARGET, 20626][: n + 1]] * 5, n
         for workers in FORKED:
             assert counting_sequences(TRIPLES.values(), n, workers=workers) == serial, n
+    for patterns, row in zip(TRIPLES.values(), serial):
+        assert [len(level) for level in avoider_levels(patterns, 9)] == row, patterns
 
 
 def test_avoider_levels_equal_filter():
-    # one sweep keeps every level; each against plain filtering, n <= 7, and
-    # a shorter sweep gives the same first levels
+    # one listing builds every level; each against plain filtering, n <= 7,
+    # and a shorter listing gives the same first levels
     sets = [*TRIPLES.values(), SCHRODER_PAIR, frozenset({(3, 2, 1)})]
     sets += [frozenset(), frozenset({()})]
     for patterns in sets:

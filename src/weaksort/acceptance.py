@@ -67,8 +67,9 @@ def criterion_4_recurrence_fidelity() -> None:
     the second and third classes stay entrywise identical to n = 50."""
     for class_id in recurrence.CLASS_IDS:
         tabs = recurrence.tables_upto(class_id, 8)
-        for n in range(9):
-            emp = recurrence.empirical_table(n, class_id)
+        levels = counting.avoider_levels(TRIPLES[class_id], 8)
+        for n, level in enumerate(levels):
+            emp = recurrence.empirical_table(n, class_id, level)
             assert tabs[n].a == emp.a, (class_id, n, tabs[n].a, emp.a)
             assert tabs[n].b == emp.b, (class_id, n, tabs[n].b, emp.b)
     t2 = recurrence.tables_upto("pi2", 50)
@@ -92,9 +93,7 @@ def criterion_6_bijection_suite() -> None:
     `find_occurrence` names a witness of 3214 or 4213 in it whose values
     standardize to the pattern; the counts are the bundled A006318
     fixture's (large Schroder numbers)."""
-    fixture = oeis.fetch("A006318")
-    assert fixture.offset == 0, fixture.offset
-    schroder_numbers = fixture.prefix(7)
+    schroder_numbers = oeis.fetch("A006318").prefix(7)
     levels = counting.avoider_levels(SCHRODER_PAIR, 7)
     pi4_levels = counting.avoider_levels(TRIPLES["pi4"], 7)
     for n in range(1, 8):
@@ -193,9 +192,7 @@ def criterion_9_indecomposable_and_bivariate() -> None:
     """Indecomposable counts match the A026671 fixture (1 <= n <= 41); the
     bivariate series matches the per-component census (n <= 8) and
     collapses at y = 1 to the nonempty-avoider series through order 40."""
-    fixture = oeis.fetch("A026671")
-    assert fixture.offset == 0, fixture.offset
-    for index, term in enumerate(fixture.prefix(41)):
+    for index, term in enumerate(oeis.fetch("A026671").prefix(41)):
         # the term at index n - 1 counts the indecomposable avoiders of
         # length n
         n = index + 1

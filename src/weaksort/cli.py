@@ -17,7 +17,10 @@ rejected or stdout was closed before the output was written (`| head`),
 2 usage error.
 Identical invocations produce byte-identical output.  count, sequence,
 series, recurrence and oeis take --format table|csv|json; search takes
---format table|json, because its report has no csv form.
+--format table|json, because its report has no csv form.  search --target
+takes an OEIS id or one term per comma-separated field, e.g. 1,1,2,6,21.
+Every integer given, option or entry, is an optional minus sign and ASCII
+digits (`perms.parse_int`).
 OEIS terms come only from the four bundled b-files; no command reaches the
 network or writes a file.
 
@@ -40,14 +43,7 @@ import sys
 from typing import Sequence
 
 from . import _fork, acceptance, class5, counting, oeis, recurrence, schroder, series
-from .oeis import _parse_int
-from .perms import (
-    TRIPLES,
-    format_perm,
-    parse_decimal,
-    parse_pattern_set,
-    parse_perm,
-)
+from .perms import TRIPLES, format_perm, parse_int, parse_pattern_set, parse_perm
 
 #: largest --n each enumerating command runs without --limit-override
 SIZE_LIMITS = {"count": 10, "sequence": 10, "search": 8}
@@ -78,7 +74,8 @@ def _emit_terms(
 
 def _resolve_target(text: str, nmax: int) -> tuple[int, ...]:
     """
-    --target accepts an OEIS id (bundled fixture) or comma-separated ints.
+    --target accepts an OEIS id (bundled fixture) or one count in each
+    comma-separated field; an empty field would shift every later term.
     Every set of patterns of length >= 2 has exactly one avoider of length
     0 and one of length 1, so a target that does not start 1, 1 is indexed
     from another offset and is rejected rather than matched against nothing.
@@ -87,7 +84,9 @@ def _resolve_target(text: str, nmax: int) -> tuple[int, ...]:
         seq = oeis.fetch(text)
         head, terms = tuple(seq.terms[:2]), seq.prefix(nmax + 1)
     else:
-        terms = tuple(parse_decimal(tok) for tok in text.replace(",", " ").split())
+        terms = tuple(map(parse_int, text.split(",")))
+        if min(terms) < 0:
+            raise ValueError(f"target {text} has a negative term")
         head = terms[:2]
     if head != (1, 1)[: len(head)]:
         raise ValueError(
@@ -256,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     chosen = p.add_mutually_exclusive_group(required=True)
     chosen.add_argument("--class", dest="cls", choices=list(TRIPLES))
     chosen.add_argument("--patterns", help='semicolon-separated, e.g. "3 2 1 4; 4 2 1 3"')
-    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--n", type=parse_int, required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_count)
 
@@ -266,13 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="'all' or a comma list of distinct classes like pi1,pi4",
     )
-    p.add_argument("--n", type=_parse_int, default=8)
+    p.add_argument("--n", type=parse_int, default=8)
     _add_format(p)
     p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("search", help="classify all 2024 triples by counting sequence")
-    p.add_argument("--target", default="A111279", help="OEIS id or comma-separated terms")
-    p.add_argument("--n", type=_parse_int, default=8, help="match counts for 0..n (default 8)")
+    p.add_argument(
+        "--target", default="A111279", help="OEIS id, or one term per comma-separated field"
+    )
+    p.add_argument("--n", type=parse_int, default=8, help="match counts for 0..n (default 8)")
     p.add_argument(
         "--format", choices=("table", "json"), default="table",
         help="output format (default %(default)s)",
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="coefficients of a catalog generating function")
     p.add_argument("--name", required=True, choices=series.CATALOG_NAMES)
-    p.add_argument("--n", type=_parse_int, default=20, help="truncation order (default 20)")
+    p.add_argument("--n", type=parse_int, default=20, help="truncation order (default 20)")
     _add_format(p)
     p.set_defaults(func=_cmd_series)
 
@@ -295,14 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("class5", help="fifth-triple counts and decomposition")
     chosen = p.add_mutually_exclusive_group(required=True)
-    chosen.add_argument("--count", type=_parse_int)
+    chosen.add_argument("--count", type=parse_int)
     chosen.add_argument("--decompose", help="permutation in one-line notation")
-    chosen.add_argument("--indec", type=_parse_int)
+    chosen.add_argument("--indec", type=parse_int)
     p.set_defaults(func=_cmd_class5)
 
     p = sub.add_parser("recurrence", help="counting sequence via the table recurrence")
     p.add_argument("--class", dest="cls", required=True, choices=recurrence.CLASS_IDS)
-    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--n", type=parse_int, required=True)
     _add_format(p, default="csv")
     p.set_defaults(func=_cmd_recurrence)
 

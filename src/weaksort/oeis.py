@@ -16,19 +16,10 @@ import os
 import re
 from typing import NamedTuple
 
+from .perms import parse_int
+
 FIXTURE_IDS = ("A111279", "A006318", "A026671", "A060693")
 _ID_RE = re.compile(r"\AA[0-9]{6}\Z")
-#: a b-file index or term, or an integer option of the command line: OEIS
-#: offsets and terms may be negative, and int() alone would also take "+5",
-#: "1_0", blanks and non-ASCII digits
-_INT_RE = re.compile(r"-?[0-9]+")
-
-
-def _parse_int(token: str) -> int:
-    """An integer written as `_INT_RE` requires."""
-    if not _INT_RE.fullmatch(token):
-        raise ValueError(f"not a signed ASCII integer: {token!r}")
-    return int(token)
 
 
 class OeisSequence(NamedTuple):
@@ -37,6 +28,9 @@ class OeisSequence(NamedTuple):
     terms: tuple[int, ...]
 
     def prefix(self, count: int) -> tuple[int, ...]:
+        """The first count terms, which must start at index 0."""
+        if self.offset != 0:
+            raise ValueError(f"{self.id} fixture starts at index {self.offset}, not 0")
         if count > len(self.terms):
             raise ValueError(f"{self.id} fixture holds only {len(self.terms)} terms")
         return self.terms[:count]
@@ -54,7 +48,7 @@ def parse_bfile(seq_id: str, text: str) -> OeisSequence:
         if len(parts) != 2:
             raise ValueError(f"{seq_id} b-file line {lineno}: expected 'index value'")
         try:
-            idx, val = map(_parse_int, parts)
+            idx, val = map(parse_int, parts)
         except ValueError:
             raise ValueError(
                 f"{seq_id} b-file line {lineno}: not an integer pair {line!r}"

@@ -78,28 +78,30 @@ def as_perm(seq: Iterable[int]) -> Perm:
     return p
 
 
-def parse_decimal(token: str) -> int:
+def parse_int(token: str) -> int:
     """
-    A non-negative integer written as a run of ASCII digits; int() alone
-    would also take underscores ("1_2"), signs and non-ASCII digits.
+    An integer read from outside: an optional minus sign and ASCII digits,
+    as in a b-file; int() alone would also take "+5", "1_0", blanks and
+    non-ASCII digits.
 
-    >>> parse_decimal("21")
-    21
+    >>> parse_int("21"), parse_int("-3")
+    (21, -3)
     """
-    if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"not an ASCII decimal entry: {token!r}")
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer (an optional '-' and ASCII digits): {token!r}")
     return int(token)
 
 
 def parse_perm(text: str) -> Perm:
     """
     Parse space-separated one-line notation ("" gives the empty permutation);
-    each entry must pass `parse_decimal`.
+    each entry is read by `parse_int`, and the entries must be 1..n.
 
     >>> parse_perm("3 1 4 2")
     (3, 1, 4, 2)
     """
-    return as_perm([parse_decimal(tok) for tok in text.split()])
+    return as_perm([parse_int(tok) for tok in text.split()])
 
 
 def format_perm(p: Perm) -> str:

@@ -40,11 +40,9 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, islice
 from operator import add, sub
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import series
-from .perms import TRIPLES
-from .counting import enumerate_avoiders
 
 CLASS_IDS = ("pi1", "pi2", "pi3")
 
@@ -155,15 +153,15 @@ def count_via_recurrence(class_id: str, nmax: int) -> list[int]:
     return [t.total for t in islice(_tables(class_id), nmax + 1)]
 
 
-def empirical_table(n: int, class_id: str) -> RecurrenceTable:
+def empirical_table(n: int, class_id: str,
+                    avoiders: Iterable[Sequence[int]]) -> RecurrenceTable:
     """
-    The same table computed by brute-force enumeration, for validating
-    `advance`.  Only sensible at enumeration scale (n <= 10 or so).
+    The same table tallied from the class's avoiders of length n, listed by
+    enumeration, for validating `advance`.
     """
     _second_entry(class_id, 3, 1)
     if n == 0:
         return RecurrenceTable(class_id, 0, (), ())
-    avoiders = enumerate_avoiders(n, TRIPLES[class_id])
     a = [0] * n
     b = [0] * n
     for p in avoiders:

@@ -84,11 +84,24 @@ def test_search_explicit_target_terms(capsys):
     assert len(json.loads(out)["matches"]) == 5
 
 
-@pytest.mark.parametrize("term", ["2_1", "\uff121", "+21"])
-def test_search_rejects_non_ascii_digit_target_terms(capsys, term):
-    code, out, err = run(
-        capsys, "search", "--target", f"1,1,2,6,{term},79,309", "--n", "6"
-    )
+@pytest.mark.parametrize(
+    "target",
+    [
+        pytest.param(f"1,1,2,6,{term},79,309", id=term)
+        for term in ["2_1", "\uff121", "+21"]
+    ]
+    + [
+        pytest.param("1,1,2,,21,79,309", id="empty-field"),
+        pytest.param(",1,1,2,6", id="leading-comma"),
+        pytest.param("1,1,2,6,", id="trailing-comma"),
+        pytest.param("1 1 2 6 21", id="blank-separated"),
+        pytest.param("1,1,2,6,-21,79,309", id="negative"),
+    ],
+)
+def test_search_rejects_non_ascii_digit_target_terms(capsys, target):
+    # each comma-separated field is one term of ASCII digits; an empty field
+    # is not dropped, since that would shift every later term
+    code, out, err = run(capsys, "search", "--target", target, "--n", "6")
     assert (code, out) == (1, "")
     assert err.startswith("error:")
 
@@ -335,7 +348,7 @@ def test_integer_options_exit_2_on_what_only_int_takes(capsys, option, text):
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert f"invalid _parse_int value: {text!r}" in captured.err
+    assert f"invalid parse_int value: {text!r}" in captured.err
 
 
 @pytest.mark.parametrize(

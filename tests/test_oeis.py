@@ -79,3 +79,7 @@ def test_prefix_guard():
     seq = oeis.parse_bfile("A000001", "0 1\n1 2\n")
     with pytest.raises(ValueError, match="only 2 terms"):
         seq.prefix(3)
+    # terms indexed from 3 would be read as if from 0, one place per index off
+    seq = oeis.parse_bfile("A000001", "3 1\n4 2\n")
+    with pytest.raises(ValueError, match="starts at index 3"):
+        seq.prefix(1)

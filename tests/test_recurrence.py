@@ -6,7 +6,7 @@ from itertools import accumulate
 import pytest
 
 from oracles import reference_advance
-from weaksort.counting import counting_sequence
+from weaksort.counting import counting_sequence, enumerate_avoiders
 from weaksort.perms import TRIPLES
 from weaksort.recurrence import (
     CLASS_IDS,
@@ -54,12 +54,13 @@ def test_seed_tables_other_classes_track_their_own_definitions():
     for class_id in ("pi2", "pi3"):
         t2 = seed_tables(class_id)[2]
         assert t2.b == (1, 0)
-        assert empirical_table(2, class_id).b == (1, 0)
+        avoiders = enumerate_avoiders(2, TRIPLES[class_id])
+        assert empirical_table(2, class_id, avoiders).b == (1, 0)
 
 
 @pytest.mark.parametrize("class_id", CLASS_IDS)
 def test_empirical_table_at_length_zero(class_id):
-    t0 = empirical_table(0, class_id)
+    t0 = empirical_table(0, class_id, [()])
     assert t0 == seed_tables(class_id)[0]
     assert (t0.a, t0.b, t0.total) == ((), (), 1)
 

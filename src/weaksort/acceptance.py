@@ -26,6 +26,7 @@ from .perms import (
     all_perms,
     canonical_form,
     components,
+    contains,
     find_occurrence,
     standardize,
 )
@@ -88,24 +89,28 @@ def criterion_5_kernel_identity() -> None:
 def criterion_6_bijection_suite() -> None:
     """The permutation <-> Schroder path bijection round-trips on all
     {3214,4213}-avoiders for n <= 7, hits every path of size n-1, and maps
-    the fourth triple's avoiders onto paths with <= 1 peak per component;
-    every other permutation of length n <= 6 is rejected, and
-    `find_occurrence` names a witness of 3214 or 4213 in it whose values
-    standardize to the pattern; the counts are the bundled A006318
-    fixture's (large Schroder numbers)."""
+    the fourth triple's avoiders, all among them, onto paths with <= 1
+    peak per component; every other permutation of length n <= 6 is
+    rejected, and `find_occurrence` names a witness of 3214 or 4213 in it
+    whose values standardize to the pattern; the counts are the bundled
+    A006318 fixture's (large Schroder numbers)."""
     schroder_numbers = oeis.fetch("A006318").prefix(7)
     levels = counting.avoider_levels(SCHRODER_PAIR, 7)
     pi4_levels = counting.avoider_levels(TRIPLES["pi4"], 7)
     for n in range(1, 8):
         avoiders = levels[n]
-        image = set()
+        paths = {}
         for p in avoiders:
             path = schroder.perm_to_path(p)
             assert schroder.path_to_perm(path) == p, p
-            image.add(path)
+            paths[p] = path
+        image = set(paths.values())
         assert len(image) == len(avoiders) == schroder_numbers[n - 1], n
         assert image == set(schroder.enumerate_paths(n - 1)), n
-        restricted = {schroder.perm_to_path(p) for p in pi4_levels[n]}
+        # each pi4-avoider avoids 3214 and 4213, so it is mapped already
+        stray = [p for p in pi4_levels[n] if p not in paths]
+        assert not stray, f"pi4-avoiders outside the 3214/4213 avoiders: {stray}"
+        restricted = {paths[p] for p in pi4_levels[n]}
         assert restricted == set(schroder.le1_peak_paths(n - 1)), n
     for n in range(1, 7):
         avoiders = set(levels[n])
@@ -140,15 +145,21 @@ def criterion_7_peak_censuses() -> None:
             assert indec.get(1, 0) == comb(2 * n - 3, n - 2), (n, indec)
 
 
-def _conditions_3_and_4(p: tuple[int, ...]) -> str | None:
+def _decomposed_reason(p: tuple[int, ...], conditions_1_and_2: bool) -> str | None:
     """
-    Conditions 3 and 4 of the structure theorem read off `decompose(p)`:
-    the reason `check_structure` gives for the first that fails, or None.
-    The head must also end at the maximum: a head cut one entry early
-    leaves the keys as they are, since the maximum then opens the tail.
+    The structure theorem's conditions read off `decompose(p)`, 3 and 4,
+    and 1 and 2 before them when `conditions_1_and_2` is set: the reason
+    `check_structure` gives for the first that fails, or None.  The head
+    must also end at the maximum: a head cut one entry early leaves the
+    keys as they are, since the maximum then opens the tail.
     """
     d = class5.decompose(p)
     assert d.upper_head[-1:] == (len(p),), (p, d.upper_head)
+    if conditions_1_and_2:
+        if contains(standardize(d.upper), (2, 1, 3)):
+            return "upper part contains 213"
+        if contains(d.lower, (3, 2, 1)):
+            return "lower part contains 321"
     tail = d.lower_tail
     if any(a > b for a, b in zip(tail, tail[1:])):
         return "lower tail not increasing"
@@ -162,9 +173,10 @@ def _conditions_3_and_4(p: tuple[int, ...]) -> str | None:
 def criterion_8_class5_formula() -> None:
     """Direct count equals brute force (0 <= n <= 9, the values given
     directly for n <= 2 included); the structure theorem agrees with the
-    enumerated avoider set on every permutation, n <= 8, and conditions 3
-    and 4 read off `decompose` agree with it (n <= 7); construction and
-    decomposition are mutually inverse on the middle stratum (n <= 7)."""
+    enumerated avoider set on every permutation, n <= 8, and its reason
+    agrees with the conditions read off `decompose`, all four for n <= 6
+    and conditions 3 and 4 for n = 7; construction and decomposition are
+    mutually inverse on the middle stratum (n <= 7)."""
     patterns = TRIPLES["pi5"]
     brute = counting.counting_sequence(patterns, 9)
     for n in range(10):
@@ -179,8 +191,10 @@ def criterion_8_class5_formula() -> None:
         for p in all_perms(n):
             ok, reason = class5.check_structure(p)
             assert ok == (p in avoiders), p
-            if n <= 7 and reason not in conditions_1_and_2:
-                assert _conditions_3_and_4(p) == reason, (p, reason)
+            if n <= 6:
+                assert _decomposed_reason(p, True) == reason, (p, reason)
+            elif n == 7 and reason not in conditions_1_and_2:
+                assert _decomposed_reason(p, False) == reason, (p, reason)
     for n in range(4, 8):
         built = class5.constructions(n)
         stratum = [p for p in levels[n] if 3 <= class5.decompose(p).a <= n - 1]

@@ -20,10 +20,12 @@ p avoids the triple exactly when four conditions hold:
        immediately left of a key entry (except the initial block, which
        starts the permutation).
 
-`check_structure` tests conditions 1 and 2 by containment on the upper and
-lower value lists, and reads conditions 3 and 4 in one pass over p without
-building a `Decomposition`; criterion 8 of `weaksort verify` holds those
-two conditions read off `decompose` against it.
+`check_structure` reads all four conditions in one left-to-right pass over
+p, building no `Decomposition` and calling no containment test: condition 1
+from the upper values seen so far, kept as a bitmask, and the least upper
+value that a smaller one has followed; condition 2 from the lower maximum
+and the last lower entry below it.  Criterion 8 of `weaksort verify` holds
+its reasons against the conditions read off `decompose` with `contains`.
 
 Counting by a = |upper|, k = #keys, i = |lower tail| turns the
 characterization into the closed formula `count_avoiders`, built from
@@ -143,37 +145,55 @@ def check_structure(p: Perm) -> tuple[bool, str | None]:
     or (False, name of the first violated condition).  Agreement with
     avoidance of the fifth triple is the structure theorem under test.
 
-    Conditions 1 and 2 read only the upper and lower value lists, so they
-    are tested on those lists directly, and the check stops at the first
-    that fails.  Conditions 3 and 4 are then read in one pass over p, and
-    no `Decomposition` is built.  The pass carries whether an upper entry
-    has been seen (a lower entry after one is in the lower tail), whether
-    the maximum n has been passed (an upper entry after it is in the upper
-    tail), the least upper-tail entry so far (a tail entry below it is a
-    key), the last lower-tail value, and whether the previous entry was
-    lower (the entry after a lower block must be a key).  A misplaced
-    block does not end the pass, since condition 3 is reported first.
+    All four are read in one pass over p, and no `Decomposition` is built.
+    Condition 1 ends the pass at once; conditions 2, 3 and 4 are noted as
+    they fail and reported in that order after it.
+
+    - Condition 1: the upper part contains 213 exactly when some upper
+      entry lies above `least`, the least upper value that a smaller
+      upper value has already followed.  The pass carries the upper
+      values seen so far as a bitmask; when v arrives it is tested
+      against `least`, which then drops to the least seen value above v.
+    - Condition 2: the lower part avoids 321 exactly when its entries that
+      are not left-to-right maxima of the lower part increase.  The pass
+      carries the lower maximum and the last such entry.
+    - Conditions 3 and 4: a lower entry after an upper one is in the lower
+      tail, an upper entry after the maximum n is in the upper tail, and a
+      tail entry below the least tail entry so far is a key.  The pass
+      carries the last lower-tail value, the least upper-tail entry, and
+      whether the previous entry was lower (the entry after a lower block
+      must be a key).
     """
     if not p:
         raise ValueError("cannot decompose the empty permutation")
     n, last = len(p), p[-1]
-    # containment reads only relative order, and the upper entries are
-    # distinct, so the upper part is tested as it stands
-    if contains([v for v in p if v >= last], (2, 1, 3)):
-        return False, "upper part contains 213"
-    if contains([v for v in p if v < last], (3, 2, 1)):
-        return False, "lower part contains 321"
-    seen_upper = past_max = after_lower = misplaced = False
+    seen = 0  # the upper values so far, one bit each
+    least = 2 << n  # as a bit; above every value until a descent is seen
+    low_max = low_last = tail_last = 0
     tail_low = n + 1
-    tail_last = 0
+    past_max = after_lower = False
+    bad_lower = bad_tail = misplaced = False
     for v in p:
         if v < last:
-            if seen_upper:
+            if v > low_max:
+                low_max = v
+            else:
+                if v < low_last:
+                    bad_lower = True
+                low_last = v
+            if seen:
                 if v < tail_last:
-                    return False, "lower tail not increasing"
+                    bad_tail = True
                 tail_last = v
             after_lower = True
             continue
+        bit = 1 << v
+        if bit > least:
+            return False, "upper part contains 213"
+        above = seen & -(bit << 1)
+        if above:
+            least = above & -above
+        seen |= bit
         if past_max:
             if v < tail_low:
                 tail_low = v
@@ -181,8 +201,11 @@ def check_structure(p: Perm) -> tuple[bool, str | None]:
                 misplaced = True
         elif v == n:
             past_max = True
-        seen_upper = True
         after_lower = False
+    if bad_lower:
+        return False, "lower part contains 321"
+    if bad_tail:
+        return False, "lower tail not increasing"
     if misplaced:
         return False, "lower block not flush against a key entry"
     return True, None

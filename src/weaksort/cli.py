@@ -84,7 +84,13 @@ def _resolve_target(text: str, nmax: int) -> tuple[int, ...]:
         seq = oeis.fetch(text)
         head, terms = tuple(seq.terms[:2]), seq.prefix(nmax + 1)
     else:
-        terms = tuple(map(parse_int, text.split(",")))
+        read = []
+        for number, field in enumerate(text.split(","), 1):
+            try:
+                read.append(parse_int(field))
+            except ValueError as exc:
+                raise ValueError(f"target {text}: field {number} is {exc}") from None
+        terms = tuple(read)
         if min(terms) < 0:
             raise ValueError(f"target {text} has a negative term")
         head = terms[:2]

@@ -466,21 +466,22 @@ def direct_sum(p: Perm, q: Perm) -> Perm:
 
 def components(p: Perm) -> tuple[Perm, ...]:
     """
-    The unique maximal decomposition of p as a direct sum of indecomposable
-    permutations.  A new component closes at every prefix whose value set is
-    an initial segment {1..r}.
+    The unique maximal decomposition of a permutation p as a direct sum of
+    indecomposable permutations.  A new component closes at every prefix
+    whose maximum equals its length, so that its value set is an initial
+    segment {1..end}.  The component after the one closing at `start` then
+    holds exactly the values start+1..end, and subtracting `start`
+    standardizes it; that offset needs p to be a permutation.
 
     >>> components((2, 1, 3, 4))
     ((2, 1), (1,), (1,))
     """
     comps = []
     start = 0
-    high = 0
-    for i, v in enumerate(p):
-        high = max(high, v)
-        if high == i + 1:
-            comps.append(standardize(p[start:i + 1]))
-            start = i + 1
+    for end, high in enumerate(itertools.accumulate(p, max), 1):
+        if high == end:
+            comps.append(tuple([v - start for v in p[start:end]]))
+            start = end
     return tuple(comps)
 
 

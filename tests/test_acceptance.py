@@ -56,6 +56,21 @@ def test_criterion_8_catches_a_wrong_verdict(monkeypatch, avoider):
         acceptance.criterion_8_class5_formula()
 
 
+def test_criterion_8_catches_a_swapped_reason(monkeypatch):
+    # the verdict stays right, only the condition named is wrong
+    real = class5.check_structure
+
+    def check_structure(p):
+        ok, reason = real(p)
+        if reason == "upper part contains 213":
+            reason = "lower part contains 321"
+        return ok, reason
+
+    monkeypatch.setattr(class5, "check_structure", check_structure)
+    with pytest.raises(AssertionError):
+        acceptance.criterion_8_class5_formula()
+
+
 # a lower tail that starts one entry late, and a head cut one entry early
 # (the keys stay as they are, since n then opens the tail)
 DECOMPOSE_FAULTS = {
@@ -92,6 +107,22 @@ def test_criterion_8_catches_a_dropped_avoider(monkeypatch):
     monkeypatch.setattr(counting, "avoider_levels", avoider_levels)
     with pytest.raises(AssertionError):
         acceptance.criterion_8_class5_formula()
+
+
+def test_criterion_6_catches_a_4213_in_the_pi4_level(monkeypatch):
+    # a pi4 level holding a permutation that contains 4213, which the
+    # bijection rejects, fails the criterion rather than raising
+    real = counting.avoider_levels
+
+    def avoider_levels(patterns, nmax):
+        levels = real(patterns, nmax)
+        if patterns == TRIPLES["pi4"]:
+            levels[4].append((4, 2, 1, 3))
+        return levels
+
+    monkeypatch.setattr(counting, "avoider_levels", avoider_levels)
+    with pytest.raises(AssertionError, match=re.escape("(4, 2, 1, 3)")):
+        acceptance.criterion_6_bijection_suite()
 
 
 # the forked children of `run_all` against the one-at-a-time loop it replaces

@@ -80,9 +80,13 @@ def test_check_structure_examples():
 
 
 def test_decompose_and_check_structure_match_oracles():
-    for n in range(1, 8):
+    # the oracle tests conditions 1 and 2 by `contains` on the decomposed
+    # parts, so the one-pass reading of check_structure shares no
+    # containment kernel with it
+    for n in range(1, 9):
         for p in all_perms(n):
-            assert decompose(p) == decompose_groupby(p), p
+            if n <= 7:
+                assert decompose(p) == decompose_groupby(p), p
             assert check_structure(p) == check_structure_standardized(p), p
 
 

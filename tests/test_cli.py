@@ -85,25 +85,30 @@ def test_search_explicit_target_terms(capsys):
 
 
 @pytest.mark.parametrize(
-    "target",
+    "target,field",
     [
-        pytest.param(f"1,1,2,6,{term},79,309", id=term)
+        pytest.param(f"1,1,2,6,{term},79,309", 5, id=term)
         for term in ["2_1", "\uff121", "+21"]
     ]
     + [
-        pytest.param("1,1,2,,21,79,309", id="empty-field"),
-        pytest.param(",1,1,2,6", id="leading-comma"),
-        pytest.param("1,1,2,6,", id="trailing-comma"),
-        pytest.param("1 1 2 6 21", id="blank-separated"),
-        pytest.param("1,1,2,6,-21,79,309", id="negative"),
+        pytest.param("1,1,2,,21,79,309", 4, id="empty-field"),
+        pytest.param(",1,1,2,6", 1, id="leading-comma"),
+        pytest.param("1,1,2,6,", 5, id="trailing-comma"),
+        pytest.param("1 1 2 6 21", 1, id="blank-separated"),
+        pytest.param("1,1,2,6,-21,79,309", None, id="negative"),
     ],
 )
-def test_search_rejects_non_ascii_digit_target_terms(capsys, target):
+def test_search_rejects_non_ascii_digit_target_terms(capsys, target, field):
     # each comma-separated field is one term of ASCII digits; an empty field
-    # is not dropped, since that would shift every later term
+    # is not dropped, since that would shift every later term.  A field that
+    # does not parse is named by the target and its 1-based number
     code, out, err = run(capsys, "search", "--target", target, "--n", "6")
     assert (code, out) == (1, "")
     assert err.startswith("error:")
+    if field is None:
+        assert err == f"error: target {target} has a negative term\n", err
+    else:
+        assert err.startswith(f"error: target {target}: field {field} is not an integer"), err
 
 
 @pytest.mark.parametrize("target", ["A006318", "1,2,6,22,90,394,1806"])

@@ -318,9 +318,12 @@ def test_direct_sum_examples():
 
 
 def test_components_roundtrip_exhaustive():
+    # the round trip alone would pass a split that is not maximal
     for n in range(8):
         for p in all_perms(n):
-            assert functools.reduce(direct_sum, components(p), ()) == p
+            comps = components(p)
+            assert functools.reduce(direct_sum, comps, ()) == p
+            assert all(len(components(c)) == 1 for c in comps), (p, comps)
 
 
 @given(perm_strategy)

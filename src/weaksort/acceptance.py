@@ -151,10 +151,14 @@ def _decomposed_reason(p: tuple[int, ...], conditions_1_and_2: bool) -> str | No
     and 1 and 2 before them when `conditions_1_and_2` is set: the reason
     `check_structure` gives for the first that fails, or None.  The head
     must also end at the maximum: a head cut one entry early leaves the
-    keys as they are, since the maximum then opens the tail.
+    keys as they are, since the maximum then opens the tail.  And the
+    upper part must hold the n - p[-1] + 1 entries >= p[-1], which the
+    middle-stratum filter reads off p[-1]; its last entry, the least, is
+    never in a 213, so condition 1 would not see it dropped.
     """
     d = class5.decompose(p)
     assert d.upper_head[-1:] == (len(p),), (p, d.upper_head)
+    assert d.a == len(p) - p[-1] + 1, (p, d.upper)
     if conditions_1_and_2:
         if contains(standardize(d.upper), (2, 1, 3)):
             return "upper part contains 213"
@@ -197,7 +201,8 @@ def criterion_8_class5_formula() -> None:
                 assert _decomposed_reason(p, False) == reason, (p, reason)
     for n in range(4, 8):
         built = class5.constructions(n)
-        stratum = [p for p in levels[n] if 3 <= class5.decompose(p).a <= n - 1]
+        # a, the number of entries >= p[-1], is n - p[-1] + 1
+        stratum = [p for p in levels[n] if 2 <= p[-1] <= n - 2]
         assert len(built) == len(set(built)), f"duplicate construction at n={n}"
         assert sorted(built) == stratum, n
 

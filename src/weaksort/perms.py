@@ -11,15 +11,11 @@ subsequence of p is order-isomorphic to tau.  Pattern sets are frozensets of
 patterns, acted on entrywise by the dihedral group of order eight generated
 by reverse, complement, and inverse.
 
-The scan `occurrences` lists the occurrences of a pattern of any length as
-0-based position tuples in lexicographic order; `find_occurrence` reads its
-first result, and so do `contains` and `avoids` for patterns whose length is
-not 3.  A memoised per-pattern table, `letter_bounds`, gives the interval
-each letter's value must lie in.  For a 3-letter pattern, `contains` and
-`avoids` need no positions, and take a window path instead: one pass over p
-with the seen values and the values that would complete an occurrence as
-two bitmasks, the last letter's interval read from the table's last entry.
-The scan stays the oracle of that path.
+The scan `occurrences` is the one containment matcher.  It lists the
+occurrences of a pattern of any length as 0-based position tuples in
+lexicographic order; `find_occurrence`, `contains` and `avoids` read its
+first result.  A memoised per-pattern table, `letter_bounds`, gives the
+interval each letter's value must lie in.
 
 Enumeration (`weaksort.counting`) extends a standardized prefix q of
 length m by a new last entry of every relative rank r at once (bumping
@@ -223,56 +219,9 @@ def find_occurrence(p: Sequence[int], tau: Sequence[int]) -> tuple[int, ...] | N
     return None if occ is None else tuple(i + 1 for i in occ)
 
 
-def _contains_window(p: Sequence[int], tau: Sequence[int]) -> bool:
-    """
-    `contains` for a 3-letter tau in one left-to-right pass over p, with
-    two bitmasks over the values: those seen so far, and the union of the
-    open intervals in which a later entry would complete an occurrence.
-
-    Each entry v is first tested against the union.  Then v, taken as the
-    middle letter, adds one interval: the last letter's bounds
-    (`letter_bounds(tau)[-1]`) are v itself, an open end, or the first
-    letter x, drawn from the earlier entries on the side of v that tau's
-    head gives.  Over those x the windows have one end in common and the
-    other at the least or the largest x, so their union is the window of
-    that extreme x.  Bit r stands for the value least + r; a sparse p is
-    ranked first, so that no mask is wider than 2 * len(p) bits.
-
-    >>> _contains_window((2, 4, 3, 1), (1, 3, 2)), _contains_window((1, 2, 3), (3, 2, 1))
-    (True, False)
-    """
-    if len(p) < 3:
-        return False
-    lo_at, hi_at = letter_bounds(tuple(tau))[-1]
-    x_below = tau[0] < tau[1]
-    least = min(p)
-    span = max(p) - least
-    if span >= 2 * len(p):
-        rank = {v: r for r, v in enumerate(sorted(p))}
-        p = [rank[v] for v in p]
-        least, span = 0, len(p) - 1
-    top = 2 << span  # the bit above every value: the open upper end
-    seen = union = 0
-    for v in p:
-        bit = 1 << (v - least)
-        if union & bit:
-            return True
-        # the candidates for x: earlier entries on the head's side of v
-        xs = seen & (bit - 1) if x_below else seen & -(bit << 1)
-        seen |= bit
-        if xs:
-            # low is the window's lowest bit, high the bit just above its
-            # highest one
-            low = 1 if lo_at < 0 else bit << 1 if lo_at else (xs & -xs) << 1
-            high = top if hi_at < 0 else bit if hi_at else 1 << (xs.bit_length() - 1)
-            union |= high - low
-    return False
-
-
 def contains(p: Sequence[int], tau: Sequence[int]) -> bool:
-    """True when some subsequence of p is order-isomorphic to tau."""
-    if len(tau) == 3:
-        return _contains_window(p, tau)
+    """True when some subsequence of p is order-isomorphic to tau: when the
+    scan `occurrences` finds one, whatever the length of tau."""
     return next(occurrences(p, tau), None) is not None
 
 

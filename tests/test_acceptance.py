@@ -71,10 +71,12 @@ def test_criterion_8_catches_a_swapped_reason(monkeypatch):
         acceptance.criterion_8_class5_formula()
 
 
-# a lower tail that starts one entry late, and a head cut one entry early
-# (the keys stay as they are, since n then opens the tail)
+# a lower tail that starts one entry late, a head cut one entry early (the
+# keys stay as they are, since n then opens the tail), and an upper part
+# without its last entry, which is never in a 213
 DECOMPOSE_FAULTS = {
     "late-lower-tail": lambda d: {"lower_tail": d.lower_tail[1:]},
+    "short-upper": lambda d: {"upper": d.upper[:-1]},
     "early-head-cut": lambda d: {
         "upper_head": d.upper_head[:-1],
         "upper_tail": d.upper_head[-1:] + d.upper_tail,
@@ -105,6 +107,27 @@ def test_criterion_8_catches_a_dropped_avoider(monkeypatch):
         return levels
 
     monkeypatch.setattr(counting, "avoider_levels", avoider_levels)
+    with pytest.raises(AssertionError):
+        acceptance.criterion_8_class5_formula()
+
+
+# a construction at n = 6 that loses one avoider of the middle stratum, and
+# one that builds an avoider twice
+CONSTRUCTION_FAULTS = {
+    "dropped": lambda built: built[:-1],
+    "repeated": lambda built: built + built[:1],
+}
+
+
+@pytest.mark.parametrize("fault", CONSTRUCTION_FAULTS)
+def test_criterion_8_catches_a_faulty_construction(monkeypatch, fault):
+    real = class5.constructions
+
+    def constructions(n):
+        built = real(n)
+        return CONSTRUCTION_FAULTS[fault](built) if n == 6 else built
+
+    monkeypatch.setattr(class5, "constructions", constructions)
     with pytest.raises(AssertionError):
         acceptance.criterion_8_class5_formula()
 

@@ -116,17 +116,25 @@ def test_occurrences_equal_brute_force(nmax, lengths):
                     assert find_occurrence(p, tau) == want, (p, tau)
 
 
+#: entries that are not 1..n: gaps, entries above len(p), 0 and negatives;
+#: and sparse entries near +-10^12, far outside any bound sized from len(p)
+DISTINCT_INTEGERS = (
+    (-5, -1, 0, 2, 7, 11),
+    (-(10**12), -(10**12) + 3, -7, 0, 10**12 - 1, 10**12),
+)
+
+
 def test_occurrences_read_any_distinct_integers():
-    # containment reads only relative order, so entries need not be 1..n:
-    # sequences with gaps, entries above len(p), 0 and negatives give the
+    # containment reads only relative order, so such sequences give the
     # occurrences of their standardization, for every tau with |tau| <= 4
     taus = [tau for k in range(5) for tau in all_perms(k)]
-    values = (-5, -1, 0, 2, 7, 11)
-    for m in range(len(values) + 1):
-        for p in itertools.permutations(values, m):
-            q = standardize(p)
-            for tau in taus:
-                assert list(occurrences(p, tau)) == list(occurrences(q, tau)), (p, tau)
+    for values in DISTINCT_INTEGERS:
+        for m in range(len(values) + 1):
+            for p in itertools.permutations(values, m):
+                q = standardize(p)
+                for tau in taus:
+                    want = list(occurrences(q, tau))
+                    assert list(occurrences(p, tau)) == want, (p, tau)
 
 
 class ReadLog(Sequence):
@@ -168,38 +176,6 @@ def test_avoids_examples():
     assert avoids((1, 2, 3), TRIPLES["pi1"])
     assert not avoids((1, 2, 3, 4), TRIPLES["pi1"])
     assert avoids((3, 4, 1, 2), TRIPLES["pi5"])
-
-
-def assert_window_path_agrees(p):
-    # contains and avoids take the window path for 3-letter patterns; the
-    # scan is the oracle
-    for tau in all_perms(3):
-        want = next(occurrences(p, tau), None) is not None
-        assert contains(p, tau) == want, (p, tau)
-        assert avoids(p, [tau]) == (not want), (p, tau)
-
-
-def test_window_path_agrees_with_the_scan_exhaustive():
-    for n in range(8):
-        for p in all_perms(n):
-            assert_window_path_agrees(p)
-
-
-@pytest.mark.parametrize(
-    "values",
-    [
-        # gaps, entries above len(p), 0 and negatives
-        (-5, -1, 0, 2, 7, 11),
-        # a mask as wide as the span of these entries would not fit in
-        # memory, so the answers show that a sparse input is ranked first
-        (-(10**12), -(10**12) + 3, -7, 0, 10**12 - 1, 10**12),
-    ],
-    ids=["gaps", "sparse"],
-)
-def test_window_path_reads_any_distinct_integers(values):
-    for m in range(len(values) + 1):
-        for p in itertools.permutations(values, m):
-            assert_window_path_agrees(p)
 
 
 def test_middle_pass_equals_listed_windows():

@@ -266,7 +266,7 @@ def run_all() -> bool:
     """Run every criterion in a forked child; print one PASS/FAIL line each,
     in index order; True when all pass."""
     jobs = [functools.partial(_verdict, check) for _, check in reversed(CRITERIA)]
-    verdicts = _fork.run(jobs, _fork.cpus())[::-1]
+    verdicts = _fork.run(jobs)[::-1]
     all_ok = True
     for index, ((name, _), verdict) in enumerate(zip(CRITERIA, verdicts)):
         if verdict is None:

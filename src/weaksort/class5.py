@@ -56,7 +56,7 @@ from itertools import accumulate
 from operator import add, mul
 from typing import NamedTuple
 
-from .counting import enumerate_avoiders
+from .counting import avoider_levels
 from .perms import Perm, contains
 from .series import catalan, gen_catalan
 
@@ -392,20 +392,24 @@ def constructions(n: int) -> list[Perm]:
     each lower permutation (321-avoider) and each distribution of its
     increasing tail over the non-first keys.  `construct` being a
     bijection onto that stratum, each avoider should appear once; criterion
-    8 of `weaksort verify` checks exactly that.
+    8 of `weaksort verify` checks exactly that.  Each length's upper
+    patterns and lower permutations are listed once, by one
+    `avoider_levels` call per pattern.
     """
     out: list[Perm] = []
+    # upper parts of lengths 3..n-1, lower ones of 1..n-3; none below n = 4
+    uppers = avoider_levels([(2, 1, 3)], max(n - 1, 0))
+    lowers = avoider_levels([(3, 2, 1)], max(n - 3, 0))
     for a in range(3, n):
         b = n - a
-        lowers = enumerate_avoiders(b, [(3, 2, 1)])
-        for upper in enumerate_avoiders(a, [(2, 1, 3)]):
+        for upper in uppers[a]:
             if upper[-1] != 1:
                 continue
             k = decompose(upper).k
             if k < 3:
                 continue
             for i in range(b + 1):
-                for lower in lowers:
+                for lower in lowers[b]:
                     if not _tail_increasing(lower, i):
                         continue
                     for dist in _compositions(i, k - 1):

@@ -42,7 +42,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import _fork, acceptance, class5, counting, oeis, recurrence, schroder, series
+from . import acceptance, class5, counting, oeis, recurrence, schroder, series
 from .perms import TRIPLES, format_perm, parse_int, parse_pattern_set, parse_perm
 
 #: largest --n each enumerating command runs without --limit-override
@@ -119,7 +119,7 @@ def _class_list(selector: str) -> list[str]:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     patterns = TRIPLES[args.cls] if args.cls else parse_pattern_set(args.patterns)
-    seq = counting.counting_sequence(patterns, args.n, workers=_fork.cpus())
+    seq = counting.counting_sequence(patterns, args.n)
     label = args.cls or "custom"
     if args.format == "json":
         print(json.dumps({"name": label, "n": args.n, "count": seq[args.n]}))
@@ -133,9 +133,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
     classes = _class_list(args.classes)
-    seqs = counting.counting_sequences(
-        [TRIPLES[cid] for cid in classes], args.n, workers=_fork.cpus()
-    )
+    seqs = counting.counting_sequences([TRIPLES[cid] for cid in classes], args.n)
     rows = dict(zip(classes, seqs))
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
@@ -152,7 +150,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     target = _resolve_target(args.target, args.n)
-    report = counting.wilf_search(args.n, target, workers=_fork.cpus())
+    report = counting.wilf_search(args.n, target)
     # the closest impostors go to stderr, so stdout is the same in both formats
     diverged = ", ".join(f"n={n}: {count}" for n, count in report.diverged) or "none"
     print(

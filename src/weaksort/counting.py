@@ -44,15 +44,16 @@ Nearly all of a sweep's work lies in its last two lengths, nmax - 1 (built)
 and nmax (counted), and a child has exactly one parent, so the subtrees
 below the prefixes of length nmax - 2 are disjoint and can be counted apart.
 `_tails` builds nmax - 1 below that level and counts nmax, giving one tally
-per length, keyed by set bits as above.  With workers > 1, the level is
-split into interleaved chunks level[w::W], so that neighbouring prefixes,
-which cost about the same, go to different processes: each chunk runs
-`_tails` in a child of `weaksort._fork`, and the tallies are summed.  A set
-dropped at nmax - 1 is still counted at nmax, but no row reads that total,
-and a tally key counts each of its sets alone, so every other row is
-exact.  The split level must hold MIN_CHUNK prefixes per process, so a
-small sweep never forks.  The library default is one process, as
-`acceptance.run_all` already runs the criteria one per CPU.
+per length, keyed by set bits as above.  With W > 1 processes, the level
+is split into interleaved chunks level[w::W], so that neighbouring
+prefixes, which cost about the same, go to different processes: each chunk
+runs `_tails` in a child of `weaksort._fork`, and the tallies are summed.
+A set dropped at nmax - 1 is still counted at nmax, but no row reads that
+total, and a tally key counts each of its sets alone, so every other row is
+exact.  W is `weaksort._fork.cpus()`, capped so that the split level holds
+MIN_CHUNK prefixes per process: a small sweep never forks, and neither does
+a sweep inside a forked job (each criterion of `weaksort verify`) or while
+another thread runs, where `cpus()` is 1.
 """
 from __future__ import annotations
 
@@ -182,11 +183,11 @@ def _spread(tally: dict[int, int], width: int) -> list[int]:
 MIN_CHUNK = 64
 
 
-def _processes(workers: int, size: int) -> int:
+def _processes(size: int) -> int:
     """How many processes count the last two levels below a split level of
-    size prefixes: at most workers, each with at least MIN_CHUNK prefixes,
-    and at least one (this process alone)."""
-    return max(1, min(workers, size // MIN_CHUNK))
+    size prefixes: at most `_fork.cpus()`, each with at least MIN_CHUNK
+    prefixes, and at least one (this process alone)."""
+    return max(1, min(_fork.cpus(), size // MIN_CHUNK))
 
 
 def _tails(
@@ -198,36 +199,36 @@ def _tails(
     return [Counter(bits), _child_counts(level, bits, m + 1, heads, keys)]
 
 
-def _forked_tails(
-    level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys, processes: int
+def _split_tails(
+    level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys
 ) -> list[dict[int, int]]:
-    """`_tails` of the whole level, as the sums of `_tails` of the
-    interleaved chunks level[w::processes], each in a forked child."""
+    """`_tails` of the whole level: in this process, or, when `_processes`
+    allows several, as the sums of `_tails` of the interleaved chunks
+    level[w::processes], each in a forked child."""
+    processes = _processes(len(level))
+    if processes == 1:
+        return _tails(level, bits, m, heads, keys)
     chunks = [
         functools.partial(_tails, level[w::processes], bits[w::processes], m, heads, keys)
         for w in range(processes)
     ]
     tallies: list[dict[int, int]] = [Counter(), Counter()]
-    for part in _fork.run(chunks, processes):
+    for part in _fork.run(chunks):
         for tally, counts in zip(tallies, part):
             tally.update(counts)
     return tallies
 
 
 def _sweep(
-    sets: Sequence[PatternSet],
-    nmax: int,
-    target: Sequence[int] | None = None,
-    workers: int = 1,
+    sets: Sequence[PatternSet], nmax: int, target: Sequence[int] | None = None
 ) -> list[list[int]]:
     """
     Carry every set through lengths 0..nmax on one shared level; return each
     set's counts.
 
-    No level outlives the next, and `_tails` gives the last two levels'
-    tallies, in up to workers processes.  With a target, a set whose count
-    at length n differs from target[n] is dropped after n: its row stops
-    there.
+    No level outlives the next, and `_split_tails` gives the last two
+    levels' tallies.  With a target, a set whose count at length n differs
+    from target[n] is dropped after n: its row stops there.
     """
     width = len(sets)
     heads, keys = _table(sets)
@@ -240,11 +241,7 @@ def _sweep(
     tails: list[dict[int, int]] = []
     for m in range(nmax + 1):
         if m == nmax - 1 > 0:
-            processes = _processes(workers, len(level))
-            if processes > 1:
-                tails = _forked_tails(level, bits, m - 1, heads, keys, processes)
-            else:
-                tails = _tails(level, bits, m - 1, heads, keys)
+            tails = _split_tails(level, bits, m - 1, heads, keys)
             # the tallies stand for both levels; a drop needs no level
             level, bits = [], []
         if tails:
@@ -270,7 +267,7 @@ def _sweep(
 
 
 def counting_sequences(
-    pattern_sets: Iterable[Iterable[Sequence[int]]], nmax: int, *, workers: int = 1
+    pattern_sets: Iterable[Iterable[Sequence[int]]], nmax: int
 ) -> list[list[int]]:
     """
     [|S_0(T)|, ..., |S_nmax(T)|] for each pattern set T, in order, by one
@@ -281,20 +278,18 @@ def counting_sequences(
 
     The cost grows like the counting sequences themselves, which may be
     factorial; nmax is taken as given (the command line's size limit is in
-    `weaksort.cli`).  Up to workers forked children count the last two
-    lengths; the rows do not depend on workers.
+    `weaksort.cli`).  Up to `weaksort._fork.cpus()` forked children count
+    the last two lengths; the rows do not depend on their number.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     sets = [frozenset(tuple(t) for t in patterns) for patterns in pattern_sets]
-    return _sweep(sets, nmax, workers=workers)
+    return _sweep(sets, nmax)
 
 
-def counting_sequence(
-    patterns: Iterable[Sequence[int]], nmax: int, *, workers: int = 1
-) -> list[int]:
+def counting_sequence(patterns: Iterable[Sequence[int]], nmax: int) -> list[int]:
     """[|S_0(T)|, ..., |S_nmax(T)|]: `counting_sequences` of one set."""
-    return counting_sequences([patterns], nmax, workers=workers)[0]
+    return counting_sequences([patterns], nmax)[0]
 
 
 def avoider_levels(patterns: Iterable[Sequence[int]], nmax: int) -> list[list[Perm]]:
@@ -380,9 +375,7 @@ def triple_orbits() -> dict[tuple[Perm, ...], int]:
     return orbits
 
 
-def wilf_search(
-    nmax: int, target: Sequence[int], *, workers: int = 1
-) -> WilfSearchReport:
+def wilf_search(nmax: int, target: Sequence[int]) -> WilfSearchReport:
     """
     Find every symmetry orbit of triples of 4-letter patterns whose counting
     sequence agrees with target through length nmax.
@@ -400,7 +393,7 @@ def wilf_search(
     orbits = triple_orbits()
     reps = list(orbits)
     sets = [frozenset(rep) for rep in reps]
-    rows = _sweep(sets, nmax, target=prefix, workers=workers)
+    rows = _sweep(sets, nmax, target=prefix)
     matches = sorted(rep for rep, row in zip(reps, rows) if tuple(row) == prefix)
     diverged = Counter(len(row) - 1 for row in rows if tuple(row) != prefix)
     return WilfSearchReport(

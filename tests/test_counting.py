@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from oracles import enumerate_avoiders_filter, triple_orbits_canonical
 
-from weaksort import counting
+from weaksort import counting, oeis
 from weaksort.counting import (
     MIN_CHUNK,
     WilfSearchReport,
@@ -29,7 +29,7 @@ from weaksort.perms import (
 )
 
 TARGET = (1, 1, 2, 6, 21, 79, 309, 1237, 5026)
-#: the forking path's worker counts: two processes, and three, which leave
+#: the forking path's process counts: two processes, and three, which leave
 #: chunks of unequal size
 FORKED = (2, 3)
 
@@ -78,7 +78,7 @@ def test_counting_sequence_values():
     assert counting_sequence(SCHRODER_PAIR, 6) == [1, 1, 2, 6, 22, 90, 394]
 
 
-def test_counting_sequences_shared_level_equals_filter(forking):
+def test_counting_sequences_shared_level_equals_filter(forking, cpus):
     # every kind of set on one shared level: the five triples, the Schroder
     # pair, the empty pattern (which zeroes only its own row), lengths 2, 3
     # and 5 in one set, one set twice, and no pattern at all; in one process
@@ -86,23 +86,26 @@ def test_counting_sequences_shared_level_equals_filter(forking):
     mixed = frozenset({(2, 1), (1, 3, 2), (1, 2, 3, 4, 5)})
     sets = [*TRIPLES.values(), SCHRODER_PAIR, frozenset({()}), mixed]
     sets += [SCHRODER_PAIR, frozenset()]
-    for workers in (1, *FORKED):
-        rows = counting_sequences(sets, 7, workers=workers)
+    for processes in (1, *FORKED):
+        cpus(processes)
+        rows = counting_sequences(sets, 7)
         for patterns, row in zip(sets, rows):
-            assert row == [len(_filtered(n, patterns)) for n in range(8)], (patterns, workers)
+            assert row == [len(_filtered(n, patterns)) for n in range(8)], (patterns, processes)
         assert rows[sets.index(mixed)] == [1, 1, 1, 1, 1, 0, 0, 0]
 
 
-def test_forked_counts_equal_serial_for_the_five_classes(forking):
+def test_forked_counts_equal_serial_for_the_five_classes(forking, cpus):
     # every split from the first (nmax = 4, a level of two prefixes) to the
     # deepest the command line runs by default; then the listed levels, a
     # loop that shares only `_next_level` with the counting sweep, against
     # the rows counted at n = 9, serial and forked alike
     for n in range(10):
+        cpus(1)
         serial = counting_sequences(TRIPLES.values(), n)
         assert serial == [[*TARGET, 20626][: n + 1]] * 5, n
-        for workers in FORKED:
-            assert counting_sequences(TRIPLES.values(), n, workers=workers) == serial, n
+        for processes in FORKED:
+            cpus(processes)
+            assert counting_sequences(TRIPLES.values(), n) == serial, (n, processes)
     for patterns, row in zip(TRIPLES.values(), serial):
         assert [len(level) for level in avoider_levels(patterns, 9)] == row, patterns
 
@@ -139,31 +142,32 @@ def test_counting_sequence_guard():
         counting_sequence(TRIPLES["pi1"], -1)
 
 
-def _assert_pruned_equals_filter(patterns, workers=(1,)) -> list[int]:
+def _assert_pruned_equals_filter(patterns, cpus, processes=(1,)) -> list[int]:
     """
-    Hold the built levels and the counted last level, counted in each
-    number of processes in workers, against plain filtering for n <= 7;
-    return the oracle's counting sequence.
+    Hold the built levels and the counted last level, counted with each
+    process count in processes (set through the cpus fixture), against
+    plain filtering for n <= 7; return the oracle's counting sequence.
     """
     counts = []
     for n in range(8):
         oracle = enumerate_avoiders_filter(n, patterns)
         assert enumerate_avoiders(n, patterns) == oracle, (patterns, n)
         # level n is the last of this sequence, so it is counted, not built
-        for w in workers:
-            seq = counting_sequence(patterns, n, workers=w)
+        for w in processes:
+            cpus(w)
+            seq = counting_sequence(patterns, n)
             assert seq[n] == len(oracle), (patterns, n, w)
         counts.append(len(oracle))
     return counts
 
 
-def test_pruned_equals_filter_on_sampled_orbits():
+def test_pruned_equals_filter_on_sampled_orbits(cpus):
     # spot the pruned enumerator against plain filtering on a reproducible
     # sample of 50 orbits, n <= 7
     orbits = sorted(triple_orbits())
     sample = random.Random(20240).sample(orbits, 50)
     five = {canonical_form(T) for T in TRIPLES.values()}
-    filtered = {rep: _assert_pruned_equals_filter(frozenset(rep)) for rep in sample}
+    filtered = {rep: _assert_pruned_equals_filter(frozenset(rep), cpus) for rep in sample}
     outsider = next(seq for rep, seq in filtered.items() if rep not in five)
     # the search counts its last level too, and drops an orbit at its first
     # mismatch.  For the filtered sequence of an orbit outside the five
@@ -196,11 +200,11 @@ def test_pruned_equals_filter_on_sampled_orbits():
         TRIPLES["pi1"],
     ],
 )
-def test_pruned_equals_filter_on_other_lengths(forking, patterns):
+def test_pruned_equals_filter_on_other_lengths(forking, cpus, patterns):
     # lengths 1, 2, 3 and 5, alone and mixed: the generic occurrence path
     # and the forbidden-rank windows at their extremes; and heads shared by
     # two or three patterns; in one process and in forked children
-    _assert_pruned_equals_filter(patterns, workers=(1, *FORKED))
+    _assert_pruned_equals_filter(patterns, cpus, processes=(1, *FORKED))
 
 
 def test_counting_invariant_under_symmetry():
@@ -242,7 +246,7 @@ def test_wilf_search_all_ones_target_matches_nothing():
 
 
 @pytest.mark.parametrize("nmax", [6, 7, 8])
-def test_forked_wilf_search_equals_serial(forking, nmax):
+def test_forked_wilf_search_equals_serial(forking, cpus, nmax):
     # the weak sorting numbers, and targets off by one only at nmax - 1 or
     # only at nmax, so that every orbit left is dropped after the split: the
     # split counts length nmax for sets it already dropped at nmax - 1
@@ -251,32 +255,59 @@ def test_forked_wilf_search_equals_serial(forking, nmax):
         target = list(TARGET)
         if n is not None:
             target[n] += 1
+        cpus(1)
         serial = wilf_search(nmax, target)
-        for workers in FORKED:
-            assert wilf_search(nmax, target, workers=workers) == serial, (n, workers)
+        for processes in FORKED:
+            cpus(processes)
+            assert wilf_search(nmax, target) == serial, (n, processes)
         # the five classes match the weak sorting numbers, and are dropped
         # at n from the others
         assert five <= set(serial.matches) if n is None else not five & set(serial.matches)
         assert n is None or dict(serial.diverged)[n] >= 5, serial.diverged
 
 
-def test_process_count_is_capped_by_the_split_level():
+def test_process_count_is_capped_by_the_split_level(cpus):
     # at 1, 2 and 4096 CPUs, without forking: at most one process per
     # MIN_CHUNK prefixes, and a level too small to split stays in this one
-    for size in (0, 1, MIN_CHUNK - 1, MIN_CHUNK, 2 * MIN_CHUNK - 1, 10**6):
-        assert _processes(1, size) == 1
-        assert _processes(2, size) == (2 if size >= 2 * MIN_CHUNK else 1)
-        assert _processes(4096, size) == max(1, min(4096, size // MIN_CHUNK))
-    assert _processes(4096, 4096 * MIN_CHUNK) == 4096
+    sizes = (0, 1, MIN_CHUNK - 1, MIN_CHUNK, 2 * MIN_CHUNK - 1, 10**6)
+    cpus(1)
+    assert [_processes(size) for size in sizes] == [1] * len(sizes)
+    cpus(2)
+    for size in sizes:
+        assert _processes(size) == (2 if size >= 2 * MIN_CHUNK else 1)
+    cpus(4096)
+    for size in sizes:
+        assert _processes(size) == max(1, min(4096, size // MIN_CHUNK))
+    assert _processes(4096 * MIN_CHUNK) == 4096
 
 
-def test_small_sweep_never_forks(monkeypatch):
+def test_small_sweep_never_forks(monkeypatch, cpus):
     # the split level of n = 7 holds 120 prefixes, too few for two chunks
     def no_fork():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert counting_sequences(TRIPLES.values(), 7, workers=4096) == [list(TARGET[:8])] * 5
+    cpus(4096)
+    assert counting_sequences(TRIPLES.values(), 7) == [list(TARGET[:8])] * 5
+
+
+def test_a_library_sweep_forks_as_the_command_line_does(monkeypatch):
+    # outside a forked job and with no other thread, two CPUs split the
+    # level of length 7 (1237 prefixes) into two children, as `weaksort
+    # count` does; the counts are A111279's through n = 9
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert counting_sequence(TRIPLES["pi5"], 9) == list(oeis.fetch("A111279").prefix(10))
+    assert len(forks) == 2
 
 
 @pytest.fixture
@@ -308,7 +339,7 @@ def planted(forking, monkeypatch):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_child_error_is_raised_in_the_parent(planted):
+def test_child_error_is_raised_in_the_parent(planted, cpus):
     # a message far longer than a pipe holds: the parent must read each
     # pipe to its end before it waits for the child
     message = "planted in a child " + "x" * 200_000
@@ -317,18 +348,20 @@ def test_child_error_is_raised_in_the_parent(planted):
         raise LookupError(message)
 
     planted(fail)
+    cpus(3)
     with pytest.raises(LookupError) as caught:
-        counting_sequences(TRIPLES.values(), 8, workers=3)
+        counting_sequences(TRIPLES.values(), 8)
     assert caught.value.args == (message,)
 
 
-def test_child_without_result_raises_runtime_error(planted):
+def test_child_without_result_raises_runtime_error(planted, cpus):
     planted(lambda chunk: os._exit(3))
+    cpus(2)
     with pytest.raises(RuntimeError, match=r"worker \d+ exited with status 3 and no result"):
-        counting_sequences(TRIPLES.values(), 8, workers=2)
+        counting_sequences(TRIPLES.values(), 8)
 
 
-def test_child_error_still_reaps_its_slower_siblings(planted):
+def test_child_error_still_reaps_its_slower_siblings(planted, cpus):
     # one chunk fails at once while the other two are still counting; the
     # forking fixture checks that no child is left unreaped
     def fail(chunk):
@@ -337,8 +370,9 @@ def test_child_error_still_reaps_its_slower_siblings(planted):
         time.sleep(0.3)
 
     planted(fail)
+    cpus(3)
     with pytest.raises(ValueError, match="^planted in one child$"):
-        wilf_search(8, TARGET, workers=3)
+        wilf_search(8, TARGET)
 
 
 def test_wilf_search_preconditions():

@@ -1,6 +1,7 @@
 """
 The fork helper behind `weaksort verify` and the enumeration's last two
-lengths: at most `processes` children alive, a new child as soon as one
+lengths: as many processes as CPUs, but one inside a job or while another
+thread runs; at most `cpus()` children alive, a new child as soon as one
 ends, replies whole and in job order, and every child reaped before an
 error is raised.
 """
@@ -8,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -15,6 +17,11 @@ import pytest
 
 import weaksort
 from weaksort import _fork
+from weaksort.counting import counting_sequences
+from weaksort.perms import TRIPLES
+
+#: A111279 through n = 9, each of the five classes' counts
+WEAK_SORTING = [1, 1, 2, 6, 21, 79, 309, 1237, 5026, 20626]
 
 
 @pytest.fixture(autouse=True)
@@ -64,7 +71,52 @@ def test_cpus_falls_back_to_one(monkeypatch):
     assert _fork.cpus() == 1
 
 
-def test_never_more_than_processes_children_alive(monkeypatch, reaped):
+def _counted_forks(monkeypatch) -> list:
+    """Two CPUs, and os.fork wrapped to add an entry to the returned list,
+    in the process that calls it, at each call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def test_a_job_never_splits_a_sweep(monkeypatch, reaped):
+    # inside a job, cpus() is 1, so a sweep whose split level would give
+    # two children outside one is counted in the job's process alone
+    forks = _counted_forks(monkeypatch)
+
+    def job():
+        before = len(forks)
+        rows = counting_sequences(TRIPLES.values(), 9)
+        return _fork.cpus(), len(forks) - before, rows
+
+    assert _fork.cpus() == 2
+    assert _fork.run([job]) == [(1, 0, [WEAK_SORTING] * 5)]
+    assert len(forks) == 1
+
+
+def test_no_sweep_forks_while_another_thread_runs(monkeypatch):
+    forks = _counted_forks(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert _fork.cpus() == 1
+        assert counting_sequences(TRIPLES.values(), 9) == [WEAK_SORTING] * 5
+    finally:
+        release.set()
+        thread.join()
+    assert forks == []
+    assert _fork.cpus() == 2
+
+
+def test_never_more_than_processes_children_alive(monkeypatch, cpus, reaped):
     # forked and not yet reaped, counted in this process: now, and at most
     alive = {"now": 0, "most": 0}
     real_fork, real_waitpid = os.fork, os.waitpid
@@ -86,11 +138,12 @@ def test_never_more_than_processes_children_alive(monkeypatch, reaped):
     jobs = [_sleeper(0.01 * (i % 3), i) for i in range(7)]
     for processes in (1, 2, 3, 10):
         alive["most"] = 0
-        assert _fork.run(jobs, processes) == list(range(7))
+        cpus(processes)
+        assert _fork.run(jobs) == list(range(7))
         assert alive == {"now": 0, "most": min(processes, len(jobs))}, processes
 
 
-def test_fast_jobs_finish_while_a_slow_one_runs(reaped):
+def test_fast_jobs_finish_while_a_slow_one_runs(cpus, reaped):
     def stamp(seconds):
         def job():
             time.sleep(seconds)
@@ -99,18 +152,20 @@ def test_fast_jobs_finish_while_a_slow_one_runs(reaped):
         return job
 
     # the slow job holds one of the two places; the other serves the rest
-    ends = _fork.run([stamp(0.6)] + [stamp(0.01)] * 4, 2)
+    cpus(2)
+    ends = _fork.run([stamp(0.6)] + [stamp(0.01)] * 4)
     assert max(ends[1:]) < ends[0]
 
 
-def test_a_long_reply_comes_back_whole(reaped):
+def test_a_long_reply_comes_back_whole(cpus, reaped):
     # far more than a pipe holds, while its siblings are still running
     long = "x" * 200_000
     jobs = [_sleeper(0.2, "first"), lambda: long, _sleeper(0.2, "last")]
-    assert _fork.run(jobs, 3) == ["first", long, "last"]
+    cpus(3)
+    assert _fork.run(jobs) == ["first", long, "last"]
 
 
-def test_every_child_is_reaped_after_a_failure():
+def test_every_child_is_reaped_after_a_failure(cpus):
     # the first failure in job order is raised, though it ends last
     jobs = [
         _sleeper(0.2),
@@ -118,18 +173,20 @@ def test_every_child_is_reaped_after_a_failure():
         _failing(0.0, ValueError("first to end")),
         _sleeper(0.2),
     ]
+    cpus(4)
     with pytest.raises(LookupError, match="^first in job order$"):
-        _fork.run(jobs, 4)
+        _fork.run(jobs)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     jobs = [_sleeper(0.2), lambda: os._exit(3), _sleeper(0.2)]
+    cpus(3)
     with pytest.raises(RuntimeError, match=r"^worker \d+ exited with status 3 and no result$"):
-        _fork.run(jobs, 3)
+        _fork.run(jobs)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_failed_fork_still_reaps_the_running_children(monkeypatch, reaped):
+def test_a_failed_fork_still_reaps_the_running_children(monkeypatch, cpus, reaped):
     # the two running children each have a reply far larger than a pipe to
     # write, and the second holds a copy of the first one's pipe
     real_fork, forked = os.fork, []
@@ -142,8 +199,9 @@ def test_a_failed_fork_still_reaps_the_running_children(monkeypatch, reaped):
 
     monkeypatch.setattr(os, "fork", fork)
     jobs = [_sleeper(0.1, "x" * 500_000), _sleeper(0.2, "y" * 500_000), _sleeper(0.0)]
+    cpus(3)
     with pytest.raises(OSError, match="^planted fork failure$"):
-        _fork.run(jobs, 3)
+        _fork.run(jobs)
 
 
 def test_commands_that_never_fork_load_no_pickle_or_select():

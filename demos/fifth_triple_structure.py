@@ -54,5 +54,5 @@ print()
 print("rebuilding the avoiders of length 4 that end in 2:")
 for upper in [(2, 3, 1), (3, 2, 1)]:
     for dist in [(0, 0), (1, 0), (0, 1)]:
-        q = construct(4, upper, (1,), dist)
+        q = construct(upper, (1,), dist)
         print(f"  upper {upper}, blocks {dist} -> {format_perm(q)}")

@@ -29,22 +29,24 @@ its reasons against the conditions read off `decompose` with `contains`.
 
 Counting by a = |upper|, k = #keys, i = |lower tail| turns the
 characterization into the closed formula `count_avoiders`, built from
-generalized Catalan numbers C_{n,k} (see `series.gen_catalan`) and the
-keyed sum of `_keyed_dot`, which counts the 213-avoiders ending in 1 by
-their number of keys; C_{n-i,i} counts the 321-avoiders of length n whose
-last i entries increase.  `count_avoiders(n)` and
-`count_indecomposable(n)` each fill one triangle of C_{m,k} with
-m + k <= n at the start of the call (row 0 from `gen_catalan`, every later
-row as prefix sums of the row above), and loop over k on
-the outside, carrying the Pascal row binom(k-2, .) forward one row per k.
-Each keyed sum over j is then one dot product of that row with a reversed
-slice of the triangle, evaluated by `sum(map(mul, ...))` at C level, and
-the lower-part sum over i of `count_indecomposable` is one dot product of
-a column of the triangle with the vector binom(i+k-2, i), itself carried
-forward per k by prefix sums.  Beyond the triangle, a call keeps O(n)
-new integers (the Pascal row and that vector); the columns hold
-references to the triangle's entries, not copies.  Nothing outlives the
-call.
+generalized Catalan numbers C_{n,k} (the n-th coefficient of C(x)^(k+1),
+C(x) the Catalan series) and the keyed sum of `_keyed_dot`, which counts
+the 213-avoiders ending in 1 by their number of keys; C_{n-i,i} counts
+the 321-avoiders of length n whose last i entries increase.
+`count_avoiders(n)` and `count_indecomposable(n)` each fill one triangle
+of C_{m,k} with m + k <= n at the start of the call (row 0 all ones, every
+later row as prefix sums of the row above), read every Catalan factor off
+it, the Catalan numbers C_m = C_{m,0} of their boundary terms included,
+and loop over k on the outside, carrying the Pascal row binom(k-2, .)
+forward one row per k.  Each keyed sum over j is then one dot product of
+that row with a reversed slice of the triangle, evaluated by
+`sum(map(mul, ...))` at C level, and the lower-part sum over i of
+`count_indecomposable` is one dot product of a column of the triangle with
+the vector binom(i+k-2, i), itself carried forward per k by prefix sums.
+Beyond the triangle, a call keeps O(n) new integers (the Pascal row and
+that vector); the columns hold references to the triangle's entries, not
+copies.  Nothing outlives the call.  The module reads nothing from
+`weaksort.series`, the route the formulas are checked against.
 `construct` inverts the analysis: it assembles the unique avoider from a
 choice of upper pattern, lower permutation, and block distribution, and is
 a bijection onto the avoiders with 3 <= a <= n-1; `constructions(n)`
@@ -52,13 +54,12 @@ assembles every one of them.
 """
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, mul
 from typing import NamedTuple
 
 from .counting import avoider_levels
 from .perms import Perm, contains
-from .series import catalan, gen_catalan
 
 
 class Decomposition(NamedTuple):
@@ -217,11 +218,12 @@ def check_structure(p: Perm) -> tuple[bool, str | None]:
 
 def _catalan_rows(n: int) -> list[list[int]]:
     """The triangle of generalized Catalan numbers with m + k <= n, as rows
-    by m: rows[m][k + 1] = C_{m,k} for -1 <= k <= n - m.  Row 0 comes from
-    `gen_catalan`; every later row is the prefix sums of the row above from
-    its third entry on, by C_{m,k} = C_{m,k-1} + C_{m-1,k+1} (that is,
-    C^{k+1} = C^k + x C^{k+2}) and C_{m,-1} = 0 for m > 0."""
-    rows = [[gen_catalan(0, k) for k in range(-1, n + 1)]]
+    by m: rows[m][k + 1] = C_{m,k} for -1 <= k <= n - m, so rows[m][1] is
+    the Catalan number C_m.  Row 0 is all ones, C_{0,k} = 1 for k >= -1;
+    every later row is the prefix sums of the row above from its third
+    entry on, by C_{m,k} = C_{m,k-1} + C_{m-1,k+1} (that is, C^{k+1} = C^k
+    + x C^{k+2}) and C_{m,-1} = 0 for m > 0."""
+    rows = [[1] * (n + 2)]
     for _ in range(n):
         rows.append(list(accumulate(rows[-1][2:], initial=0)))
     return rows
@@ -232,14 +234,14 @@ def _next_pascal_row(row: list[int]) -> list[int]:
     return [1, *map(add, row, row[1:]), 1]
 
 
-def _keyed_dot(binoms: list[int], row: list[int], k: int) -> int:
+def _keyed_dot(binoms: list[int], row: list[int]) -> int:
     """
     sum_{j=1}^{k-1} binom(k-2, j-1) * C_{m, k-2-j}, for k >= 2, from the
     Pascal row binoms = [binom(k-2, 0), ..., binom(k-2, k-2)] and a
     triangle row with row[t] = C_{m, t-1}: the row is read backwards from
-    C_{m, k-3}, one factor per binomial.
+    C_{m, k-3}, index len(binoms) - 1, one factor per binomial.
     """
-    return sum(map(mul, binoms, row[k - 2 :: -1]))
+    return sum(map(mul, binoms, row[len(binoms) - 1 :: -1]))
 
 
 def _tail_increasing(q: Perm, i: int) -> bool:
@@ -268,13 +270,13 @@ def count_avoiders(n: int) -> int:
     if n <= 2:
         return (1, 1, 2)[n]
     rows = _catalan_rows(n)
-    total = 3 * catalan(n - 1)
+    total = 3 * rows[n - 1][1]  # 3 C_{n-1}
     binoms = [1]
     for k in range(3, n):
         binoms = _next_pascal_row(binoms)  # binom(k-2, .)
         for a in range(k, n):
             # C_{n-a, k-1} * keyed count of the upper part
-            total += rows[n - a][k] * _keyed_dot(binoms, rows[a - k], k)
+            total += rows[n - a][k] * _keyed_dot(binoms, rows[a - k])
     return total
 
 
@@ -302,7 +304,7 @@ def count_indecomposable(n: int) -> int:
     rows = _catalan_rows(n)
     # columns[b][i] = C_{b-i, i-1}, for the lower sizes b = n - a <= n - 3
     columns = [[rows[b - i][i] for i in range(b + 1)] for b in range(n - 2)]
-    total = catalan(n - 2) + catalan(n - 1)
+    total = rows[n - 2][1] + rows[n - 1][1]  # C_{n-2} + C_{n-1}
     binoms = [1]
     lower_binoms = [1] * (n - 2)  # binom(i+k-2, i) for k = 2
     for k in range(3, n):
@@ -310,7 +312,7 @@ def count_indecomposable(n: int) -> int:
         lower_binoms = list(accumulate(lower_binoms))  # binom(i+k-2, i)
         for a in range(k, n):
             inner = sum(map(mul, columns[n - a], lower_binoms))
-            total += _keyed_dot(binoms, rows[a - k], k) * inner
+            total += _keyed_dot(binoms, rows[a - k]) * inner
     return total
 
 
@@ -319,19 +321,16 @@ def count_indecomposable(n: int) -> int:
 
 
 def construct(
-    n: int,
-    upper_pattern: Perm,
-    lower_perm: Perm,
-    distribution: tuple[int, ...],
+    upper_pattern: Perm, lower_perm: Perm, distribution: tuple[int, ...]
 ) -> Perm:
     """
-    Assemble the unique avoider of length n from:
+    Assemble the unique avoider of length a + b from:
 
     upper_pattern
-        a 213-avoiding permutation of length a ending in 1 (the upper part,
-        standardized); its key count k fixes the number of blocks;
+        a 213-avoiding permutation of length a >= 3 ending in 1 (the upper
+        part, standardized); its key count k fixes the number of blocks;
     lower_perm
-        a 321-avoiding permutation of length b = n - a whose last
+        a 321-avoiding permutation of length b >= 1 whose last
         i = sum(distribution) entries are increasing;
     distribution
         a weak composition of i into k - 1 parts: how many of those final
@@ -341,16 +340,15 @@ def construct(
     upper entry); the upper pattern is shifted up by b.  Raises ValueError
     on any incompatible combination.
     """
-    a = len(upper_pattern)
-    b = n - a
-    if not 3 <= a <= n - 1:
-        raise ValueError(f"need 3 <= len(upper_pattern) <= n-1, got a={a}, n={n}")
+    a, b = len(upper_pattern), len(lower_perm)
+    if a < 3 or b < 1:
+        raise ValueError(
+            f"need 3 <= len(upper_pattern) and 1 <= len(lower_perm), got a={a}, b={b}"
+        )
     if upper_pattern[-1] != 1:
         raise ValueError("upper pattern must end in 1")
     if contains(upper_pattern, (2, 1, 3)):
         raise ValueError("upper pattern must avoid 213")
-    if len(lower_perm) != b:
-        raise ValueError(f"lower permutation must have length {b}")
     if contains(lower_perm, (3, 2, 1)):
         raise ValueError("lower permutation must avoid 321")
     i = sum(distribution)
@@ -366,22 +364,13 @@ def construct(
         raise ValueError(f"upper pattern has only {k} keys; need at least 3")
     if len(distribution) != k - 1:
         raise ValueError(f"distribution needs k-1 = {k - 1} parts")
-    shifted = tuple(v + b for v in upper_pattern)
-    head = list(lower_perm[: b - i])
-    tail = lower_perm[b - i :]
-    blocks: list[tuple[int, ...]] = []
-    at = 0
-    for size in distribution:
-        blocks.append(tail[at : at + size])
-        at += size
-    out: list[int] = head
-    block_index = 0
-    non_first_keys = set(keys[1:])
-    for pos in range(1, a + 1):
-        if pos in non_first_keys:
-            out.extend(blocks[block_index])
-            block_index += 1
-        out.append(shifted[pos - 1])
+    # the block before each non-first key, taken in turn off the tail
+    sizes = dict(zip(keys[1:], distribution))
+    tail = iter(lower_perm[b - i :])
+    out = list(lower_perm[: b - i])
+    for pos, v in enumerate(upper_pattern, 1):
+        out.extend(islice(tail, sizes.get(pos, 0)))
+        out.append(v + b)
     return tuple(out)
 
 
@@ -413,7 +402,7 @@ def constructions(n: int) -> list[Perm]:
                     if not _tail_increasing(lower, i):
                         continue
                     for dist in _compositions(i, k - 1):
-                        out.append(construct(n, upper, lower, dist))
+                        out.append(construct(upper, lower, dist))
     return out
 
 

@@ -18,7 +18,8 @@ rejected or stdout was closed before the output was written (`| head`),
 Identical invocations produce byte-identical output.  count, sequence,
 series, recurrence and oeis take --format table|csv|json; search takes
 --format table|json, because its report has no csv form.  search --target
-takes an OEIS id or one term per comma-separated field, e.g. 1,1,2,6,21.
+takes an OEIS id whose first term counts length 0 (`oeis.FIRST_LENGTH`) or
+one term per comma-separated field, e.g. 1,1,2,6,21.
 Every integer given, option or entry, is an optional minus sign and ASCII
 digits (`perms.parse_int`).
 OEIS terms come only from the four bundled b-files; no command reaches the
@@ -76,24 +77,33 @@ def _resolve_target(text: str, nmax: int) -> tuple[int, ...]:
     """
     --target accepts an OEIS id (bundled fixture) or one count in each
     comma-separated field; an empty field would shift every later term.
-    Every set of patterns of length >= 2 has exactly one avoider of length
-    0 and one of length 1, so a target that does not start 1, 1 is indexed
-    from another offset and is rejected rather than matched against nothing.
+    An id is taken only if its first term counts length 0
+    (`oeis.FIRST_LENGTH`).  Every set of patterns of length >= 2 has
+    exactly one avoider of length 0 and one of length 1, so terms that do
+    not start 1, 1 are indexed from another offset and are rejected rather
+    than matched against nothing.
     """
     if text.startswith("A"):
         seq = oeis.fetch(text)
-        head, terms = tuple(seq.terms[:2]), seq.prefix(nmax + 1)
-    else:
-        read = []
-        for number, field in enumerate(text.split(","), 1):
-            try:
-                read.append(parse_int(field))
-            except ValueError as exc:
-                raise ValueError(f"target {text}: field {number} is {exc}") from None
-        terms = tuple(read)
-        if min(terms) < 0:
-            raise ValueError(f"target {text} has a negative term")
-        head = terms[:2]
+        first = oeis.FIRST_LENGTH[seq.id]
+        if first is None:
+            raise ValueError(f"target {text} is not indexed by permutation length")
+        if first != 0:
+            raise ValueError(
+                f"target {text} starts at length {first}, not 0; its offset does "
+                "not match permutation length"
+            )
+        return seq.prefix(nmax + 1)
+    read = []
+    for number, field in enumerate(text.split(","), 1):
+        try:
+            read.append(parse_int(field))
+        except ValueError as exc:
+            raise ValueError(f"target {text}: field {number} is {exc}") from None
+    terms = tuple(read)
+    if min(terms) < 0:
+        raise ValueError(f"target {text} has a negative term")
+    head = terms[:2]
     if head != (1, 1)[: len(head)]:
         raise ValueError(
             f"target {text} starts {', '.join(map(str, head))}, but avoider counts "

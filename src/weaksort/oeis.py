@@ -18,7 +18,17 @@ from typing import NamedTuple
 
 from .perms import parse_int
 
-FIXTURE_IDS = ("A111279", "A006318", "A026671", "A060693")
+#: the permutation length that each fixture's first term counts: A006318's
+#: term n counts the {3214, 4213}-avoiders of length n + 1 and A026671's the
+#: indecomposable avoiders of the fifth triple of length n + 1; None for
+#: A060693, a triangle read by rows, not indexed by length
+FIRST_LENGTH: dict[str, int | None] = {
+    "A111279": 0,
+    "A006318": 1,
+    "A026671": 1,
+    "A060693": None,
+}
+FIXTURE_IDS = tuple(FIRST_LENGTH)
 _ID_RE = re.compile(r"\AA[0-9]{6}\Z")
 
 

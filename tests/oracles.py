@@ -88,7 +88,7 @@ def keyed_213_count(n: int, k: int) -> int:
     if k < 2:
         return 0
     binoms = [comb(k - 2, r) for r in range(k - 1)]
-    return _keyed_dot(binoms, [gen_catalan(n - k, t - 1) for t in range(k - 1)], k)
+    return _keyed_dot(binoms, [gen_catalan(n - k, t - 1) for t in range(k - 1)])
 
 
 def keyed_213_count_by_max_position(n: int, j: int, k: int) -> int:

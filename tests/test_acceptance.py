@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import weaksort
-from weaksort import acceptance, class5, counting
+from weaksort import acceptance, class5, counting, recurrence
 from weaksort.acceptance import CRITERIA
 from weaksort.cli import main
 from weaksort.perms import TRIPLES, all_perms, avoids
@@ -146,6 +146,28 @@ def test_criterion_6_catches_a_4213_in_the_pi4_level(monkeypatch):
     monkeypatch.setattr(counting, "avoider_levels", avoider_levels)
     with pytest.raises(AssertionError, match=re.escape("(4, 2, 1, 3)")):
         acceptance.criterion_6_bijection_suite()
+
+
+@pytest.mark.parametrize("start", [9, 20, 40])
+def test_criterion_4_catches_a_fault_in_the_shared_boundary_branch(monkeypatch, start):
+    # b_n(n-2), the boundary entry the next level reads, off by one from
+    # length start on, past the enumerated n <= 8, in the branch that pi2
+    # and pi3 share: both go wrong alike, so only the series can tell
+    real = recurrence.advance
+
+    def advance(table, prev_total):
+        level = real(table, prev_total)
+        if level.class_id == "pi1" or level.n < start:
+            return level
+        b = (*level.b[:-3], level.b[-3] + 1, *level.b[-2:])
+        return recurrence.RecurrenceTable(level.class_id, level.n, level.a, b)
+
+    monkeypatch.setattr(recurrence, "advance", advance)
+    assert recurrence.count_via_recurrence("pi2", 50) == recurrence.count_via_recurrence(
+        "pi3", 50
+    )
+    with pytest.raises(AssertionError, match=re.escape("('pi2', ")):
+        acceptance.criterion_4_recurrence_fidelity()
 
 
 # the forked children of `run_all` against the one-at-a-time loop it replaces

@@ -1,4 +1,5 @@
 """Structure theory and direct counting for the fifth triple."""
+import hashlib
 import random
 from math import comb
 
@@ -14,6 +15,7 @@ from oracles import (
     tail_321_count_brute,
 )
 
+from weaksort import class5, series
 from weaksort.class5 import (
     _catalan_rows,
     check_structure,
@@ -135,7 +137,7 @@ def _random_construction(n: int, rng: random.Random) -> tuple[int, ...]:
     i = rng.randint(0, run)
     bounds = [0, *sorted(rng.randint(0, i) for _ in range(k - 2)), i]
     distribution = tuple(y - x for x, y in zip(bounds, bounds[1:]))
-    return construct(n, upper, lower, distribution)
+    return construct(upper, lower, distribution)
 
 
 def test_check_structure_beyond_exhaustive_sizes():
@@ -224,6 +226,20 @@ def test_catalan_triangle_entrywise():
         assert len(rows) == n + 1
         for m, row in enumerate(rows):
             assert row == [gen_catalan(m, k) for k in range(-1, n - m + 1)], (n, m)
+            # the closed formulas read their boundary terms' C_{n-1} and
+            # C_{n-2} from this column
+            assert row[1] == catalan(m), (n, m)
+
+
+def test_class5_reads_nothing_from_series():
+    # the closed formulas are checked against the series route, so they
+    # compute their Catalan numbers themselves
+    borrowed = [
+        name
+        for name, value in vars(class5).items()
+        if value is series or getattr(value, "__module__", None) == series.__name__
+    ]
+    assert borrowed == []
 
 
 def test_count_small_values():
@@ -303,9 +319,9 @@ def test_component_structure_of_decomposable_avoiders():
 def test_construct_spec_example():
     built = set()
     for upper in [(2, 3, 1), (3, 2, 1)]:
-        built.add(construct(4, upper, (1,), (0, 0)))
-        built.add(construct(4, upper, (1,), (1, 0)))
-        built.add(construct(4, upper, (1,), (0, 1)))
+        built.add(construct(upper, (1,), (0, 0)))
+        built.add(construct(upper, (1,), (1, 0)))
+        built.add(construct(upper, (1,), (0, 1)))
     assert built == {
         (1, 3, 4, 2),
         (1, 4, 3, 2),
@@ -329,8 +345,16 @@ def test_constructions_small():
     ]
 
 
+def test_constructions_bytes_unchanged():
+    # every avoider of the middle stratum for n <= 9, in the order built:
+    # how `construct` places its blocks must not change a byte of it
+    built = [constructions(n) for n in range(10)]
+    digest = hashlib.sha256(repr(built).encode()).hexdigest()
+    assert digest == "bff00af157306237a39fe7d5de20dce763ceb52354dcbe8ff2dd630e0ef36101"
+
+
 def test_construct_decompose_roundtrip():
-    p = construct(9, (2, 3, 4, 1), (2, 1, 3, 4, 5), (1, 0, 2))
+    p = construct((2, 3, 4, 1), (2, 1, 3, 4, 5), (1, 0, 2))
     assert avoids(p, TRIPLES["pi5"])
     d = decompose(p)
     assert d.a == 4 and d.i == 3
@@ -339,23 +363,21 @@ def test_construct_decompose_roundtrip():
 
 def test_construct_degenerate_all_distributed():
     # i = b: the initial block is empty, the permutation opens with a key
-    p = construct(5, (2, 3, 1), (1, 2), (1, 1))
+    p = construct((2, 3, 1), (1, 2), (1, 1))
     assert p[0] == 4
     assert avoids(p, TRIPLES["pi5"])
 
 
 def test_construct_rejects_bad_inputs():
     with pytest.raises(ValueError, match="end in 1"):
-        construct(5, (1, 3, 2), (1, 2), (0, 0))
+        construct((1, 3, 2), (1, 2), (0, 0))
     with pytest.raises(ValueError, match="avoid 213"):
-        construct(6, (3, 2, 4, 1), (1, 2), (0, 0, 0))
-    with pytest.raises(ValueError, match="length"):
-        construct(5, (2, 3, 1), (1,), (0, 0))
+        construct((3, 2, 4, 1), (1, 2), (0, 0, 0))
     with pytest.raises(ValueError, match="avoid 321"):
-        construct(7, (2, 3, 1), (4, 3, 2, 1), (0, 0))
+        construct((2, 3, 1), (4, 3, 2, 1), (0, 0))
     with pytest.raises(ValueError, match="increase"):
-        construct(6, (2, 3, 1), (1, 3, 2), (0, 2))
+        construct((2, 3, 1), (1, 3, 2), (0, 2))
     with pytest.raises(ValueError, match="parts"):
-        construct(5, (2, 3, 1), (1, 2), (1,))
+        construct((2, 3, 1), (1, 2), (1,))
     with pytest.raises(ValueError, match="3 <= len"):
-        construct(3, (2, 3, 1), (), ())
+        construct((2, 3, 1), (), ())

@@ -120,6 +120,26 @@ def test_search_rejects_targets_not_starting_1_1(capsys, target):
     assert target in err and "offset" in err
 
 
+@pytest.mark.parametrize(
+    "target,message",
+    [
+        ("A111279", None),
+        ("A006318", "starts at length 1, not 0"),
+        ("A026671", "starts at length 1, not 0"),
+        ("A060693", "is not indexed by permutation length"),
+    ],
+)
+def test_search_takes_only_fixtures_indexed_from_length_0(capsys, target, message):
+    # A026671 and the triangle A060693 start 1, 1 too, so the head of the
+    # terms cannot tell them apart; each fixture's recorded first length can
+    code, out, err = run(capsys, "search", "--target", target, "--n", "6")
+    if message is None:
+        assert code == 0 and "matches 5" in out
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: target {target} {message}"), err
+
+
 def test_series_csv(capsys):
     code, out, _ = run(capsys, "series", "--name", "main", "--n", "8", "--format", "csv")
     assert code == 0

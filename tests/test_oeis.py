@@ -3,6 +3,8 @@ import pytest
 
 from weaksort import oeis
 from weaksort.class5 import count_indecomposable
+from weaksort.counting import counting_sequence
+from weaksort.perms import SCHRODER_PAIR
 from weaksort.recurrence import count_via_recurrence
 from weaksort.schroder import enumerate_paths, peak_census
 
@@ -15,18 +17,25 @@ def test_fixture_prefixes():
 
 
 def test_fixtures_agree_with_computed_values():
+    # each count read at the permutation length its first term is recorded
+    # to count
+    first = oeis.FIRST_LENGTH
     shared = oeis.fetch("A111279")
-    assert list(shared.terms) == count_via_recurrence("pi1", len(shared.terms) - 1)
+    counts = count_via_recurrence("pi1", len(shared.terms) - 1)
+    assert list(shared.terms) == counts[first["A111279"] :]
 
     schroder = oeis.fetch("A006318")
+    avoiders = counting_sequence(SCHRODER_PAIR, 8)
     for n in range(8):
         assert schroder.terms[n] == len(enumerate_paths(n))
+        assert schroder.terms[n] == avoiders[n + first["A006318"]], n
 
     indec = oeis.fetch("A026671")
-    assert all(
-        indec.terms[n] == count_indecomposable(n + 1) for n in range(len(indec.terms))
-    )
+    for n, term in enumerate(indec.terms, first["A026671"]):
+        assert term == count_indecomposable(n), n
 
+    # a triangle read by rows, not indexed by permutation length
+    assert first["A060693"] is None
     triangle = oeis.fetch("A060693")
     flat = list(triangle.terms)
     at = 0

@@ -59,7 +59,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .counting import avoider_levels
-from .perms import Perm, contains
+from .perms import Perm, contains, is_permutation
 
 
 class Decomposition(NamedTuple):
@@ -345,6 +345,9 @@ def construct(
         raise ValueError(
             f"need 3 <= len(upper_pattern) and 1 <= len(lower_perm), got a={a}, b={b}"
         )
+    for name, perm in (("upper_pattern", upper_pattern), ("lower_perm", lower_perm)):
+        if not is_permutation(perm):
+            raise ValueError(f"{name} must be a permutation of 1..{len(perm)}, got {perm!r}")
     if upper_pattern[-1] != 1:
         raise ValueError("upper pattern must end in 1")
     if contains(upper_pattern, (2, 1, 3)):

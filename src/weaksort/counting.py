@@ -12,30 +12,35 @@ standardized prefixes are precisely the avoiders of length n.
 
 Each extension only needs to look for pattern occurrences that use the new
 last entry: the rest of the prefix was already checked.  Those are found
-once per parent q of length m, for all m+1 children together, as a mask of
-forbidden insertion ranks: the union of the windows that `perms._windows`
-gives for the heads of a set's patterns (the `weaksort.perms` docstring
-describes that kernel).  Only the ranks outside the mask are extended.
+for all m+1 children of a parent q of length m together, as a mask of
+forbidden insertion ranks: the union of the windows of the heads of a
+set's patterns.  `perms._windows` gives those windows for a whole level at
+once, one bit-lane per prefix (the `weaksort.perms` docstring describes
+that kernel and its lanes), so a set's forbidden masks for the level are
+one integer, the OR of its packed windows.  Only the ranks outside the
+mask are extended.
 
 Many pattern sets go through one shared level.  A prefix is a prefix of an
 avoider of several sets at once, so each level is one list of prefixes, and
 each prefix carries a bitmask of the sets it avoids (bit i for set i).  A
 child has exactly one parent, so no prefix is ever built twice.  The work
-per parent stays small:
+per level stays small:
 
-- Each standardized head (1234 and 1243 share 123) is scanned at most once
-  per parent, and only when a set the parent carries has a pattern with
-  that head.  One scan gives the window of every (lo_at, hi_at) bound that
-  the head takes in any set, and each set ORs its own windows into its
-  forbidden mask.
-- The sets are grouped by forbidden mask, and a child is built once per
-  rank that some group allows, carrying the bits of those groups.
+- Each standardized head (1234 and 1243 share 123) is passed over at most
+  once per level, and only when a set that some prefix carries has a
+  pattern with that head.  One pass gives the window of every (lo_at,
+  hi_at) bound that the head takes in any set.
+- To build the next level, each set's packed mask is unpacked into one
+  mask per prefix.  At each prefix the sets it carries are grouped by
+  forbidden mask, and a child is built once per rank that some group
+  allows, carrying the bits of those groups.
 - Children are built by indexing, not by a loop per entry: for each level,
   bump[r][v] is v below r and v+1 from r up, so the child of q with new last
   rank r is itemgetter(*q)(bump[r]) + (r,).
 - A count needs no tuples, so the last level of a counting sequence is never
-  built: parent q gives each set in a group len(q) + 1 - popcount(mask)
-  clean children, and a set's count is the sum of that over its parents.
+  built or unpacked: a set's count is the popcount of ranks 1..m+1 in the
+  lanes of the prefixes that carry it, less the popcount of its packed
+  mask in those lanes.
 - The Wilf search drops a set's bit as soon as its count at some length
   differs from the target, so the orbits that diverge early cost nothing
   further.
@@ -59,12 +64,22 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _fork
-from .perms import SYMMETRIES, PatternSet, Perm, _head_bounds, _windows, apply_symmetry
+from .perms import (
+    SYMMETRIES,
+    PatternSet,
+    Perm,
+    _head_bounds,
+    _lane_bytes,
+    _unpack,
+    _windows,
+    apply_symmetry,
+)
 
 #: each standardized head with the distinct (lo_at, hi_at) window bounds it
 #: takes in any set
@@ -103,26 +118,31 @@ def _table(sets: Sequence[PatternSet]) -> tuple[Heads, Keys]:
     return heads, keys
 
 
-def _groups(prefix: Perm, live: int, heads: Heads, keys: Keys) -> dict[int, int]:
+#: _BIT[k][v] is bit k of the byte v: runs of 2**k zeros and ones
+_BIT = [(bytes(1 << k) + b"\1" * (1 << k)) * (128 >> k) for k in range(8)]
+
+
+def _forbidden(
+    level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys
+) -> dict[int, int]:
     """
-    The sets whose bits are in live, grouped by forbidden mask at prefix:
-    mask -> bits of the sets that have it.  A head is scanned only when a
-    live set needs it, and then once.
+    The forbidden masks of the prefixes of length m, packed one lane per
+    prefix (`perms._windows`), for each set that some prefix carries: its
+    bit -> the OR of the windows of its patterns.  A head is passed over
+    only when a carried set needs it, and then once for the whole level.
     """
-    windows: dict[int, list[int]] = {}
-    groups: dict[int, int] = {}
-    while live:
-        bit = live & -live
-        live ^= bit
+    carried = functools.reduce(operator.or_, bits, 0)
+    sets = [i for i in range(carried.bit_length()) if carried >> i & 1]
+    needed = sorted({h for i in sets for h, _ in keys[i]})
+    windows = dict(zip(needed, _windows(level, m, [heads[h] for h in needed])))
+    masks: dict[int, int] = {}
+    for i in sets:
         forbidden = 0
-        for h, bs in keys[bit.bit_length() - 1]:
-            w = windows.get(h)
-            if w is None:
-                w = windows[h] = _windows(prefix, *heads[h])
+        for h, bs in keys[i]:
             for b in bs:
-                forbidden |= w[b]
-        groups[forbidden] = groups.get(forbidden, 0) | bit
-    return groups
+                forbidden |= windows[h][b]
+        masks[1 << i] = forbidden
+    return masks
 
 
 def _next_level(
@@ -133,10 +153,21 @@ def _next_level(
     ranks = range(1, m + 2)
     # bump[r][v]: entry v of a parent in its child with new last rank r
     bump = [tuple(v if v < r else v + 1 for v in range(m + 1)) for r in range(m + 2)]
+    nbytes = _lane_bytes(m)
+    masks = {
+        bit: _unpack(forbidden, nbytes, len(level))
+        for bit, forbidden in _forbidden(level, bits, m, heads, keys).items()
+    }
     out: list[Perm] = []
     out_bits: list[int] = []
-    for q, live in zip(level, bits):
-        groups = _groups(q, live, heads, keys)
+    for at, (q, live) in enumerate(zip(level, bits)):
+        # the sets that q carries, grouped by forbidden mask: mask -> bits
+        groups: dict[int, int] = {}
+        while live:
+            bit = live & -live
+            live ^= bit
+            forbidden = masks[bit][at]
+            groups[forbidden] = groups.get(forbidden, 0) | bit
         if m >= 2:
             take = itemgetter(*q)
         else:  # itemgetter needs an index, and one index returns a bare value
@@ -157,13 +188,24 @@ def _child_counts(
 ) -> dict[int, int]:
     """
     The clean children of the prefixes of length m, counted without being
-    built: each parent gives every set of a group m + 1 - popcount(mask)
-    children.  Totals are keyed by the bits of the sets they count.
+    built: a set's count is the m + 1 ranks of each prefix that carries it
+    less the popcount of its forbidden mask there, two popcounts on the
+    packed masks.  Totals are keyed by the bit of the set they count.
     """
+    masks = _forbidden(level, bits, m, heads, keys)
+    nbytes = _lane_bytes(m)
+    ranks = (1 << (m + 2)) - 2
+    # each prefix's bits as a row of bytes: set i is bit i & 7 of byte i >> 3
+    row = (max(masks, default=0).bit_length() + 7) // 8
+    rows = b"".join([b.to_bytes(row, "little") for b in bits])
     tally: dict[int, int] = {}
-    for q, live in zip(level, bits):
-        for forbidden, sets in _groups(q, live, heads, keys).items():
-            tally[sets] = tally.get(sets, 0) + m + 1 - forbidden.bit_count()
+    for bit, forbidden in masks.items():
+        i = bit.bit_length() - 1
+        flags = bytearray(nbytes * len(bits))
+        flags[::nbytes] = rows[i >> 3 :: row].translate(_BIT[i & 7])
+        # ranks 1..m + 1 in the lane of every prefix that carries the set
+        live = int.from_bytes(flags, "little") * ranks
+        tally[bit] = live.bit_count() - (forbidden & live).bit_count()
     return tally
 
 

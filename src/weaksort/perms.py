@@ -26,30 +26,54 @@ of `letter_bounds`.  For every occurrence of the head in q, let lo be the
 value of the lower bounding letter (0 if none) and hi that of the upper
 one (m+1 if none).  The child with new last rank r ends an occurrence of
 tau on it exactly when lo < r <= hi: the entries below r keep their
-values and those from r up are bumped.  `_windows` gives, for each bound
-that a head takes, the union of those windows as a bitmask of ranks (bit
-r for rank r).  A head whose length is not 3, from a pattern of any
-length but 4, lists its occurrences with the scan (`_listed_windows`).
+values and those from r up are bumped.  The window of q for a bound is
+the union of those intervals as a bitmask of ranks (bit r for rank r).
 
-A head of length 3 is not read occurrence by occurrence (`_middle_pass`).
-One pass runs over the position j of its middle letter y = q[j], with the
-values left of j and those right of j as two bitmasks.  The first head
-letter x ranges over the left values and the last letter z over the right
-ones, each on the side of y that the head gives it.  When x and z lie on
-the same side of y, the head also fixes their order, so only values with
-a partner are kept: x below the largest z and z above the least x, or the
-mirror image.  A window's lo is then 0, y, or the least kept value of x or
-z, and its hi is y, the largest kept value of x or z, or m+1; a bitmask's
-largest value is read off with `bit_length`, its least as its lowest set
-bit.  For one j the occurrence windows union to one interval, because the
-pair of extreme kept values is itself an occurrence and its window holds
-every other.  A parent thus costs O(m) mask steps per head, not one step
-per occurrence (O(m^3)).  `_listed_windows` is the oracle of that pass.
+`_windows` answers for a whole level of prefixes of one length m at once,
+one bit-lane per prefix: one integer holds the window of prefix i in its
+lane i, bits 8*nbytes*i and up.  A lane holds data bits 0..m+2 (a window
+takes bits 1..m+1, and 2 << (m+1) is the largest value a step forms) and a
+guard bit above them, and `_lane_bytes` rounds it up to whole bytes, so
+that `_pack` and `_unpack` convert at C speed.  A head whose length is not
+3 lists its occurrences prefix by prefix with the scan
+(`_listed_windows`), and the windows are packed into the same lanes.
+
+A head of length 3 takes one pass for the whole level (`_middle_pass`),
+not one per occurrence or per prefix.  Position plane j holds 1 << q[j]
+in the lane of every prefix q.  The pass runs over the position j of the
+middle letter y, with the values left of j and those right of j as two
+packed bitmasks.  The first head letter x ranges over the left values and
+the last letter z over the right ones, each on the side of y that the
+head gives it.  When x and z lie on the same side of y, the head also
+fixes their order, so only values with a partner are kept: x below the
+largest z and z above the least x, or the mirror image.  A window's lo is
+then 0, y, or the least kept value of x or z, and its hi is y, the
+largest kept value of x or z, or m+1.  For one j and one prefix the
+occurrence windows union to one interval, the window of the pair of
+extreme kept values: that pair is itself an occurrence, and its lo is at
+most and its hi at least those of every other.  So a level costs O(m)
+steps per head, each a few operations on one integer for all lanes.
+
+No step carries or borrows from one lane into the next.  Bitwise
+operations stay in their lanes.  A subtraction of 1 per lane (bit - 1,
+v - 1 for the least set bit) acts on lanes that are at least 1: y is at
+least 1, and v is first ORed with the guard bit.  An addition stays
+below the top of a lane: values fill data bits only, so both the
+highest kept value plus 1 and v + (2**g - 1), with g the place of the
+guard bit, fit; the latter sets the guard bit exactly when v is
+nonempty.  A window is (hi | guard) - lo, never below 0, and is masked
+to the lanes where both sides are nonempty.  The largest kept value is
+read off a smear, v | v >> 1 | v >> 2 | ..., which fills each lane from
+its highest set bit down; the bits that a right shift brings down from
+the lane above are masked off after every shift.  `_listed_windows` is
+the oracle of that pass.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import sys
+from array import array
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
@@ -231,7 +255,7 @@ def avoids(p: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
 
 
 # --------------------------------------------------------------------------
-# forbidden windows of a prefix's children
+# forbidden windows of a level's children, one bit-lane per prefix
 
 
 def _head_bounds(tau: Sequence[int]) -> tuple[Perm, tuple[int, int]]:
@@ -245,19 +269,84 @@ def _head_bounds(tau: Sequence[int]) -> tuple[Perm, tuple[int, int]]:
     return standardize(tau[:-1]), letter_bounds(tuple(tau))[-1]
 
 
-def _windows(prefix: Perm, head: Perm, bounds: list[tuple[int, int]]) -> list[int]:
-    """For each bound of head, the bitmask of the new last ranks r whose
-    child ends an occurrence on an occurrence of head in prefix."""
-    if len(head) == 3:
-        return _middle_pass(prefix, head, bounds)
-    return _listed_windows(prefix, head, bounds)
+#: an unsigned array type code for each lane size that one exists for
+_ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _lane_bytes(m: int) -> int:
+    """
+    Bytes per lane for prefixes of length m: data bits 0..m+2 and a guard
+    bit above them, rounded up to a power of two so that `_unpack` can read
+    the lanes as an array.
+
+    >>> [_lane_bytes(m) for m in (0, 4, 5, 12, 13, 28, 29, 60, 61)]
+    [1, 1, 2, 2, 4, 4, 8, 8, 16]
+    """
+    return 1 << ((m + 11) // 8 - 1).bit_length()
+
+
+def _pack(values: Iterable[int], nbytes: int) -> int:
+    """
+    One integer holding each value in a lane of nbytes bytes, the first
+    value in the lowest lane.
+
+    >>> hex(_pack([1, 2, 255], 1))
+    '0xff0201'
+    """
+    return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
+
+
+def _unpack(packed: int, nbytes: int, count: int) -> list[int]:
+    """
+    The values of the count lanes of packed: `_pack` undone.
+
+    >>> _unpack(0xff0201, 1, 4)
+    [1, 2, 255, 0]
+    """
+    raw = packed.to_bytes(nbytes * count, "little")
+    code = _ARRAY_CODES.get(nbytes)
+    if code is None:
+        return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+    lanes = array(code, raw)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes.tolist()
+
+
+def _windows(
+    level: Sequence[Perm], m: int, heads: Sequence[tuple[Perm, list[tuple[int, int]]]]
+) -> list[list[int]]:
+    """
+    For each head with its bounds, and each bound, the windows of every
+    prefix of the level (all of length m) packed one lane per prefix: lane
+    i holds the bitmask of the new last ranks r whose child of level[i]
+    ends an occurrence on an occurrence of head.  A head of length 3 takes
+    `_middle_pass`, every other one `_listed_windows` prefix by prefix.
+    """
+    nbytes = _lane_bytes(m)
+    planes: list[int] | None = None
+    out = []
+    for head, bounds in heads:
+        if len(head) == 3:
+            if planes is None:
+                # plane j: 1 << q[j] in the lane of every prefix q
+                one_hot = [(1 << v).to_bytes(nbytes, "little") for v in range(m + 1)]
+                planes = [
+                    int.from_bytes(b"".join(map(one_hot.__getitem__, column)), "little")
+                    for column in zip(*level)
+                ]
+            out.append(_middle_pass(planes, len(level), nbytes, head, bounds))
+        else:
+            listed = [_listed_windows(q, head, bounds) for q in level]
+            out.append([_pack(column, nbytes) for column in zip(*listed)])
+    return out
 
 
 def _listed_windows(
     prefix: Perm, head: Perm, bounds: list[tuple[int, int]]
 ) -> list[int]:
-    """`_windows` as the union of the window of every occurrence of head in
-    prefix, listed by `occurrences`."""
+    """For each bound, the union of the window of every occurrence of head
+    in prefix, listed by `occurrences`."""
     m = len(prefix)
     occs = list(occurrences(prefix, head))
     windows = []
@@ -271,52 +360,85 @@ def _listed_windows(
     return windows
 
 
-def _middle_pass(prefix: Perm, head: Perm, bounds: list[tuple[int, int]]) -> list[int]:
+def _middle_pass(
+    planes: list[int], count: int, nbytes: int, head: Perm, bounds: list[tuple[int, int]]
+) -> list[int]:
     """
-    `_windows` for a head of length 3, without listing its occurrences: one
-    pass over the position of the middle letter y, with the values before
-    it and after it as bitmasks.  The first letter x is drawn from those
+    The packed windows of a head of length 3 over count prefixes, from
+    their position planes, without listing an occurrence: one pass over
+    the position of the middle letter y, with the values before it and
+    after it as packed bitmasks.  The first letter x is drawn from those
     before and the last letter z from those after, each on its own side of
-    y; on the same side they are coupled by their order in the head.  The
-    slice's union of windows is the window of its extreme pair.
+    y; on the same side they are coupled by their order in the head.  Each
+    lane's union of windows is the window of its extreme pair.  Every step
+    acts on all lanes at once; the module docstring says why none carries
+    or borrows into the next lane.
     """
+    m = len(planes)
     windows = [0] * len(bounds)
-    m = len(prefix)
     if m < 3:
         return windows
+    guard_at = 8 * nbytes - 1
+    lane = int.from_bytes((b"\1" + bytes(nbytes - 1)) * count, "little")  # 1 in every lane
+    guard = lane << guard_at
+    nonzero = guard - lane  # carries into the guard bit of every nonzero lane
+    two, top = lane << 1, lane << (m + 2)  # 2 << 0 and 2 << (m + 1)
+    # shifts by 1, 2, 4, ... until a run of set bits spans m + 1 bits
+    shifts = [1 << s for s in range(m.bit_length())]
+    keep = [((1 << (guard_at + 1 - k)) - 1) * lane for k in shifts]
+
+    def smear(v: int) -> int:
+        # each lane's bits from its highest down to bit 0; keep drops the
+        # bits that a shift brings down from the lane above
+        for k, own in zip(shifts, keep):
+            v |= v >> k & own
+        return v
+
+    def through_least(v: int) -> int:
+        # each lane's bits up to its lowest set one, and its guard bit; every
+        # bit but the guard in an empty lane.  It is v ^ (v - 1), with the
+        # guard holding every lane above 0
+        return v ^ ((v | guard) - lane)
+
     a, b, c = head
     x_below, z_below, x_first = a < b, c < b, a < c
     coupled = x_below == z_below
-    top = 4 << m  # 2 << hi for hi = m + 1
-    before = 1 << prefix[0]
-    after = (1 << (m + 1)) - 2 - before
-    for y in prefix[1:-1]:
-        bit = 1 << y
+    lo_ats = {lo_at for lo_at, _ in bounds}
+    hi_ats = {hi_at for _, hi_at in bounds}
+    before = planes[0]
+    after = ((1 << (m + 1)) - 2) * lane ^ before
+    for bit in planes[1:-1]:
         after ^= bit
-        xs = before & (bit - 1) if x_below else before & -(bit << 1)
-        zs = after & (bit - 1) if z_below else after & -(bit << 1)
+        below = bit - lane  # every lane's y is at least 1
+        above = ~(below | bit)
+        xs = before & (below if x_below else above)
+        zs = after & (below if z_below else above)
         before |= bit
-        if not (xs and zs):
-            continue
         if coupled:
+            # smear(v) >> 1 is each lane's bits below its highest, and the
+            # bit it brings down onto a guard bit is dropped by the &
             if x_first:  # x < z: keep x below the largest z, z above the least x
-                xs &= (1 << (zs.bit_length() - 1)) - 1
-                if not xs:
-                    continue
-                zs &= -((xs & -xs) << 1)
+                xs &= smear(zs) >> 1
+                zs &= ~through_least(xs)
             else:  # the mirror image
-                zs &= (1 << (xs.bit_length() - 1)) - 1
-                if not zs:
-                    continue
-                xs &= -((zs & -zs) << 1)
+                zs &= smear(xs) >> 1
+                xs &= ~through_least(zs)
+        # every bit below the guard in the lanes where xs and zs are both
+        # nonempty
+        ok = (xs + nonzero) & (zs + nonzero) & guard
+        ok -= ok >> guard_at
         # 2 << lo and 2 << hi for the letter at each head position (x, y,
-        # z): lo is its least kept value, hi its largest, so the window
-        # (lo, hi] is highs[hi_at] - lows[lo_at]; position -1 (no such
-        # letter) reads lo = 0 and hi = m + 1
-        lows = ((xs & -xs) << 1, bit << 1, (zs & -zs) << 1, 2)
-        highs = (1 << xs.bit_length(), bit << 1, 1 << zs.bit_length(), top)
+        # z, none): lo its least kept value, hi its largest
+        lows = {1: bit << 1, -1: two}
+        highs = {1: lows[1], -1: top}
+        for at, kept in ((0, xs), (2, zs)):
+            if at in lo_ats:
+                lows[at] = (kept & through_least(kept)) << 1
+            if at in hi_ats:
+                highs[at] = smear(kept) + lane
         for k, (lo_at, hi_at) in enumerate(bounds):
-            windows[k] |= highs[hi_at] - lows[lo_at]
+            # the guard keeps a lane that is not ok from borrowing
+            windows[k] |= ((highs[hi_at] | guard) - lows[lo_at]) & ok
     return windows
 
 

@@ -381,3 +381,11 @@ def test_construct_rejects_bad_inputs():
         construct((2, 3, 1), (1, 2), (1,))
     with pytest.raises(ValueError, match="3 <= len"):
         construct((2, 3, 1), (), ())
+    # entries that are not 1..a or 1..b: an entry out of range, one twice,
+    # and an upper entry out of range that would fail inside decompose
+    with pytest.raises(ValueError, match=r"^lower_perm must be a permutation of 1\.\.1"):
+        construct((2, 3, 1), (7,), (0, 0))
+    with pytest.raises(ValueError, match=r"^lower_perm must be a permutation of 1\.\.2"):
+        construct((2, 3, 1), (1, 1), (0, 0))
+    with pytest.raises(ValueError, match=r"^upper_pattern must be a permutation of 1\.\.3"):
+        construct((2, 5, 1), (1,), (0, 0))

@@ -24,6 +24,7 @@ from weaksort.counting import (
 from weaksort.perms import (
     SCHRODER_PAIR,
     TRIPLES,
+    all_perms,
     apply_symmetry,
     canonical_form,
 )
@@ -108,6 +109,22 @@ def test_forked_counts_equal_serial_for_the_five_classes(forking, cpus):
             assert counting_sequences(TRIPLES.values(), n) == serial, (n, processes)
     for patterns, row in zip(TRIPLES.values(), serial):
         assert [len(level) for level in avoider_levels(patterns, 9)] == row, patterns
+
+
+def test_long_sweeps_widen_their_lanes(forking, cpus):
+    # a lane holds m + 3 data bits and a guard bit, so it widens as the
+    # prefixes grow: 1, 2, 4, 8 and 16 bytes down these sweeps.  All of S4
+    # but 1234 leaves the identity alone from n = 4 on, all but 1234 and
+    # 1243 two permutations, and 21 only the decreasing one, through the
+    # listed windows of its 1-letter head; in one process and forked
+    s4 = list(all_perms(4))
+    for processes in (1, *FORKED):
+        cpus(processes)
+        one = [p for p in s4 if p != (1, 2, 3, 4)]
+        assert counting_sequence(one, 64) == [1, 1, 2, 6] + [1] * 61
+        two = [p for p in s4 if p not in {(1, 2, 3, 4), (1, 2, 4, 3)}]
+        assert counting_sequence(two, 24) == [1, 1, 2, 6] + [2] * 21
+        assert counting_sequence([(2, 1)], 40) == [1] * 41
 
 
 def test_avoider_levels_equal_filter():

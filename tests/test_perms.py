@@ -1,6 +1,7 @@
 """Permutation toolkit: containment, symmetries, sums, extrema."""
 import functools
 import itertools
+import random
 from collections.abc import Sequence
 
 import pytest
@@ -12,8 +13,11 @@ from weaksort.perms import (
     SYMMETRIES,
     TRIPLES,
     WEAK_SORTING_TRIPLE,
+    _lane_bytes,
     _listed_windows,
-    _middle_pass,
+    _pack,
+    _unpack,
+    _windows,
     all_perms,
     apply_symmetry,
     avoids,
@@ -178,20 +182,52 @@ def test_avoids_examples():
     assert avoids((3, 4, 1, 2), TRIPLES["pi5"])
 
 
+def _head_with_bounds(head):
+    # a 3-letter head with the bounds of its four last letters (the 24
+    # patterns of length 4)
+    return head, [
+        (head.index(s) if s >= 1 else -1, head.index(s + 1) if s < 3 else -1)
+        for s in range(4)
+    ]
+
+
+def _lanes_against_listed(level, m, head, bounds):
+    nbytes = _lane_bytes(m)
+    (packed,) = _windows(level, m, [(head, bounds)])
+    lanes = [_unpack(window, nbytes, len(level)) for window in packed]
+    for at, q in enumerate(level):
+        got = [window[at] for window in lanes]
+        assert got == _listed_windows(q, head, bounds), (head, q)
+
+
 def test_middle_pass_equals_listed_windows():
-    # every 3-letter head with its four bounds in one call, one per last
-    # letter (so the 24 patterns of length 4), on every prefix of length
-    # <= 7, against the windows of the listed occurrences, which enumeration
-    # takes for heads of every other length
+    # the level-wide pass of every 3-letter head with its four bounds, each
+    # permutation of length <= 7 one lane of a single call, against the
+    # windows of the listed occurrences, which enumeration takes for heads
+    # of every other length
     for head in all_perms(3):
-        bounds = [
-            (head.index(s) if s >= 1 else -1, head.index(s + 1) if s < 3 else -1)
-            for s in range(4)
-        ]
+        head, bounds = _head_with_bounds(head)
         for m in range(8):
-            for q in all_perms(m):
-                want = _listed_windows(q, head, bounds)
-                assert _middle_pass(q, head, bounds) == want, (head, q)
+            _lanes_against_listed(list(all_perms(m)), m, head, bounds)
+    # lanes wider than 16 bits: seeded random prefixes of lengths 13-24,
+    # beside lanes where xs or zs is empty at every middle position (the
+    # increasing prefix for every head but 123, the decreasing one for
+    # every head but 321) and one where the trim empties the x side of 213
+    rng = random.Random(34)
+    for m in range(13, 25):
+        level = [tuple(rng.sample(range(1, m + 1), m)) for _ in range(12)]
+        level[3:3] = [tuple(range(1, m + 1)), tuple(range(m, 0, -1))]
+        level.append((m,) + tuple(range(1, m)))
+        for head in all_perms(3):
+            _lanes_against_listed(level, m, *_head_with_bounds(head))
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 8, 16])
+def test_pack_unpack_roundtrip(nbytes):
+    # every lane size, those without an array type code too
+    rng = random.Random(nbytes)
+    values = [rng.getrandbits(8 * nbytes) for _ in range(40)] + [0, (1 << 8 * nbytes) - 1]
+    assert _unpack(_pack(values, nbytes), nbytes, len(values)) == values
 
 
 def test_symmetry_group_order():

@@ -10,15 +10,11 @@ exactly once.  A prefix is pruned as soon as it contains a forbidden pattern;
 since containment persists under extension, pruning is exact.  At depth n the
 standardized prefixes are precisely the avoiders of length n.
 
-Each extension only needs to look for pattern occurrences that use the new
-last entry: the rest of the prefix was already checked.  Those are found
-for all m+1 children of a parent q of length m together, as a mask of
-forbidden insertion ranks: the union of the windows of the heads of a
-set's patterns.  `perms._windows` gives those windows for a whole level at
-once, one bit-lane per prefix (the `weaksort.perms` docstring describes
-that kernel and its lanes), so a set's forbidden masks for the level are
-one integer, the OR of its packed windows.  Only the ranks outside the
-mask are extended.
+`perms._windows` answers every pattern of a carried set once per level,
+with the ranks whose child ends an occurrence of it, one bit-lane per
+prefix, so a set's forbidden masks for the level are one integer, the OR
+of its patterns' windows, and only the ranks outside the mask are
+extended.
 
 Many pattern sets go through one shared level.  A prefix is a prefix of an
 avoider of several sets at once, so each level is one list of prefixes, and
@@ -26,10 +22,6 @@ each prefix carries a bitmask of the sets it avoids (bit i for set i).  A
 child has exactly one parent, so no prefix is ever built twice.  The work
 per level stays small:
 
-- Each standardized head (1234 and 1243 share 123) is passed over at most
-  once per level, and only when a set that some prefix carries has a
-  pattern with that head.  One pass gives the window of every (lo_at,
-  hi_at) bound that the head takes in any set.
 - To build the next level, each set's packed mask is unpacked into one
   mask per prefix.  At each prefix the sets it carries are grouped by
   forbidden mask, and a child is built once per rank that some group
@@ -74,79 +66,36 @@ from .perms import (
     SYMMETRIES,
     PatternSet,
     Perm,
-    _head_bounds,
     _lane_bytes,
     _unpack,
     _windows,
     apply_symmetry,
+    as_perm,
 )
-
-#: each standardized head with the distinct (lo_at, hi_at) window bounds it
-#: takes in any set
-Heads = list[tuple[Perm, list[tuple[int, int]]]]
-#: for each set, the index of each head of its patterns, with the indices of
-#: the bounds its patterns take there
-Keys = list[list[tuple[int, list[int]]]]
-
-
-def _table(sets: Sequence[PatternSet]) -> tuple[Heads, Keys]:
-    """
-    Each nonempty pattern as its standardized head and the bound of its
-    window, from `perms._head_bounds`.  Patterns that share a head, in one
-    set or in several, share one entry.
-    """
-    index: dict[Perm, int] = {}
-    heads: Heads = []
-    keys: Keys = []
-    for patterns in sets:
-        own: dict[int, list[int]] = {}
-        for tau in patterns:
-            if not tau:
-                continue  # such a set never reaches a level
-            head, bound = _head_bounds(tau)
-            if head not in index:
-                index[head] = len(heads)
-                heads.append((head, []))
-            h = index[head]
-            bounds = heads[h][1]
-            if bound not in bounds:
-                bounds.append(bound)
-            b = bounds.index(bound)
-            if b not in own.setdefault(h, []):
-                own[h].append(b)
-        keys.append(list(own.items()))
-    return heads, keys
-
 
 #: _BIT[k][v] is bit k of the byte v: runs of 2**k zeros and ones
 _BIT = [(bytes(1 << k) + b"\1" * (1 << k)) * (128 >> k) for k in range(8)]
 
 
 def _forbidden(
-    level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys
+    level: list[Perm], bits: list[int], m: int, sets: Sequence[PatternSet]
 ) -> dict[int, int]:
     """
     The forbidden masks of the prefixes of length m, packed one lane per
-    prefix (`perms._windows`), for each set that some prefix carries: its
-    bit -> the OR of the windows of its patterns.  A head is passed over
-    only when a carried set needs it, and then once for the whole level.
+    prefix, for each set that some prefix carries: its bit -> the OR of the
+    windows of its patterns, from one `perms._windows` call for the level.
     """
     carried = functools.reduce(operator.or_, bits, 0)
-    sets = [i for i in range(carried.bit_length()) if carried >> i & 1]
-    needed = sorted({h for i in sets for h, _ in keys[i]})
-    windows = dict(zip(needed, _windows(level, m, [heads[h] for h in needed])))
-    masks: dict[int, int] = {}
-    for i in sets:
-        forbidden = 0
-        for h, bs in keys[i]:
-            for b in bs:
-                forbidden |= windows[h][b]
-        masks[1 << i] = forbidden
-    return masks
+    indices = [i for i in range(carried.bit_length()) if carried >> i & 1]
+    windows = _windows(level, m, {tau for i in indices for tau in sets[i]})
+    return {
+        1 << i: functools.reduce(operator.or_, map(windows.__getitem__, sets[i]), 0)
+        for i in indices
+    }
 
 
 def _next_level(
-    level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys
+    level: list[Perm], bits: list[int], m: int, sets: Sequence[PatternSet]
 ) -> tuple[list[Perm], list[int]]:
     """The clean standardized extensions of the prefixes of length m, each
     with the bits of the sets it avoids."""
@@ -156,7 +105,7 @@ def _next_level(
     nbytes = _lane_bytes(m)
     masks = {
         bit: _unpack(forbidden, nbytes, len(level))
-        for bit, forbidden in _forbidden(level, bits, m, heads, keys).items()
+        for bit, forbidden in _forbidden(level, bits, m, sets).items()
     }
     out: list[Perm] = []
     out_bits: list[int] = []
@@ -184,7 +133,7 @@ def _next_level(
 
 
 def _child_counts(
-    level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys
+    level: list[Perm], bits: list[int], m: int, sets: Sequence[PatternSet]
 ) -> dict[int, int]:
     """
     The clean children of the prefixes of length m, counted without being
@@ -192,7 +141,7 @@ def _child_counts(
     less the popcount of its forbidden mask there, two popcounts on the
     packed masks.  Totals are keyed by the bit of the set they count.
     """
-    masks = _forbidden(level, bits, m, heads, keys)
+    masks = _forbidden(level, bits, m, sets)
     nbytes = _lane_bytes(m)
     ranks = (1 << (m + 2)) - 2
     # each prefix's bits as a row of bytes: set i is bit i & 7 of byte i >> 3
@@ -233,25 +182,25 @@ def _processes(size: int) -> int:
 
 
 def _tails(
-    level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys
+    level: list[Perm], bits: list[int], m: int, sets: Sequence[PatternSet]
 ) -> list[dict[int, int]]:
     """The tallies of the two levels below prefixes of length m: the first
     built, the second counted."""
-    level, bits = _next_level(level, bits, m, heads, keys)
-    return [Counter(bits), _child_counts(level, bits, m + 1, heads, keys)]
+    level, bits = _next_level(level, bits, m, sets)
+    return [Counter(bits), _child_counts(level, bits, m + 1, sets)]
 
 
 def _split_tails(
-    level: list[Perm], bits: list[int], m: int, heads: Heads, keys: Keys
+    level: list[Perm], bits: list[int], m: int, sets: Sequence[PatternSet]
 ) -> list[dict[int, int]]:
     """`_tails` of the whole level: in this process, or, when `_processes`
     allows several, as the sums of `_tails` of the interleaved chunks
     level[w::processes], each in a forked child."""
     processes = _processes(len(level))
     if processes == 1:
-        return _tails(level, bits, m, heads, keys)
+        return _tails(level, bits, m, sets)
     chunks = [
-        functools.partial(_tails, level[w::processes], bits[w::processes], m, heads, keys)
+        functools.partial(_tails, level[w::processes], bits[w::processes], m, sets)
         for w in range(processes)
     ]
     tallies: list[dict[int, int]] = [Counter(), Counter()]
@@ -273,7 +222,6 @@ def _sweep(
     from target[n] is dropped after n: its row stops there.
     """
     width = len(sets)
-    heads, keys = _table(sets)
     rows: list[list[int]] = [[] for _ in sets]
     tracked = (1 << width) - 1
     # the empty pattern occurs in every permutation, the empty one included,
@@ -283,14 +231,14 @@ def _sweep(
     tails: list[dict[int, int]] = []
     for m in range(nmax + 1):
         if m == nmax - 1 > 0:
-            tails = _split_tails(level, bits, m - 1, heads, keys)
+            tails = _split_tails(level, bits, m - 1, sets)
             # the tallies stand for both levels; a drop needs no level
             level, bits = [], []
         if tails:
             tally: dict[int, int] = tails.pop(0)
         else:
             if m:
-                level, bits = _next_level(level, bits, m - 1, heads, keys)
+                level, bits = _next_level(level, bits, m - 1, sets)
             tally = Counter(bits)
         counts = _spread(tally, width)
         dropped = 0
@@ -321,11 +269,12 @@ def counting_sequences(
     The cost grows like the counting sequences themselves, which may be
     factorial; nmax is taken as given (the command line's size limit is in
     `weaksort.cli`).  Up to `weaksort._fork.cpus()` forked children count
-    the last two lengths; the rows do not depend on their number.
+    the last two lengths; the rows do not depend on their number.  Every
+    pattern must be a permutation of 1..k, or a ValueError names it.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    sets = [frozenset(tuple(t) for t in patterns) for patterns in pattern_sets]
+    sets = [frozenset(map(as_perm, patterns)) for patterns in pattern_sets]
     return _sweep(sets, nmax)
 
 
@@ -338,20 +287,20 @@ def avoider_levels(patterns: Iterable[Sequence[int]], nmax: int) -> list[list[Pe
     """
     [S_0(T), ..., S_nmax(T)]: the avoiders of every length up to nmax, each
     level in lexicographic order, by a loop of `_next_level` (`_sweep` only
-    counts).
+    counts).  Every pattern must be a permutation of 1..k, or a ValueError
+    names it.
 
     >>> avoider_levels([(1, 3, 2), (2, 3, 1)], 3)
     [[()], [(1,)], [(1, 2), (2, 1)], [(1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1)]]
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    pattern_set = frozenset(tuple(t) for t in patterns)
-    heads, keys = _table([pattern_set])
+    pattern_set = frozenset(map(as_perm, patterns))
     # the empty pattern occurs in every permutation, the empty one included
     levels: list[list[Perm]] = [[] if () in pattern_set else [()]]
     for m in range(nmax):
         level = levels[m]
-        levels.append(sorted(_next_level(level, [1] * len(level), m, heads, keys)[0]))
+        levels.append(sorted(_next_level(level, [1] * len(level), m, [pattern_set])[0]))
     return levels
 
 

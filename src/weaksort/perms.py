@@ -29,14 +29,16 @@ tau on it exactly when lo < r <= hi: the entries below r keep their
 values and those from r up are bumped.  The window of q for a bound is
 the union of those intervals as a bitmask of ranks (bit r for rank r).
 
-`_windows` answers for a whole level of prefixes of one length m at once,
-one bit-lane per prefix: one integer holds the window of prefix i in its
-lane i, bits 8*nbytes*i and up.  A lane holds data bits 0..m+2 (a window
-takes bits 1..m+1, and 2 << (m+1) is the largest value a step forms) and a
-guard bit above them, and `_lane_bytes` rounds it up to whole bytes, so
-that `_pack` and `_unpack` convert at C speed.  A head whose length is not
-3 lists its occurrences prefix by prefix with the scan
-(`_listed_windows`), and the windows are packed into the same lanes.
+`_windows` answers for any patterns and a whole level of prefixes of one
+length m at once, one bit-lane per prefix: one integer holds the window
+of prefix i in its lane i, bits 8*nbytes*i and up.  Patterns that share a
+head (1234 and 1243 share 123) share one pass over the level, which gives
+the window of every bound they take.  A lane holds data bits 0..m+2 (a
+window takes bits 1..m+1, and 2 << (m+1) is the largest value a step
+forms) and a guard bit above them, and `_lane_bytes` rounds it up to
+whole bytes, so that `_pack` and `_unpack` convert at C speed.  A head
+whose length is not 3 lists its occurrences prefix by prefix with the
+scan (`_listed_windows`), and the windows are packed into the same lanes.
 
 A head of length 3 takes one pass for the whole level (`_middle_pass`),
 not one per occurrence or per prefix.  Position plane j holds 1 << q[j]
@@ -258,7 +260,8 @@ def avoids(p: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
 # forbidden windows of a level's children, one bit-lane per prefix
 
 
-def _head_bounds(tau: Sequence[int]) -> tuple[Perm, tuple[int, int]]:
+@functools.cache
+def _head_bounds(tau: Perm) -> tuple[Perm, tuple[int, int]]:
     """
     The standardized head tau[:-1] of a nonempty pattern and the head
     letters that bound its last letter: the last entry of `letter_bounds`.
@@ -266,7 +269,7 @@ def _head_bounds(tau: Sequence[int]) -> tuple[Perm, tuple[int, int]]:
     >>> _head_bounds((1, 3, 4, 2))
     ((1, 2, 3), (0, 1))
     """
-    return standardize(tau[:-1]), letter_bounds(tuple(tau))[-1]
+    return standardize(tau[:-1]), letter_bounds(tau)[-1]
 
 
 #: an unsigned array type code for each lane size that one exists for
@@ -313,20 +316,27 @@ def _unpack(packed: int, nbytes: int, count: int) -> list[int]:
     return lanes.tolist()
 
 
-def _windows(
-    level: Sequence[Perm], m: int, heads: Sequence[tuple[Perm, list[tuple[int, int]]]]
-) -> list[list[int]]:
+def _windows(level: Sequence[Perm], m: int, patterns: Iterable[Perm]) -> dict[Perm, int]:
     """
-    For each head with its bounds, and each bound, the windows of every
-    prefix of the level (all of length m) packed one lane per prefix: lane
-    i holds the bitmask of the new last ranks r whose child of level[i]
-    ends an occurrence on an occurrence of head.  A head of length 3 takes
-    `_middle_pass`, every other one `_listed_windows` prefix by prefix.
+    Each nonempty pattern's windows over every prefix of the level (all of
+    length m), packed one lane per prefix: lane i holds the bitmask of the
+    new last ranks r whose child of level[i] ends an occurrence of it.
+
+    Patterns that share a head share one pass, which gives the window of
+    each of their bounds at once: `_middle_pass` for a head of length 3,
+    `_listed_windows` prefix by prefix for every other one.  A head and a
+    bound name one pattern, since the bound places the last letter among
+    the head's.
     """
+    heads: dict[Perm, dict[tuple[int, int], Perm]] = {}
+    for tau in patterns:
+        head, bound = _head_bounds(tau)
+        heads.setdefault(head, {})[bound] = tau
     nbytes = _lane_bytes(m)
     planes: list[int] | None = None
-    out = []
-    for head, bounds in heads:
+    out: dict[Perm, int] = {}
+    for head, by_bound in heads.items():
+        bounds = list(by_bound)
         if len(head) == 3:
             if planes is None:
                 # plane j: 1 << q[j] in the lane of every prefix q
@@ -335,10 +345,12 @@ def _windows(
                     int.from_bytes(b"".join(map(one_hot.__getitem__, column)), "little")
                     for column in zip(*level)
                 ]
-            out.append(_middle_pass(planes, len(level), nbytes, head, bounds))
+            windows = _middle_pass(planes, len(level), nbytes, head, bounds)
         else:
             listed = [_listed_windows(q, head, bounds) for q in level]
-            out.append([_pack(column, nbytes) for column in zip(*listed)])
+            # by index, not zip(*listed), so that an empty level has windows
+            windows = [_pack([w[k] for w in listed], nbytes) for k in range(len(bounds))]
+        out.update(zip(by_bound.values(), windows))
     return out
 
 

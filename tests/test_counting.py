@@ -2,6 +2,7 @@
 import functools
 import os
 import random
+import re
 import signal
 import time
 from collections import Counter
@@ -83,9 +84,13 @@ def test_counting_sequences_shared_level_equals_filter(forking, cpus):
     # every kind of set on one shared level: the five triples, the Schroder
     # pair, the empty pattern (which zeroes only its own row), lengths 2, 3
     # and 5 in one set, one set twice, and no pattern at all; in one process
-    # and with the last two lengths counted in forked children
+    # and with the last two lengths counted in forked children.  Patterns
+    # share a head within a set (all three of pi1 have head 123) and across
+    # sets, and one pattern lies in several (1342 in pi1, pi2, pi3 and in
+    # shared, beside 2341 of the same head)
     mixed = frozenset({(2, 1), (1, 3, 2), (1, 2, 3, 4, 5)})
-    sets = [*TRIPLES.values(), SCHRODER_PAIR, frozenset({()}), mixed]
+    shared = frozenset({(1, 3, 4, 2), (2, 3, 4, 1)})
+    sets = [*TRIPLES.values(), SCHRODER_PAIR, frozenset({()}), mixed, shared]
     sets += [SCHRODER_PAIR, frozenset()]
     for processes in (1, *FORKED):
         cpus(processes)
@@ -142,6 +147,22 @@ def test_avoider_levels_equal_filter():
     assert avoider_levels(frozenset({()}), 7) == [[]] * 8
     with pytest.raises(ValueError, match="nmax must be >= 0"):
         avoider_levels(TRIPLES["pi1"], -1)
+
+
+@pytest.mark.parametrize("pattern", [(1, 1), (0, 1), (2, 3), (2, 2, 1)])
+def test_library_sweeps_take_only_permutations(pattern):
+    # a repeated entry, an entry outside 1..k, or both: each sweep names
+    # the pattern, where it once counted it as some other pattern or failed
+    # inside standardization
+    sweeps = [
+        lambda: counting_sequence([(2, 1), pattern], 5),
+        lambda: counting_sequences([[(1, 2)], [pattern]], 5),
+        lambda: avoider_levels([pattern], 3),
+        lambda: enumerate_avoiders(3, [(1, 3, 2), pattern]),
+    ]
+    for sweep in sweeps:
+        with pytest.raises(ValueError, match=re.escape(repr(pattern))):
+            sweep()
 
 
 def test_empty_pattern_forbids_everything():

@@ -182,33 +182,40 @@ def test_avoids_examples():
     assert avoids((3, 4, 1, 2), TRIPLES["pi5"])
 
 
-def _head_with_bounds(head):
-    # a 3-letter head with the bounds of its four last letters (the 24
-    # patterns of length 4)
-    return head, [
-        (head.index(s) if s >= 1 else -1, head.index(s + 1) if s < 3 else -1)
+def _four_letter(head):
+    # the four patterns of length 4 with a 3-letter head, each with the
+    # bound of its last letter s + 1/2: the head letters of values s and
+    # s + 1, -1 where there is none
+    return {
+        tuple(v + (v > s) for v in head) + (s + 1,): (
+            head.index(s) if s >= 1 else -1,
+            head.index(s + 1) if s < 3 else -1,
+        )
         for s in range(4)
-    ]
+    }
 
 
-def _lanes_against_listed(level, m, head, bounds):
+def _lanes_against_listed(level, m, head):
+    # the four patterns of head in one call, each lane of each against the
+    # windows of the listed occurrences of head for its bound
     nbytes = _lane_bytes(m)
-    (packed,) = _windows(level, m, [(head, bounds)])
-    lanes = [_unpack(window, nbytes, len(level)) for window in packed]
-    for at, q in enumerate(level):
-        got = [window[at] for window in lanes]
-        assert got == _listed_windows(q, head, bounds), (head, q)
+    bounds = _four_letter(head)
+    windows = _windows(level, m, bounds)
+    assert windows.keys() == bounds.keys()
+    for tau, bound in bounds.items():
+        lanes = _unpack(windows[tau], nbytes, len(level))
+        for q, got in zip(level, lanes):
+            assert [got] == _listed_windows(q, head, [bound]), (tau, q)
 
 
 def test_middle_pass_equals_listed_windows():
-    # the level-wide pass of every 3-letter head with its four bounds, each
-    # permutation of length <= 7 one lane of a single call, against the
-    # windows of the listed occurrences, which enumeration takes for heads
-    # of every other length
+    # the level-wide pass of every 3-letter head, asked for its four
+    # patterns, each permutation of length <= 7 one lane of a single call,
+    # against the windows of the listed occurrences, which enumeration
+    # takes for heads of every other length
     for head in all_perms(3):
-        head, bounds = _head_with_bounds(head)
         for m in range(8):
-            _lanes_against_listed(list(all_perms(m)), m, head, bounds)
+            _lanes_against_listed(list(all_perms(m)), m, head)
     # lanes wider than 16 bits: seeded random prefixes of lengths 13-24,
     # beside lanes where xs or zs is empty at every middle position (the
     # increasing prefix for every head but 123, the decreasing one for
@@ -219,7 +226,41 @@ def test_middle_pass_equals_listed_windows():
         level[3:3] = [tuple(range(1, m + 1)), tuple(range(m, 0, -1))]
         level.append((m,) + tuple(range(1, m)))
         for head in all_perms(3):
-            _lanes_against_listed(level, m, *_head_with_bounds(head))
+            _lanes_against_listed(level, m, head)
+
+
+def _ending_window(q, tau):
+    """The ranks r whose child of q, q with every entry >= r bumped and r
+    put last, holds an occurrence of tau that ends at its last entry."""
+    window = 0
+    for r in range(1, len(q) + 2):
+        child = tuple(v + (v >= r) for v in q) + (r,)
+        if any(occ[-1] == len(q) for occ in occurrences(child, tau)):
+            window |= 1 << r
+    return window
+
+
+def test_windows_of_many_patterns_equal_single_pattern_calls():
+    # one call answers each pattern as a call for it alone does: all 24
+    # four-letter patterns, which share their six heads four at a time;
+    # lengths 1, 2, 3 and 5 mixed, the listed path beside the middle pass;
+    # and both at once.  Every level of length m <= 6, where m < 3 leaves
+    # a 3-letter head no middle letter, and the empty level.  For m <= 4
+    # each lane is also held against the children themselves
+    s4 = list(all_perms(4))
+    mixed = [(1,), (2, 1), (1, 2), (1, 3, 2), (2, 3, 1), (2, 4, 1, 5, 3), (1, 2, 3, 4, 5)]
+    for patterns in (s4, mixed, s4 + mixed):
+        for m in range(7):
+            nbytes = _lane_bytes(m)
+            level = list(all_perms(m))
+            windows = _windows(level, m, patterns)
+            assert windows.keys() == set(patterns)
+            for tau in patterns:
+                assert windows[tau] == _windows(level, m, [tau])[tau], (tau, m)
+                if m <= 4:
+                    lanes = _unpack(windows[tau], nbytes, len(level))
+                    assert lanes == [_ending_window(q, tau) for q in level], (tau, m)
+            assert _windows([], m, patterns) == dict.fromkeys(patterns, 0)
 
 
 @pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 8, 16])

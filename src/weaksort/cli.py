@@ -28,11 +28,14 @@ network or writes a file.
 Size policy: the three commands that enumerate permutations (count,
 sequence, search) refuse an --n above SIZE_LIMITS with exit 2 unless
 --limit-override is given, because their cost grows with the counting
-sequence, which may be factorial.  This is the only size check; the library
-takes n as given.  series, recurrence, class5 and bijection have polynomial
-cost and no limit.  count, sequence and search count their last two lengths,
-and verify runs its criteria, in one forked child per CPU this process may
-run on (`weaksort._fork`); the output does not depend on the number.
+sequence, which may be factorial.  An --n above 256 exits 1 with an
+error: line, --limit-override or not, since enumeration holds a
+permutation's entries in bytes and the library refuses it
+(`counting.MAX_ENTRY`).  series, recurrence, class5 and bijection have
+polynomial cost and no limit.  count, sequence and search count their
+last two lengths, and verify runs its criteria, in one forked child per
+CPU this process may run on (`weaksort._fork`); the output does not
+depend on the number.
 """
 from __future__ import annotations
 

@@ -17,40 +17,51 @@ of its patterns' windows, and only the ranks outside the mask are
 extended.
 
 Many pattern sets go through one shared level.  A prefix is a prefix of an
-avoider of several sets at once, so each level is one list of prefixes, and
-each prefix carries a bitmask of the sets it avoids (bit i for set i).  A
-child has exactly one parent, so no prefix is ever built twice.  The work
-per level stays small:
+avoider of several sets at once, so each level is one set of prefixes, and
+each prefix carries a flag for each set it avoids.  A child has exactly one
+parent, so no prefix is ever built twice.  A level of length m is a
+`_Level`: m byte columns, column j holding entry j of every prefix, and one
+column of 0/1 flags for each set that some prefix carries.  Every step
+runs in C over the whole level, with no loop per prefix:
 
-- To build the next level, each set's packed mask is unpacked into one
-  mask per prefix.  At each prefix the sets it carries are grouped by
-  forbidden mask, and a child is built once per rank that some group
-  allows, carrying the bits of those groups.
-- Children are built by indexing, not by a loop per entry: for each level,
-  bump[r][v] is v below r and v+1 from r up, so the child of q with new last
-  rank r is itemgetter(*q)(bump[r]) + (r,).
-- A count needs no tuples, so the last level of a counting sequence is never
-  built or unpacked: a set's count is the popcount of ranks 1..m+1 in the
-  lanes of the prefixes that carry it, less the popcount of its packed
-  mask in those lanes.
-- The Wilf search drops a set's bit as soon as its count at some length
-  differs from the target, so the orbits that diverge early cost nothing
-  further.
+- The planes of `perms._windows` are translations of the columns, and a
+  set's carriers are its flags spread one to a lane.
+- The children of rank r are kept where some set is carried and r lies
+  outside its forbidden mask: for set i, the lanes carriers_i &
+  ~(forbidden_i >> r), read at bit 0 of each lane, and their OR selects
+  the parents.  Each column of the next level is the column with the
+  other parents' entries set to 0, through one `bytes.translate` that
+  deletes the 0s (no entry is 0) and maps v to v below r and to v + 1
+  from r up.  The new last column is r for each kept parent, and each
+  set's flags are compressed alike, 2 marking those to delete.  Children
+  therefore come grouped by rank, not by parent; no count depends on
+  their order, and `avoider_levels` sorts each level it lists.
+- An entry is one byte, so no level longer than MAX_ENTRY = 255 is built:
+  a counting sweep reaches nmax = 256, since it never builds its last
+  level, and a listing reaches 255.
+- A count needs no level, so the last level of a counting sequence is
+  never built: a set's count is the popcount of ranks 1..m+1 in the lanes
+  of the prefixes that carry it, less the popcount of its forbidden mask
+  in those lanes.  A built level's count for a set is the number of its
+  flags that are 1.
+- The Wilf search drops a set as soon as its count at some length differs
+  from the target, and the prefixes that carry no other set with it, so
+  the orbits that diverge early cost nothing further.
 
 Nearly all of a sweep's work lies in its last two lengths, nmax - 1 (built)
 and nmax (counted), and a child has exactly one parent, so the subtrees
 below the prefixes of length nmax - 2 are disjoint and can be counted apart.
 `_tails` builds nmax - 1 below that level and counts nmax, giving one tally
-per length, keyed by set bits as above.  With W > 1 processes, the level
-is split into interleaved chunks level[w::W], so that neighbouring
-prefixes, which cost about the same, go to different processes: each chunk
-runs `_tails` in a child of `weaksort._fork`, and the tallies are summed.
-A set dropped at nmax - 1 is still counted at nmax, but no row reads that
-total, and a tally key counts each of its sets alone, so every other row is
-exact.  W is `weaksort._fork.cpus()`, capped so that the split level holds
-MIN_CHUNK prefixes per process: a small sweep never forks, and neither does
-a sweep inside a forked job (each criterion of `weaksort verify`) or while
-another thread runs, where `cpus()` is 1.
+per length, by set.  With W > 1 processes, the level is split into
+interleaved chunks, each column and flag column sliced [w::W], so that
+neighbouring prefixes, which cost about the same, go to different
+processes: each chunk runs `_tails` in a child of `weaksort._fork`, and the
+tallies are summed.  A set dropped at nmax - 1 is still counted at nmax,
+but no row reads that total, and a tally counts each set alone, so every
+other row is exact.  W is `weaksort._fork.cpus()`, capped so that the split
+level holds MIN_CHUNK prefixes per process: a small sweep never forks, and
+neither does a sweep inside a forked job (each criterion of `weaksort
+verify`) or while another thread runs, where `cpus()` is 1.
 """
 from __future__ import annotations
 
@@ -58,7 +69,6 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _fork
@@ -67,106 +77,116 @@ from .perms import (
     PatternSet,
     Perm,
     _lane_bytes,
-    _unpack,
     _windows,
     apply_symmetry,
     as_perm,
 )
 
-#: _BIT[k][v] is bit k of the byte v: runs of 2**k zeros and ones
-_BIT = [(bytes(1 << k) + b"\1" * (1 << k)) * (128 >> k) for k in range(8)]
+#: the largest entry a byte column holds, and so the longest level built
+MAX_ENTRY = 255
 
 
-def _forbidden(
-    level: list[Perm], bits: list[int], m: int, sets: Sequence[PatternSet]
-) -> dict[int, int]:
+class _Level(NamedTuple):
+    """The prefixes of one length m, held as byte columns."""
+
+    #: number of prefixes
+    count: int
+    #: m columns: column j holds entry j of every prefix, one byte each
+    columns: list[bytes]
+    #: set index -> one byte per prefix, 1 where the prefix carries the set;
+    #: only the sets that some prefix carries
+    flags: dict[int, bytes]
+
+
+_EMPTY = _Level(0, [], {})
+
+
+def _lanes(flags: bytes, nbytes: int) -> int:
+    """The 0/1 flags as one integer, flag i at bit 0 of lane i."""
+    lanes = bytearray(nbytes * len(flags))
+    lanes[::nbytes] = flags
+    return int.from_bytes(lanes, "little")
+
+
+def _forbidden(level: _Level, sets: Sequence[PatternSet]) -> dict[int, int]:
     """
-    The forbidden masks of the prefixes of length m, packed one lane per
-    prefix, for each set that some prefix carries: its bit -> the OR of the
-    windows of its patterns, from one `perms._windows` call for the level.
+    The forbidden masks of the level's prefixes, packed one lane per
+    prefix, for each set that some prefix carries: its index -> the OR of
+    the windows of its patterns, from one `perms._windows` call for the
+    level.
     """
-    carried = functools.reduce(operator.or_, bits, 0)
-    indices = [i for i in range(carried.bit_length()) if carried >> i & 1]
-    windows = _windows(level, m, {tau for i in indices for tau in sets[i]})
+    patterns = {tau for i in level.flags for tau in sets[i]}
+    windows = _windows(level.columns, level.count, patterns)
     return {
-        1 << i: functools.reduce(operator.or_, map(windows.__getitem__, sets[i]), 0)
-        for i in indices
+        i: functools.reduce(operator.or_, map(windows.__getitem__, sets[i]), 0)
+        for i in level.flags
     }
 
 
-def _next_level(
-    level: list[Perm], bits: list[int], m: int, sets: Sequence[PatternSet]
-) -> tuple[list[Perm], list[int]]:
-    """The clean standardized extensions of the prefixes of length m, each
-    with the bits of the sets it avoids."""
-    ranks = range(1, m + 2)
-    # bump[r][v]: entry v of a parent in its child with new last rank r
-    bump = [tuple(v if v < r else v + 1 for v in range(m + 1)) for r in range(m + 2)]
+def _next_level(level: _Level, sets: Sequence[PatternSet]) -> _Level:
+    """The clean standardized extensions of the level's prefixes, grouped by
+    new last rank, each flagged for the sets it avoids."""
+    count, columns, flags = level
+    m = len(columns)
     nbytes = _lane_bytes(m)
-    masks = {
-        bit: _unpack(forbidden, nbytes, len(level))
-        for bit, forbidden in _forbidden(level, bits, m, sets).items()
-    }
-    out: list[Perm] = []
-    out_bits: list[int] = []
-    for at, (q, live) in enumerate(zip(level, bits)):
-        # the sets that q carries, grouped by forbidden mask: mask -> bits
-        groups: dict[int, int] = {}
-        while live:
-            bit = live & -live
-            live ^= bit
-            forbidden = masks[bit][at]
-            groups[forbidden] = groups.get(forbidden, 0) | bit
-        if m >= 2:
-            take = itemgetter(*q)
-        else:  # itemgetter needs an index, and one index returns a bare value
-            take = lambda row, q=q: tuple(row[v] for v in q)  # noqa: E731
-        for r in ranks:
-            allow = 0
-            for forbidden, sets in groups.items():
-                if not forbidden >> r & 1:
-                    allow |= sets
-            if allow:
-                out.append(take(bump[r]) + (r,))
-                out_bits.append(allow)
-    return out, out_bits
+    size = nbytes * count
+    forbidden = _forbidden(level, sets)
+    carriers = {i: _lanes(f, nbytes) for i, f in flags.items()}
+    everyone = _lanes(b"\1" * count, nbytes)
+    entries = [int.from_bytes(column, "little") for column in columns]
+    out_columns: list[list[bytes]] = [[] for _ in range(m + 1)]
+    out_flags: dict[int, list[bytes]] = {i: [] for i in flags}
+    for r in range(1, m + 2):
+        # bit 0 of lane p: p carries set i and its child of rank r avoids it
+        keep = {i: lanes & ~(forbidden[i] >> r) for i, lanes in carriers.items()}
+        kept = functools.reduce(operator.or_, keep.values(), 0)
+        if not kept:
+            continue
+        # the prefixes without a child of rank r are compressed out by
+        # translate's delete: their entries become 0, which no entry is,
+        # and their flags 2
+        entry_mask = int.from_bytes(kept.to_bytes(size, "little")[::nbytes], "little") * 255
+        flag_drop = (everyone ^ kept) << 1
+        # entry v of a parent in its child of rank r: v below r, v + 1 from r up
+        bump = bytes(range(r)) + bytes(range(r + 1, 256)) + b"\xff"
+        for out, entry in zip(out_columns, entries):
+            out.append((entry & entry_mask).to_bytes(count, "little").translate(bump, b"\0"))
+        out_columns[m].append(bytes([r]) * kept.bit_count())
+        for i, lanes in keep.items():
+            own = (lanes | flag_drop).to_bytes(size, "little")[::nbytes]
+            out_flags[i].append(own.translate(None, b"\2"))
+    new_columns = [b"".join(parts) for parts in out_columns]
+    new_flags = {i: b"".join(parts) for i, parts in out_flags.items()}
+    return _Level(len(new_columns[m]), new_columns, _carried(new_flags))
 
 
-def _child_counts(
-    level: list[Perm], bits: list[int], m: int, sets: Sequence[PatternSet]
-) -> dict[int, int]:
+def _child_counts(level: _Level, sets: Sequence[PatternSet]) -> dict[int, int]:
     """
-    The clean children of the prefixes of length m, counted without being
+    The clean children of the level's prefixes, counted without being
     built: a set's count is the m + 1 ranks of each prefix that carries it
     less the popcount of its forbidden mask there, two popcounts on the
-    packed masks.  Totals are keyed by the bit of the set they count.
+    packed masks.  Totals are keyed by set index.
     """
-    masks = _forbidden(level, bits, m, sets)
+    m = len(level.columns)
     nbytes = _lane_bytes(m)
     ranks = (1 << (m + 2)) - 2
-    # each prefix's bits as a row of bytes: set i is bit i & 7 of byte i >> 3
-    row = (max(masks, default=0).bit_length() + 7) // 8
-    rows = b"".join([b.to_bytes(row, "little") for b in bits])
+    forbidden = _forbidden(level, sets)
     tally: dict[int, int] = {}
-    for bit, forbidden in masks.items():
-        i = bit.bit_length() - 1
-        flags = bytearray(nbytes * len(bits))
-        flags[::nbytes] = rows[i >> 3 :: row].translate(_BIT[i & 7])
+    for i, flags in level.flags.items():
         # ranks 1..m + 1 in the lane of every prefix that carries the set
-        live = int.from_bytes(flags, "little") * ranks
-        tally[bit] = live.bit_count() - (forbidden & live).bit_count()
+        live = _lanes(flags, nbytes) * ranks
+        tally[i] = flags.count(1) * (m + 1) - (forbidden[i] & live).bit_count()
     return tally
 
 
-def _spread(tally: dict[int, int], width: int) -> list[int]:
-    """Per-set totals from totals keyed by the bits of the sets they count."""
-    totals = [0] * width
-    for bits, count in tally.items():
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            totals[bit.bit_length() - 1] += count
-    return totals
+def _tally(level: _Level) -> dict[int, int]:
+    """How many prefixes of the level carry each set, by set index."""
+    return {i: flags.count(1) for i, flags in level.flags.items()}
+
+
+def _carried(flags: dict[int, bytes]) -> dict[int, bytes]:
+    """The flag columns of the sets that some prefix carries."""
+    return {i: f for i, f in flags.items() if 1 in f}
 
 
 #: fewest prefixes of the split level that a process is given; below twice
@@ -181,28 +201,28 @@ def _processes(size: int) -> int:
     return max(1, min(_fork.cpus(), size // MIN_CHUNK))
 
 
-def _tails(
-    level: list[Perm], bits: list[int], m: int, sets: Sequence[PatternSet]
-) -> list[dict[int, int]]:
-    """The tallies of the two levels below prefixes of length m: the first
-    built, the second counted."""
-    level, bits = _next_level(level, bits, m, sets)
-    return [Counter(bits), _child_counts(level, bits, m + 1, sets)]
+def _tails(level: _Level, sets: Sequence[PatternSet]) -> list[dict[int, int]]:
+    """The tallies of the two levels below the level: the first built, the
+    second counted."""
+    level = _next_level(level, sets)
+    return [_tally(level), _child_counts(level, sets)]
 
 
-def _split_tails(
-    level: list[Perm], bits: list[int], m: int, sets: Sequence[PatternSet]
-) -> list[dict[int, int]]:
+def _split_tails(level: _Level, sets: Sequence[PatternSet]) -> list[dict[int, int]]:
     """`_tails` of the whole level: in this process, or, when `_processes`
-    allows several, as the sums of `_tails` of the interleaved chunks
-    level[w::processes], each in a forked child."""
-    processes = _processes(len(level))
+    allows several, as the sums of `_tails` of the interleaved chunks, each
+    column and flag column sliced [w::processes], each in a forked child."""
+    processes = _processes(level.count)
     if processes == 1:
-        return _tails(level, bits, m, sets)
-    chunks = [
-        functools.partial(_tails, level[w::processes], bits[w::processes], m, sets)
-        for w in range(processes)
-    ]
+        return _tails(level, sets)
+    chunks = []
+    for w in range(processes):
+        chunk = _Level(
+            len(range(w, level.count, processes)),
+            [column[w::processes] for column in level.columns],
+            _carried({i: f[w::processes] for i, f in level.flags.items()}),
+        )
+        chunks.append(functools.partial(_tails, chunk, sets))
     tallies: list[dict[int, int]] = [Counter(), Counter()]
     for part in _fork.run(chunks):
         for tally, counts in zip(tallies, part):
@@ -219,38 +239,49 @@ def _sweep(
 
     No level outlives the next, and `_split_tails` gives the last two
     levels' tallies.  With a target, a set whose count at length n differs
-    from target[n] is dropped after n: its row stops there.
+    from target[n] is dropped after n: its row stops there, and the
+    prefixes that carry no other set go with it.
     """
-    width = len(sets)
+    if nmax > MAX_ENTRY + 1:
+        raise ValueError(
+            f"nmax must be <= {MAX_ENTRY + 1}: enumeration holds entries in bytes"
+        )
     rows: list[list[int]] = [[] for _ in sets]
-    tracked = (1 << width) - 1
+    tracked = set(range(len(sets)))
     # the empty pattern occurs in every permutation, the empty one included,
     # so its set has no prefix at all and counts 0 at every length
-    live = sum(1 << i for i, patterns in enumerate(sets) if () not in patterns)
-    level, bits = ([()], [live]) if live else ([], [])
+    live = {i: b"\1" for i, patterns in enumerate(sets) if () not in patterns}
+    level = _Level(1, [], live) if live else _EMPTY
     tails: list[dict[int, int]] = []
     for m in range(nmax + 1):
         if m == nmax - 1 > 0:
-            tails = _split_tails(level, bits, m - 1, sets)
+            tails = _split_tails(level, sets)
             # the tallies stand for both levels; a drop needs no level
-            level, bits = [], []
+            level = _EMPTY
         if tails:
-            tally: dict[int, int] = tails.pop(0)
+            tally = tails.pop(0)
         else:
             if m:
-                level, bits = _next_level(level, bits, m - 1, sets)
-            tally = Counter(bits)
-        counts = _spread(tally, width)
-        dropped = 0
-        for i in range(width):
-            if tracked >> i & 1:
-                rows[i].append(counts[i])
-                if target is not None and counts[i] != target[m]:
-                    dropped |= 1 << i
+                level = _next_level(level, sets)
+            tally = _tally(level)
+        dropped = set()
+        for i in tracked:
+            rows[i].append(tally.get(i, 0))
+            if target is not None and rows[i][-1] != target[m]:
+                dropped.add(i)
         if dropped:
-            tracked &= ~dropped
-            kept = [(q, b & tracked) for q, b in zip(level, bits) if b & tracked]
-            level, bits = [q for q, _ in kept], [b for _, b in kept]
+            tracked -= dropped
+            flags = {i: f for i, f in level.flags.items() if i not in dropped}
+            # 1 for each prefix that carries a set still tracked
+            union = functools.reduce(
+                operator.or_, [int.from_bytes(f, "little") for f in flags.values()], 0
+            )
+            selector = union.to_bytes(level.count, "little")
+            level = _Level(
+                union.bit_count(),
+                [bytes(itertools.compress(column, selector)) for column in level.columns],
+                {i: bytes(itertools.compress(f, selector)) for i, f in flags.items()},
+            )
         if not tracked:
             break
     return rows
@@ -268,9 +299,11 @@ def counting_sequences(
 
     The cost grows like the counting sequences themselves, which may be
     factorial; nmax is taken as given (the command line's size limit is in
-    `weaksort.cli`).  Up to `weaksort._fork.cpus()` forked children count
-    the last two lengths; the rows do not depend on their number.  Every
-    pattern must be a permutation of 1..k, or a ValueError names it.
+    `weaksort.cli`) up to MAX_ENTRY + 1 = 256, past which a ValueError
+    says that entries are held in bytes.  Up to `weaksort._fork.cpus()`
+    forked children count the last two lengths; the rows do not depend on
+    their number.  Every pattern must be a permutation of 1..k, or a
+    ValueError names it.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
@@ -288,26 +321,30 @@ def avoider_levels(patterns: Iterable[Sequence[int]], nmax: int) -> list[list[Pe
     [S_0(T), ..., S_nmax(T)]: the avoiders of every length up to nmax, each
     level in lexicographic order, by a loop of `_next_level` (`_sweep` only
     counts).  Every pattern must be a permutation of 1..k, or a ValueError
-    names it.
+    names it; so does an nmax above MAX_ENTRY, since each level is built.
 
     >>> avoider_levels([(1, 3, 2), (2, 3, 1)], 3)
     [[()], [(1,)], [(1, 2), (2, 1)], [(1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1)]]
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
+    if nmax > MAX_ENTRY:
+        raise ValueError(f"nmax must be <= {MAX_ENTRY}: enumeration holds entries in bytes")
     pattern_set = frozenset(map(as_perm, patterns))
     # the empty pattern occurs in every permutation, the empty one included
-    levels: list[list[Perm]] = [[] if () in pattern_set else [()]]
-    for m in range(nmax):
-        level = levels[m]
-        levels.append(sorted(_next_level(level, [1] * len(level), m, [pattern_set])[0]))
+    level = _EMPTY if () in pattern_set else _Level(1, [], {0: b"\1"})
+    levels: list[list[Perm]] = [[()] * level.count]
+    for _ in range(nmax):
+        level = _next_level(level, [pattern_set])
+        levels.append(sorted(zip(*level.columns)))
     return levels
 
 
 def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
     """
     All permutations of length n avoiding every given pattern, in
-    lexicographic order: level n of `avoider_levels`.
+    lexicographic order: level n of `avoider_levels`, so n is at most
+    MAX_ENTRY.
 
     >>> enumerate_avoiders(2, [(3, 2, 1, 4), (4, 2, 1, 3)])
     [(1, 2), (2, 1)]

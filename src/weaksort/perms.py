@@ -31,18 +31,23 @@ the union of those intervals as a bitmask of ranks (bit r for rank r).
 
 `_windows` answers for any patterns and a whole level of prefixes of one
 length m at once, one bit-lane per prefix: one integer holds the window
-of prefix i in its lane i, bits 8*nbytes*i and up.  Patterns that share a
-head (1234 and 1243 share 123) share one pass over the level, which gives
-the window of every bound they take.  A lane holds data bits 0..m+2 (a
-window takes bits 1..m+1, and 2 << (m+1) is the largest value a step
-forms) and a guard bit above them, and `_lane_bytes` rounds it up to
-whole bytes, so that `_pack` and `_unpack` convert at C speed.  A head
+of prefix i in its lane i, bits 8*nbytes*i and up.  The level comes as m
+byte columns, column j holding entry j of every prefix, as
+`weaksort.counting` keeps it.  Patterns that share a head (1234 and 1243
+share 123) share one pass over the level, which gives the window of every
+bound they take.  A lane holds data bits 0..m+2 (a window takes bits
+1..m+1, and 2 << (m+1) is the largest value a step forms) and a guard bit
+above them, and `_lane_bytes` rounds it up to whole bytes, so that
+lanes convert to and from bytes at C speed, and to a power of two of
+them.  A head
 whose length is not 3 lists its occurrences prefix by prefix with the
-scan (`_listed_windows`), and the windows are packed into the same lanes.
+scan (`_listed_windows`), on the prefixes as tuples, and the windows are
+packed into the same lanes (`_pack`).
 
 A head of length 3 takes one pass for the whole level (`_middle_pass`),
 not one per occurrence or per prefix.  Position plane j holds 1 << q[j]
-in the lane of every prefix q.  The pass runs over the position j of the
+in the lane of every prefix q; `_planes` builds it from column j, one
+`bytes.translate` per lane byte.  The pass runs over the position j of the
 middle letter y, with the values left of j and those right of j as two
 packed bitmasks.  The first head letter x ranges over the left values and
 the last letter z over the right ones, each on the side of y that the
@@ -74,8 +79,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import sys
-from array import array
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
@@ -272,15 +275,10 @@ def _head_bounds(tau: Perm) -> tuple[Perm, tuple[int, int]]:
     return standardize(tau[:-1]), letter_bounds(tau)[-1]
 
 
-#: an unsigned array type code for each lane size that one exists for
-_ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
-
-
 def _lane_bytes(m: int) -> int:
     """
     Bytes per lane for prefixes of length m: data bits 0..m+2 and a guard
-    bit above them, rounded up to a power of two so that `_unpack` can read
-    the lanes as an array.
+    bit above them, rounded up to a power of two.
 
     >>> [_lane_bytes(m) for m in (0, 4, 5, 12, 13, 28, 29, 60, 61)]
     [1, 1, 2, 2, 4, 4, 8, 8, 16]
@@ -299,59 +297,65 @@ def _pack(values: Iterable[int], nbytes: int) -> int:
     return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
 
 
-def _unpack(packed: int, nbytes: int, count: int) -> list[int]:
+def _windows(
+    columns: Sequence[bytes], count: int, patterns: Iterable[Perm]
+) -> dict[Perm, int]:
     """
-    The values of the count lanes of packed: `_pack` undone.
-
-    >>> _unpack(0xff0201, 1, 4)
-    [1, 2, 255, 0]
-    """
-    raw = packed.to_bytes(nbytes * count, "little")
-    code = _ARRAY_CODES.get(nbytes)
-    if code is None:
-        return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
-    lanes = array(code, raw)
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return lanes.tolist()
-
-
-def _windows(level: Sequence[Perm], m: int, patterns: Iterable[Perm]) -> dict[Perm, int]:
-    """
-    Each nonempty pattern's windows over every prefix of the level (all of
-    length m), packed one lane per prefix: lane i holds the bitmask of the
-    new last ranks r whose child of level[i] ends an occurrence of it.
+    Each nonempty pattern's windows over a level of count prefixes of
+    length m = len(columns), held as byte columns (column j holds entry j
+    of every prefix), packed one lane per prefix: lane i holds the bitmask
+    of the new last ranks r whose child of prefix i ends an occurrence of
+    it.
 
     Patterns that share a head share one pass, which gives the window of
     each of their bounds at once: `_middle_pass` for a head of length 3,
-    `_listed_windows` prefix by prefix for every other one.  A head and a
-    bound name one pattern, since the bound places the last letter among
-    the head's.
+    `_listed_windows` prefix by prefix for every other one, which alone
+    needs the prefixes as tuples.  A head and a bound name one pattern,
+    since the bound places the last letter among the head's.
     """
     heads: dict[Perm, dict[tuple[int, int], Perm]] = {}
     for tau in patterns:
         head, bound = _head_bounds(tau)
         heads.setdefault(head, {})[bound] = tau
+    m = len(columns)
     nbytes = _lane_bytes(m)
     planes: list[int] | None = None
+    rows: list[Perm] | None = None
     out: dict[Perm, int] = {}
     for head, by_bound in heads.items():
         bounds = list(by_bound)
         if len(head) == 3:
             if planes is None:
-                # plane j: 1 << q[j] in the lane of every prefix q
-                one_hot = [(1 << v).to_bytes(nbytes, "little") for v in range(m + 1)]
-                planes = [
-                    int.from_bytes(b"".join(map(one_hot.__getitem__, column)), "little")
-                    for column in zip(*level)
-                ]
-            windows = _middle_pass(planes, len(level), nbytes, head, bounds)
+                planes = _planes(columns, count, nbytes)
+            windows = _middle_pass(planes, count, nbytes, head, bounds)
         else:
-            listed = [_listed_windows(q, head, bounds) for q in level]
+            if rows is None:
+                rows = list(zip(*columns)) if columns else [()] * count
+            listed = [_listed_windows(q, head, bounds) for q in rows]
             # by index, not zip(*listed), so that an empty level has windows
             windows = [_pack([w[k] for w in listed], nbytes) for k in range(len(bounds))]
         out.update(zip(by_bound.values(), windows))
     return out
+
+
+def _planes(columns: Sequence[bytes], count: int, nbytes: int) -> list[int]:
+    """
+    The position planes of a level: plane j holds 1 << q[j] in the lane of
+    every prefix q, each lane byte one `bytes.translate` of column j.
+
+    >>> [hex(plane) for plane in _planes([bytes([1, 2]), bytes([2, 1])], 2, 1)]
+    ['0x402', '0x204']
+    """
+    m = len(columns)
+    # byte b of 1 << v, for the bytes that an entry 1..m reaches
+    one_hot = [bytes((1 << v) >> 8 * b & 255 for v in range(256)) for b in range(m // 8 + 1)]
+    planes = []
+    for column in columns:
+        plane = bytearray(nbytes * count)
+        for b, table in enumerate(one_hot):
+            plane[b::nbytes] = column.translate(table)
+        planes.append(int.from_bytes(plane, "little"))
+    return planes
 
 
 def _listed_windows(

@@ -2,6 +2,7 @@
 The verification gate: one test per criterion, same functions that back
 `weaksort verify`.  Every check is exact.
 """
+import inspect
 import io
 import os
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import weaksort
-from weaksort import acceptance, class5, counting, recurrence
+from weaksort import acceptance, class5, counting, oeis, perms, recurrence
 from weaksort.acceptance import CRITERIA
 from weaksort.cli import main
 from weaksort.perms import TRIPLES, all_perms, avoids
@@ -168,6 +169,29 @@ def test_criterion_4_catches_a_fault_in_the_shared_boundary_branch(monkeypatch, 
     )
     with pytest.raises(AssertionError, match=re.escape("('pi2', ")):
         acceptance.criterion_4_recurrence_fidelity()
+
+
+def _faulty_middle_pass():
+    """A copy of `perms._middle_pass` whose coupled x < z branch keeps the
+    x values below twice the largest z, not below it: a fault in one
+    character that the five triples themselves count past."""
+    source = inspect.getsource(perms._middle_pass)
+    faulty = source.replace("xs &= smear(zs) >> 1", "xs &= smear(zs) << 1")
+    assert faulty != source
+    namespace = dict(vars(perms))
+    exec(faulty, namespace)
+    return namespace["_middle_pass"]
+
+
+def test_criterion_1_catches_a_faulty_middle_pass(monkeypatch, capsys):
+    monkeypatch.setattr(perms, "_middle_pass", _faulty_middle_pass())
+    # the five triples as given still count right
+    rows = counting.counting_sequences(TRIPLES.values(), 8)
+    assert rows == [list(oeis.fetch("A111279").prefix(9))] * 5
+    with pytest.raises(AssertionError, match="image"):
+        acceptance.criterion_1_five_class_agreement()
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL  1  five-class agreement: ")
 
 
 # the forked children of `run_all` against the one-at-a-time loop it replaces

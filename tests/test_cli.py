@@ -477,6 +477,16 @@ def test_guarded_n_with_override(capsys):
     assert (code, out.strip()) == (0, "0")
 
 
+def test_count_refuses_n_past_the_byte_columns(capsys):
+    # an enumeration level holds its entries in bytes: 256 is the longest
+    # count, and 257 is an error, not a wrong count
+    code, out, _ = run(capsys, "count", "--patterns", "2 1", "--n", "256", "--limit-override")
+    assert (code, out) == (0, "1\n")
+    code, out, err = run(capsys, "count", "--patterns", "2 1", "--n", "257", "--limit-override")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "256" in err, err
+
+
 def _loaded_by(setup: str) -> set[str]:
     """The modules loaded once setup has run in a fresh interpreter, so
     modules the test run already imported do not count."""

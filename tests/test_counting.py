@@ -132,6 +132,22 @@ def test_long_sweeps_widen_their_lanes(forking, cpus):
         assert counting_sequence([(2, 1)], 40) == [1] * 41
 
 
+def test_byte_columns_reach_entry_255():
+    # a level's entries are bytes: a sweep builds lengths up to nmax - 1 and
+    # counts nmax, so it reaches 256, and a listing, which builds every
+    # level, 255; 12 puts every new entry first, bumping the rest up to 255
+    assert counting_sequence([(2, 1)], 256) == [1] * 257
+    assert counting_sequences([[(1, 2)], [(2, 1)]], 256) == [[1] * 257] * 2
+    assert enumerate_avoiders(255, [(1, 2)]) == [tuple(range(255, 0, -1))]
+    assert avoider_levels([(2, 1)], 255)[255] == [tuple(range(1, 256))]
+    with pytest.raises(ValueError, match="<= 256"):
+        counting_sequence([(2, 1)], 257)
+    with pytest.raises(ValueError, match="<= 255"):
+        avoider_levels([(2, 1)], 256)
+    with pytest.raises(ValueError, match="<= 255"):
+        enumerate_avoiders(256, [(2, 1)])
+
+
 def test_avoider_levels_equal_filter():
     # one listing builds every level; each against plain filtering, n <= 7,
     # and a shorter listing gives the same first levels
@@ -352,9 +368,9 @@ def test_a_library_sweep_forks_as_the_command_line_does(monkeypatch):
 def planted(forking, monkeypatch):
     """
     Replace the count of a chunk with plant(chunk), whose value or exception
-    stands for it in the forked child that counts the chunk (the prefixes
-    of the split level it was given); a guard alarm turns a hang into an
-    error.
+    stands for it in the forked child that counts the chunk (the
+    `counting._Level` of the prefixes of the split level it was given); a
+    guard alarm turns a hang into an error.
     """
     real = counting._tails
 
@@ -403,7 +419,7 @@ def test_child_error_still_reaps_its_slower_siblings(planted, cpus):
     # one chunk fails at once while the other two are still counting; the
     # forking fixture checks that no child is left unreaped
     def fail(chunk):
-        if (1, 2, 3, 4, 5, 6) in chunk:
+        if (1, 2, 3, 4, 5, 6) in zip(*chunk.columns):
             raise ValueError("planted in one child")
         time.sleep(0.3)
 

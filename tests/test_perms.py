@@ -16,7 +16,7 @@ from weaksort.perms import (
     _lane_bytes,
     _listed_windows,
     _pack,
-    _unpack,
+    _planes,
     _windows,
     all_perms,
     apply_symmetry,
@@ -195,15 +195,27 @@ def _four_letter(head):
     }
 
 
+def _columns(level, m):
+    # a level of prefixes of length m as byte columns, the layout that
+    # _windows takes: column j holds entry j of every prefix
+    return [bytes(column) for column in zip(*level)] if level else [b""] * m
+
+
+def _read_lanes(packed, nbytes, count):
+    # the values of the count lanes of nbytes bytes of packed, lowest first
+    raw = packed.to_bytes(nbytes * count, "little")
+    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+
+
 def _lanes_against_listed(level, m, head):
     # the four patterns of head in one call, each lane of each against the
     # windows of the listed occurrences of head for its bound
     nbytes = _lane_bytes(m)
     bounds = _four_letter(head)
-    windows = _windows(level, m, bounds)
+    windows = _windows(_columns(level, m), len(level), bounds)
     assert windows.keys() == bounds.keys()
     for tau, bound in bounds.items():
-        lanes = _unpack(windows[tau], nbytes, len(level))
+        lanes = _read_lanes(windows[tau], nbytes, len(level))
         for q, got in zip(level, lanes):
             assert [got] == _listed_windows(q, head, [bound]), (tau, q)
 
@@ -253,22 +265,34 @@ def test_windows_of_many_patterns_equal_single_pattern_calls():
         for m in range(7):
             nbytes = _lane_bytes(m)
             level = list(all_perms(m))
-            windows = _windows(level, m, patterns)
+            columns = _columns(level, m)
+            windows = _windows(columns, len(level), patterns)
             assert windows.keys() == set(patterns)
             for tau in patterns:
-                assert windows[tau] == _windows(level, m, [tau])[tau], (tau, m)
+                assert windows[tau] == _windows(columns, len(level), [tau])[tau], (tau, m)
                 if m <= 4:
-                    lanes = _unpack(windows[tau], nbytes, len(level))
+                    lanes = _read_lanes(windows[tau], nbytes, len(level))
                     assert lanes == [_ending_window(q, tau) for q in level], (tau, m)
-            assert _windows([], m, patterns) == dict.fromkeys(patterns, 0)
+            assert _windows(_columns([], m), 0, patterns) == dict.fromkeys(patterns, 0)
 
 
 @pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 8, 16])
 def test_pack_unpack_roundtrip(nbytes):
-    # every lane size, those without an array type code too
+    # every lane size, those that are not a power of two too
     rng = random.Random(nbytes)
     values = [rng.getrandbits(8 * nbytes) for _ in range(40)] + [0, (1 << 8 * nbytes) - 1]
-    assert _unpack(_pack(values, nbytes), nbytes, len(values)) == values
+    assert _read_lanes(_pack(values, nbytes), nbytes, len(values)) == values
+
+
+def test_planes_hold_one_hot_entries_in_every_lane_byte():
+    # a level of length 255, the longest built: 1 << 255 lies in byte 31
+    # of a 64-byte lane
+    rng = random.Random(36)
+    level = [tuple(rng.sample(range(1, 256), 255)) for _ in range(3)]
+    nbytes = _lane_bytes(255)
+    planes = _planes(_columns(level, 255), 3, nbytes)
+    for j, plane in enumerate(planes):
+        assert _read_lanes(plane, nbytes, 3) == [1 << q[j] for q in level], j
 
 
 def test_symmetry_group_order():

@@ -61,13 +61,20 @@ def criterion_2_generating_function_agreement() -> None:
 
 def criterion_3_wilf_classification() -> None:
     """Exactly five symmetry orbits of triples match A111279 at n <= 8, and
-    the weak sorting triple's orbit, the first class's, is among them."""
+    the weak sorting triple's orbit, the first class's, is among them.
+    The 312 others of the 317 orbits first diverge as recorded, 296 at
+    n = 5 and 16 at n = 6, so a fault in the enumeration kernel that
+    leaves the five matches alone still shows if it moves an orbit's
+    first divergence.  That split is a recorded output of this engine, not
+    an independent count."""
     report = counting.wilf_search(8, oeis.fetch("A111279").prefix(9))
     assert report.triples_total == comb(24, 3) == 2024, report.triples_total
     assert len(report.matches) == 5, f"{len(report.matches)} matching orbits"
     expected = {canonical_form(patterns) for patterns in TRIPLES.values()}
     assert set(report.matches) == expected, report.matches
     assert canonical_form(WEAK_SORTING_TRIPLE) in report.matches, report.matches
+    assert report.orbits_examined == 317, f"{report.orbits_examined} orbits"
+    assert report.diverged == ((5, 296), (6, 16)), f"diverged {report.diverged}"
 
 
 def criterion_4_recurrence_fidelity() -> None:

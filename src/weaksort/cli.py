@@ -32,10 +32,12 @@ sequence, which may be factorial.  An --n above 256 exits 1 with an
 error: line, --limit-override or not, since enumeration holds a
 permutation's entries in bytes and the library refuses it
 (`counting.MAX_ENTRY`).  series, recurrence, class5 and bijection have
-polynomial cost and no limit.  count, sequence and search count their
-last two lengths, and verify runs its criteria, in one forked child per
-CPU this process may run on (`weaksort._fork`); the output does not
-depend on the number.
+polynomial cost and no limit.  verify runs its criteria in one forked
+child per CPU this process may run on (`weaksort._fork`).  count, sequence
+and search count their last two lengths in such children only when the
+level they split holds at least `counting.MIN_CHUNK` prefixes per child,
+which the five classes first reach past the size limits, at n = 11.  The
+output does not depend on the number.
 """
 from __future__ import annotations
 

@@ -59,9 +59,14 @@ processes: each chunk runs `_tails` in a child of `weaksort._fork`, and the
 tallies are summed.  A set dropped at nmax - 1 is still counted at nmax,
 but no row reads that total, and a tally counts each set alone, so every
 other row is exact.  W is `weaksort._fork.cpus()`, capped so that the split
-level holds MIN_CHUNK prefixes per process: a small sweep never forks, and
-neither does a sweep inside a forked job (each criterion of `weaksort
-verify`) or while another thread runs, where `cpus()` is 1.
+level holds MIN_CHUNK prefixes per process.  A fork and its wait cost a few
+milliseconds, and since levels are built in C a chunk needs thousands of
+prefixes to earn them back: MIN_CHUNK's comment gives the measured
+crossover.  So `search --n 8` (at most 720 prefixes at length 6) and the
+five classes to n = 10 (14,287 at length 8) count in one process; the five
+classes first fork at n = 11 (64,455 at length 9), past the command line's
+default size limit.  No sweep forks inside a forked job (each criterion
+of `weaksort verify`) or while another thread runs, where `cpus()` is 1.
 """
 from __future__ import annotations
 
@@ -190,8 +195,15 @@ def _carried(flags: dict[int, bytes]) -> dict[int, bytes]:
 
 
 #: fewest prefixes of the split level that a process is given; below twice
-#: this many the last two levels are counted in one process
-MIN_CHUNK = 64
+#: this many the last two levels are counted in one process.  The five
+#: classes, timed after import in fresh processes on 2 CPUs (Python
+#: 3.11.7), forked against one process in alternating pairs: at a split
+#: level of 14,287 prefixes (n = 10) the fork lost 15 of 16 pairs, medians
+#: 0.072 s against 0.064 s; at 64,455 (n = 11) it won 9 of 16, 0.34 s
+#: against 0.35 s, and 0.25 s against 0.39 s whenever the host ran both
+#: children at once; at 285,627 (n = 12) it won 5 of 5, 1.0-1.4 s against
+#: 1.9-2.4 s
+MIN_CHUNK = 16384
 
 
 def _processes(size: int) -> int:
@@ -300,10 +312,11 @@ def counting_sequences(
     The cost grows like the counting sequences themselves, which may be
     factorial; nmax is taken as given (the command line's size limit is in
     `weaksort.cli`) up to MAX_ENTRY + 1 = 256, past which a ValueError
-    says that entries are held in bytes.  Up to `weaksort._fork.cpus()`
-    forked children count the last two lengths; the rows do not depend on
-    their number.  Every pattern must be a permutation of 1..k, or a
-    ValueError names it.
+    says that entries are held in bytes.  When the level of length
+    nmax - 2 holds at least 2 * MIN_CHUNK prefixes, up to
+    `weaksort._fork.cpus()` forked children count the last two lengths;
+    the rows do not depend on their number.  Every pattern must be a
+    permutation of 1..k, or a ValueError names it.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")

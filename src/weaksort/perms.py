@@ -38,10 +38,9 @@ share 123) share one pass over the level, which gives the window of every
 bound they take.  A lane holds data bits 0..m+2 (a window takes bits
 1..m+1, and 2 << (m+1) is the largest value a step forms) and a guard bit
 above them, and `_lane_bytes` rounds it up to whole bytes, so that
-lanes convert to and from bytes at C speed, and to a power of two of
-them.  A head
-whose length is not 3 lists its occurrences prefix by prefix with the
-scan (`_listed_windows`), on the prefixes as tuples, and the windows are
+lanes convert to and from bytes at C speed.  A head whose length is not
+3 lists its occurrences prefix by prefix with the scan
+(`_listed_windows`), on the prefixes as tuples, and the windows are
 packed into the same lanes (`_pack`).
 
 A head of length 3 takes one pass for the whole level (`_middle_pass`),
@@ -278,12 +277,12 @@ def _head_bounds(tau: Perm) -> tuple[Perm, tuple[int, int]]:
 def _lane_bytes(m: int) -> int:
     """
     Bytes per lane for prefixes of length m: data bits 0..m+2 and a guard
-    bit above them, rounded up to a power of two.
+    bit above them, m + 4 bits, rounded up to whole bytes.
 
-    >>> [_lane_bytes(m) for m in (0, 4, 5, 12, 13, 28, 29, 60, 61)]
-    [1, 1, 2, 2, 4, 4, 8, 8, 16]
+    >>> [_lane_bytes(m) for m in (0, 4, 5, 12, 13, 20, 21, 60, 61)]
+    [1, 1, 2, 2, 3, 3, 4, 8, 9]
     """
-    return 1 << ((m + 11) // 8 - 1).bit_length()
+    return (m + 11) // 8
 
 
 def _pack(values: Iterable[int], nbytes: int) -> int:

@@ -194,6 +194,19 @@ def test_criterion_1_catches_a_faulty_middle_pass(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("FAIL  1  five-class agreement: ")
 
 
+def test_criterion_3_catches_a_faulty_middle_pass(monkeypatch, capsys):
+    # the same fault leaves the five matches alone but moves the split of
+    # the other orbits' divergence from 296/16 to 300/12
+    monkeypatch.setattr(perms, "_middle_pass", _faulty_middle_pass())
+    report = counting.wilf_search(8, oeis.fetch("A111279").prefix(9))
+    assert len(report.matches) == 5
+    assert report.diverged == ((5, 300), (6, 12))
+    with pytest.raises(AssertionError, match=re.escape("diverged ((5, 300), (6, 12))")):
+        acceptance.criterion_3_wilf_classification()
+    assert main(["verify"]) == 1
+    assert "\nFAIL  3  wilf classification: diverged " in capsys.readouterr().out
+
+
 # the forked children of `run_all` against the one-at-a-time loop it replaces
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import weaksort
+from weaksort import counting
 from weaksort.cli import main
 
 #: the package's source root, for child interpreters
@@ -275,8 +276,11 @@ def test_main_in_one_process_equals_separate_runs(capsys):
     ids=["search", "sequence", "count"],
 )
 def test_enumerating_commands_fork_one_process_per_cpu(capsys, monkeypatch, argv):
-    # one CPU, three, and a platform that cannot read its CPU set: the same
-    # bytes, with a child for each CPU when there are several, else none
+    # the same bytes in every case.  At their default size no command's
+    # split level holds two chunks of MIN_CHUNK prefixes, so none forks on
+    # three CPUs; with every level split, one CPU, three, and a platform
+    # that cannot read its CPU set: a child for each CPU when there are
+    # several, else none
     forks = []
     real_fork = os.fork
 
@@ -288,16 +292,18 @@ def test_enumerating_commands_fork_one_process_per_cpu(capsys, monkeypatch, argv
 
     monkeypatch.setattr(os, "fork", fork)
     outputs = []
-    for cpus, children in (({0}, 0), ({0, 1, 2}, 3), (None, 0)):
+    cases = ((counting.MIN_CHUNK, {0, 1, 2}, 0), (1, {0}, 0), (1, {0, 1, 2}, 3), (1, None, 0))
+    for min_chunk, cpus, children in cases:
+        monkeypatch.setattr(counting, "MIN_CHUNK", min_chunk)
         if cpus is None:
             monkeypatch.delattr(os, "sched_getaffinity")
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         forks.clear()
         outputs.append(run(capsys, *argv))
-        assert len(forks) == children, cpus
+        assert len(forks) == children, (min_chunk, cpus)
     assert outputs[0][0] == 0
-    assert outputs[1:] == outputs[:1] * 2
+    assert outputs[1:] == outputs[:1] * 3
 
 
 def test_usage_errors_exit_2(capsys):

@@ -117,8 +117,9 @@ def test_forked_counts_equal_serial_for_the_five_classes(forking, cpus):
 
 
 def test_long_sweeps_widen_their_lanes(forking, cpus):
-    # a lane holds m + 3 data bits and a guard bit, so it widens as the
-    # prefixes grow: 1, 2, 4, 8 and 16 bytes down these sweeps.  All of S4
+    # a lane holds m + 3 data bits and a guard bit, so it widens by a byte
+    # every 8 lengths as the prefixes grow: 1, 2, 3 and on to 9 bytes down
+    # these sweeps, odd widths among them.  All of S4
     # but 1234 leaves the identity alone from n = 4 on, all but 1234 and
     # 1243 two permutations, and 21 only the decreasing one, through the
     # listed windows of its 1-letter head; in one process and forked
@@ -346,9 +347,11 @@ def test_small_sweep_never_forks(monkeypatch, cpus):
 
 
 def test_a_library_sweep_forks_as_the_command_line_does(monkeypatch):
-    # outside a forked job and with no other thread, two CPUs split the
-    # level of length 7 (1237 prefixes) into two children, as `weaksort
-    # count` does; the counts are A111279's through n = 9
+    # outside a forked job and with no other thread, on two CPUs, as
+    # `weaksort count` and `sequence` do: pi5 to n = 9 splits a level of
+    # length 7 of 1237 prefixes, fewer than two chunks of MIN_CHUNK, and
+    # counts in this process; the five classes to n = 11 split one of
+    # 64,455, one child per CPU.  The counts are A111279's either way
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     forks = []
     real_fork = os.fork
@@ -360,7 +363,10 @@ def test_a_library_sweep_forks_as_the_command_line_does(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
-    assert counting_sequence(TRIPLES["pi5"], 9) == list(oeis.fetch("A111279").prefix(10))
+    target = list(oeis.fetch("A111279").prefix(12))
+    assert counting_sequence(TRIPLES["pi5"], 9) == target[:10]
+    assert forks == []
+    assert counting_sequences(TRIPLES.values(), 11) == [target] * 5
     assert len(forks) == 2
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import weaksort
-from weaksort import _fork
+from weaksort import _fork, counting
 from weaksort.counting import counting_sequences
 from weaksort.perms import TRIPLES
 
@@ -72,9 +72,11 @@ def test_cpus_falls_back_to_one(monkeypatch):
 
 
 def _counted_forks(monkeypatch) -> list:
-    """Two CPUs, and os.fork wrapped to add an entry to the returned list,
-    in the process that calls it, at each call."""
+    """Two CPUs, a sweep split at any level of at least two prefixes, and
+    os.fork wrapped to add an entry to the returned list, in the process
+    that calls it, at each call."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(counting, "MIN_CHUNK", 1)
     forks = []
     real_fork = os.fork
 

@@ -286,7 +286,7 @@ def test_pack_unpack_roundtrip(nbytes):
 
 def test_planes_hold_one_hot_entries_in_every_lane_byte():
     # a level of length 255, the longest built: 1 << 255 lies in byte 31
-    # of a 64-byte lane
+    # of a 33-byte lane
     rng = random.Random(36)
     level = [tuple(rng.sample(range(1, 256), 255)) for _ in range(3)]
     nbytes = _lane_bytes(255)

@@ -83,7 +83,10 @@ def criterion_4_recurrence_fidelity() -> None:
     the second and third classes' totals equal the series to n = 50, past
     the reach of enumeration (the first class's are criterion 2's).  The
     two share `advance`'s boundary branch, so comparing them with each
-    other would miss a fault in it."""
+    other would miss a fault in it.  No total reads b_n(n - 1), so the
+    three boundary entries b_n(n - 2), b_n(n - 1) and b_n(n) of every
+    class are held to the boundary values of `weaksort.recurrence`, 3 <= n
+    <= 50, with a_{n-2} the series' term."""
     for class_id in recurrence.CLASS_IDS:
         tabs = recurrence.tables_upto(class_id, 8)
         levels = counting.avoider_levels(TRIPLES[class_id], 8)
@@ -92,10 +95,14 @@ def criterion_4_recurrence_fidelity() -> None:
             assert tabs[n].a == emp.a, (class_id, n, tabs[n].a, emp.a)
             assert tabs[n].b == emp.b, (class_id, n, tabs[n].b, emp.b)
     coeffs = list(series.gf_catalog("main", 50).coeffs)
-    for class_id in ("pi2", "pi3"):
-        totals = recurrence.count_via_recurrence(class_id, 50)
-        for n, (got, want) in enumerate(zip(totals, coeffs, strict=True)):
-            assert got == want, (class_id, n, got, want)
+    for class_id in recurrence.CLASS_IDS:
+        for n, table in enumerate(recurrence.tables_upto(class_id, 50)):
+            if class_id != "pi1":
+                assert table.total == coeffs[n], (class_id, n, table.total, coeffs[n])
+            if n >= 3:
+                below = coeffs[n - 2]
+                want = (below, 0, below) if class_id == "pi1" else (below, below, 0)
+                assert table.b[-3:] == want, (class_id, n, table.b[-3:], want)
 
 
 def criterion_5_kernel_identity() -> None:

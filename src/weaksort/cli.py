@@ -25,19 +25,22 @@ digits (`perms.parse_int`).
 OEIS terms come only from the four bundled b-files; no command reaches the
 network or writes a file.
 
-Size policy: the three commands that enumerate permutations (count,
-sequence, search) refuse an --n above SIZE_LIMITS with exit 2 unless
---limit-override is given, because their cost grows with the counting
-sequence, which may be factorial.  An --n above 256 exits 1 with an
-error: line, --limit-override or not, since enumeration holds a
-permutation's entries in bytes and the library refuses it
-(`counting.MAX_ENTRY`).  series, recurrence, class5 and bijection have
-polynomial cost and no limit.  verify runs its criteria in one forked
-child per CPU this process may run on (`weaksort._fork`).  count, sequence
-and search count their last two lengths in such children only when the
-level they split holds at least `counting.MIN_CHUNK` prefixes per child,
-which the five classes first reach past the size limits, at n = 11.  The
-output does not depend on the number.
+Size policy: count, sequence, search, series, recurrence and class5
+(--count, --indec) refuse a size above SIZE_LIMITS with exit 2 and
+nothing on stdout unless --limit-override is given.  The three that
+enumerate permutations cost as much as the counting sequence, which may
+be factorial; an --n above 256 exits 1 with an error: line,
+--limit-override or not, since enumeration holds a permutation's entries
+in bytes and the library refuses it (`counting.MAX_ENTRY`).  The other
+three have polynomial cost, and their limits lie at or above every size
+that the tests, CI and the benchmark run.  bijection and class5
+--decompose have no limit: they read one permutation or path, written
+out in full.  verify runs its criteria in one forked child per CPU this
+process may run on (`weaksort._fork`).  count, sequence and search count
+their last two lengths in such children only when the level they split
+holds at least `counting.MIN_CHUNK` prefixes per child, which the five
+classes first reach past the size limits, at n = 11.  The output does
+not depend on the number.
 """
 from __future__ import annotations
 
@@ -51,13 +54,33 @@ from typing import Sequence
 from . import acceptance, class5, counting, oeis, recurrence, schroder, series
 from .perms import TRIPLES, format_perm, parse_int, parse_pattern_set, parse_perm
 
-#: largest --n each enumerating command runs without --limit-override
-SIZE_LIMITS = {"count": 10, "sequence": 10, "search": 8}
+#: largest size each command runs without --limit-override: its --n, or
+#: class5's --count or --indec (`_size`)
+SIZE_LIMITS = {
+    "count": 10,
+    "sequence": 10,
+    "search": 8,
+    "series": 1000,
+    "recurrence": 1000,
+    "class5": 300,
+}
 
 
 def _usage(message: str) -> "SystemExit":
     print(f"usage error: {message}", file=sys.stderr)
     return SystemExit(2)
+
+
+def _size(args: argparse.Namespace) -> tuple[str, int] | None:
+    """The option that SIZE_LIMITS bounds and its value: --n, or class5's
+    --count or --indec; None for class5 --decompose, which has no limit."""
+    if args.command != "class5":
+        return "--n", args.n
+    if args.count is not None:
+        return "--count", args.count
+    if args.indec is not None:
+        return "--indec", args.indec
+    return None
 
 
 def _emit_terms(
@@ -335,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     for cmd, limit in SIZE_LIMITS.items():
+        sized = "--count or --indec" if cmd == "class5" else "--n"
         sub.choices[cmd].add_argument(
-            "--limit-override", action="store_true", help=f"allow --n above {limit}"
+            "--limit-override", action="store_true", help=f"allow {sized} above {limit}"
         )
     return parser
 
@@ -344,9 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     limit = SIZE_LIMITS.get(args.command)
-    if limit is not None and args.n > limit and not args.limit_override:
+    size = None if limit is None or args.limit_override else _size(args)
+    if size is not None and size[1] > limit:
+        option, value = size
         raise _usage(
-            f"{args.command} --n {args.n} exceeds the size limit {limit}; "
+            f"{args.command} {option} {value} exceeds the size limit {limit}; "
             "pass --limit-override"
         )
     try:

@@ -39,14 +39,31 @@ runs in C over the whole level, with no loop per prefix:
 - An entry is one byte, so no level longer than MAX_ENTRY = 255 is built:
   a counting sweep reaches nmax = 256, since it never builds its last
   level, and a listing reaches 255.
-- A count needs no level, so the last level of a counting sequence is
-  never built: a set's count is the popcount of ranks 1..m+1 in the lanes
-  of the prefixes that carry it, less the popcount of its forbidden mask
-  in those lanes.  A built level's count for a set is the number of its
-  flags that are 1.
+- A count needs no level, so a level's children are counted before they
+  are built, from the forbidden masks that building them reads too: a
+  set's count is the popcount of ranks 1..m+1 in the lanes of the
+  prefixes that carry it, less the popcount of its forbidden mask in
+  those lanes.  The last level of a counting sequence is never built, and
+  a built level's count for a set is the number of its flags that are 1.
 - The Wilf search drops a set as soon as its count at some length differs
-  from the target, and the prefixes that carry no other set with it, so
-  the orbits that diverge early cost nothing further.
+  from the target, before the level of that length is built: the level is
+  built without its flag column, and the prefixes that carry no other set
+  get no child, so the orbits that diverge early cost nothing further.
+
+Sets can differ only from their shortest pattern on.  With k the shortest
+pattern length of all the sets, every prefix shorter than k avoids every
+set, so lengths 0..k-1 are built once, for no set in particular: their one
+flag column is `_ALL`'s, a set with no pattern, and one list holds their
+counts, m! at length m, for every set.  At length k the level is every
+permutation of length k, and a set's count is k! less its k-letter
+patterns, with no level built; a prefix carries the set unless it equals
+one of them, and `_flagged` finds those prefixes by matching the byte
+columns, one `bytes.translate` of each column per pattern, without
+listing the k! prefixes.  So the 317 orbits of `wilf_search` share
+lengths 0 to 4, all count 21 at length 4, and only the 21 that count 79
+at length 5 have that level built.  The shared levels stop at nmax - 2,
+where the last two lengths are split off (below).  The empty pattern has
+length 0, so k = 0: nothing is shared, and its set carries no prefix.
 
 Nearly all of a sweep's work lies in its last two lengths, nmax - 1 (built)
 and nmax (counted), and a child has exactly one parent, so the subtrees
@@ -74,16 +91,16 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import _fork
 from .perms import (
     SYMMETRIES,
     PatternSet,
     Perm,
+    _apply_word,
     _lane_bytes,
     _windows,
-    apply_symmetry,
     as_perm,
 )
 
@@ -99,11 +116,16 @@ class _Level(NamedTuple):
     #: m columns: column j holds entry j of every prefix, one byte each
     columns: list[bytes]
     #: set index -> one byte per prefix, 1 where the prefix carries the set;
-    #: only the sets that some prefix carries
+    #: only the sets that some prefix carries, or `_ALL` alone below the
+    #: shortest pattern
     flags: dict[int, bytes]
 
 
 _EMPTY = _Level(0, [], {})
+
+#: the flag of the levels below every set's shortest pattern, which every
+#: prefix carries: a set with no pattern, so its forbidden mask is 0
+_ALL = -1
 
 
 def _lanes(flags: bytes, nbytes: int) -> int:
@@ -128,14 +150,14 @@ def _forbidden(level: _Level, sets: Sequence[PatternSet]) -> dict[int, int]:
     }
 
 
-def _next_level(level: _Level, sets: Sequence[PatternSet]) -> _Level:
+def _next_level(level: _Level, forbidden: dict[int, int]) -> _Level:
     """The clean standardized extensions of the level's prefixes, grouped by
-    new last rank, each flagged for the sets it avoids."""
+    new last rank, each flagged for the sets it avoids, given the level's
+    forbidden masks of every set it carries."""
     count, columns, flags = level
     m = len(columns)
     nbytes = _lane_bytes(m)
     size = nbytes * count
-    forbidden = _forbidden(level, sets)
     carriers = {i: _lanes(f, nbytes) for i, f in flags.items()}
     everyone = _lanes(b"\1" * count, nbytes)
     entries = [int.from_bytes(column, "little") for column in columns]
@@ -165,23 +187,48 @@ def _next_level(level: _Level, sets: Sequence[PatternSet]) -> _Level:
     return _Level(len(new_columns[m]), new_columns, _carried(new_flags))
 
 
-def _child_counts(level: _Level, sets: Sequence[PatternSet]) -> dict[int, int]:
+def _child_counts(level: _Level, forbidden: dict[int, int]) -> dict[int, int]:
     """
     The clean children of the level's prefixes, counted without being
-    built: a set's count is the m + 1 ranks of each prefix that carries it
-    less the popcount of its forbidden mask there, two popcounts on the
-    packed masks.  Totals are keyed by set index.
+    built, given the level's forbidden masks of every set it carries: a
+    set's count is the m + 1 ranks of each prefix that carries it less the
+    popcount of its forbidden mask there, two popcounts on the packed
+    masks.  Totals are keyed by set index.
     """
     m = len(level.columns)
     nbytes = _lane_bytes(m)
     ranks = (1 << (m + 2)) - 2
-    forbidden = _forbidden(level, sets)
     tally: dict[int, int] = {}
     for i, flags in level.flags.items():
         # ranks 1..m + 1 in the lane of every prefix that carries the set
         live = _lanes(flags, nbytes) * ranks
         tally[i] = flags.count(1) * (m + 1) - (forbidden[i] & live).bit_count()
     return tally
+
+
+def _flagged(level: _Level, sets: Sequence[PatternSet], keep: Collection[int]) -> _Level:
+    """
+    A level of every permutation of its length m, flagged for each set in
+    keep, none of which has a pattern shorter than m: the set is carried
+    by every prefix but those equal to one of its m-letter patterns.  A
+    pattern's prefix is found by matching the byte columns, one
+    `bytes.translate` of each, not by listing the prefixes.
+    """
+    count, columns, _ = level
+    m = len(columns)
+    everyone = int.from_bytes(b"\1" * count, "little")
+    hits: dict[Perm, int] = {}
+    for tau in {tau for i in keep for tau in sets[i] if len(tau) == m}:
+        # 1 in the byte of each prefix whose entry j is tau[j], for every j
+        match = everyone
+        for column, v in zip(columns, tau):
+            match &= int.from_bytes(column.translate(bytes(v) + b"\1" + bytes(255 - v)), "little")
+        hits[tau] = match
+    flags = {}
+    for i in keep:
+        found = functools.reduce(operator.or_, map(hits.__getitem__, hits.keys() & sets[i]), 0)
+        flags[i] = (everyone ^ found).to_bytes(count, "little")
+    return _Level(count, columns, _carried(flags))
 
 
 def _tally(level: _Level) -> dict[int, int]:
@@ -216,8 +263,8 @@ def _processes(size: int) -> int:
 def _tails(level: _Level, sets: Sequence[PatternSet]) -> list[dict[int, int]]:
     """The tallies of the two levels below the level: the first built, the
     second counted."""
-    level = _next_level(level, sets)
-    return [_tally(level), _child_counts(level, sets)]
+    level = _next_level(level, _forbidden(level, sets))
+    return [_tally(level), _child_counts(level, _forbidden(level, sets))]
 
 
 def _split_tails(level: _Level, sets: Sequence[PatternSet]) -> list[dict[int, int]]:
@@ -249,53 +296,70 @@ def _sweep(
     Carry every set through lengths 0..nmax on one shared level; return each
     set's counts.
 
-    No level outlives the next, and `_split_tails` gives the last two
-    levels' tallies.  With a target, a set whose count at length n differs
-    from target[n] is dropped after n: its row stops there, and the
-    prefixes that carry no other set go with it.
+    Let k be the shortest pattern length of all the sets.  Every prefix
+    shorter than k avoids every set, so those levels are built once,
+    flagged for no set in particular (`_ALL`), and one list holds their
+    counts for every set.  At length k a set counts k! less its k-letter
+    patterns, one prefix each, and `_flagged` gives it flags; the empty
+    pattern makes k = 0, and its set carries no prefix from there on.  The
+    shared levels stop at nmax - 2, since `_split_tails` gives the last two
+    levels' tallies.  Each level between is counted by `_child_counts`
+    before it is built, and built only for the sets still tracked: with a
+    target, a set whose count at length n differs from target[n] is
+    dropped after n, so its row stops there, and the prefixes that carry
+    no other set get no child.  No level outlives the next.
     """
     if nmax > MAX_ENTRY + 1:
         raise ValueError(
             f"nmax must be <= {MAX_ENTRY + 1}: enumeration holds entries in bytes"
         )
-    rows: list[list[int]] = [[] for _ in sets]
+    if not sets:
+        return []
+    patterns = set().union(*sets)
+    k = min(map(len, patterns), default=nmax + 1)
+    # the last length built here: _split_tails gives nmax - 1 and nmax
+    top = nmax - 2 if nmax > 1 else nmax
+    level = _Level(1, [], {_ALL: b"\1"})
+    common: list[int] = []
+    for m in range(min(k, top + 1)):
+        if m:
+            level = _next_level(level, {_ALL: 0})
+        common.append(level.count)
+        if target is not None and level.count != target[m]:
+            break
+    rows = [list(common) for _ in sets]
+    if target is not None and common != list(target[: len(common)]):
+        return rows
     tracked = set(range(len(sets)))
-    # the empty pattern occurs in every permutation, the empty one included,
-    # so its set has no prefix at all and counts 0 at every length
-    live = {i: b"\1" for i, patterns in enumerate(sets) if () not in patterns}
-    level = _Level(1, [], live) if live else _EMPTY
-    tails: list[dict[int, int]] = []
-    for m in range(nmax + 1):
-        if m == nmax - 1 > 0:
-            tails = _split_tails(level, sets)
-            # the tallies stand for both levels; a drop needs no level
-            level = _EMPTY
-        if tails:
-            tally = tails.pop(0)
-        else:
-            if m:
-                level = _next_level(level, sets)
-            tally = _tally(level)
-        dropped = set()
-        for i in tracked:
+
+    def record(m: int, tally: dict[int, int]) -> bool:
+        # append each tracked set's count at length m, drop those off the
+        # target, and tell whether any set is left
+        for i in list(tracked):
             rows[i].append(tally.get(i, 0))
             if target is not None and rows[i][-1] != target[m]:
-                dropped.add(i)
-        if dropped:
-            tracked -= dropped
-            flags = {i: f for i, f in level.flags.items() if i not in dropped}
-            # 1 for each prefix that carries a set still tracked
-            union = functools.reduce(
-                operator.or_, [int.from_bytes(f, "little") for f in flags.values()], 0
-            )
-            selector = union.to_bytes(level.count, "little")
-            level = _Level(
-                union.bit_count(),
-                [bytes(itertools.compress(column, selector)) for column in level.columns],
-                {i: bytes(itertools.compress(f, selector)) for i, f in flags.items()},
-            )
-        if not tracked:
-            break
+                tracked.discard(i)
+        return bool(tracked)
+
+    def own(level: _Level) -> _Level:
+        return level._replace(flags={i: f for i, f in level.flags.items() if i in tracked})
+
+    if k <= top:
+        if k:
+            level = _next_level(level, {_ALL: 0})
+        short = {tau for tau in patterns if len(tau) == k}
+        if not record(k, {i: level.count - len(p & short) for i, p in enumerate(sets)}):
+            return rows
+    level = _flagged(level, sets, tracked)
+    for m in range(k + 1, top + 1):
+        forbidden = _forbidden(level, sets)
+        if not record(m, _child_counts(level, forbidden)):
+            return rows
+        level = _next_level(own(level), forbidden)
+    if nmax > 1:
+        for m, tally in zip((nmax - 1, nmax), _split_tails(own(level), sets)):
+            if not record(m, tally):
+                break
     return rows
 
 
@@ -348,7 +412,7 @@ def avoider_levels(patterns: Iterable[Sequence[int]], nmax: int) -> list[list[Pe
     level = _EMPTY if () in pattern_set else _Level(1, [], {0: b"\1"})
     levels: list[list[Perm]] = [[()] * level.count]
     for _ in range(nmax):
-        level = _next_level(level, [pattern_set])
+        level = _next_level(level, _forbidden(level, [pattern_set]))
         levels.append(sorted(zip(*level.columns)))
     return levels
 
@@ -394,25 +458,26 @@ def triple_orbits() -> dict[tuple[Perm, ...], int]:
     canonical representative -> orbit size, in the order in which
     `itertools.combinations` first reaches each orbit.
 
-    Each of the eight symmetries is a map on the 24 patterns, built once.
-    The first triple of an orbit that `combinations` reaches gives the
-    whole orbit as its eight sorted images: the representative is their
-    least, as `perms.canonical_form` would give, and the orbit size their
-    number.  Every later triple of the orbit is among them, so it is
-    skipped.
+    The 24 patterns are indexed in lexicographic order, and a triple of
+    them is the 24-bit mask of its indices.  Each of the eight symmetries
+    is a map from index to the bit of its image, built once, so a triple's
+    image is the OR of three bits, with no sorting.  `combinations` reaches
+    the triples in lexicographic order, so the first triple of an orbit
+    that it reaches is the least of the orbit's eight sorted images, as
+    `perms.canonical_form` would give: it is the representative, and the
+    orbit size is the number of distinct images.  Every later triple of
+    the orbit is among them, so it is skipped.
     """
     s4 = list(itertools.permutations(range(1, 5)))
-    maps = [
-        {tau: min(apply_symmetry(name, frozenset([tau]))) for tau in s4}
-        for name in SYMMETRIES
-    ]
-    seen: set[tuple[Perm, ...]] = set()
+    index = {tau: a for a, tau in enumerate(s4)}
+    bits = [[1 << index[_apply_word(word, tau)] for tau in s4] for word in SYMMETRIES.values()]
+    seen: set[int] = set()
     orbits: dict[tuple[Perm, ...], int] = {}
-    for triple in itertools.combinations(s4, 3):
-        if triple not in seen:
-            images = {tuple(sorted(map(m.get, triple))) for m in maps}
+    for a, b, c in itertools.combinations(range(len(s4)), 3):
+        if 1 << a | 1 << b | 1 << c not in seen:
+            images = {m[a] | m[b] | m[c] for m in bits}
             seen |= images
-            orbits[min(images)] = len(images)
+            orbits[s4[a], s4[b], s4[c]] = len(images)
     return orbits
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import weaksort
-from weaksort import acceptance, class5, counting, oeis, perms, recurrence
+from weaksort import acceptance, class5, counting, oeis, perms, recurrence, series
 from weaksort.acceptance import CRITERIA
 from weaksort.cli import main
 from weaksort.perms import TRIPLES, all_perms, avoids
@@ -168,6 +168,27 @@ def test_criterion_4_catches_a_fault_in_the_shared_boundary_branch(monkeypatch, 
         "pi3", 50
     )
     with pytest.raises(AssertionError, match=re.escape("('pi2', ")):
+        acceptance.criterion_4_recurrence_fidelity()
+
+
+@pytest.mark.parametrize("class_id", recurrence.CLASS_IDS)
+def test_criterion_4_catches_a_fault_in_b_n_minus_1(monkeypatch, class_id):
+    # b_n(n-1) off by one from length 20 on: no later level reads it, so
+    # every total and every a-vector stays right, and only the boundary
+    # check sees it
+    real = recurrence.advance
+
+    def advance(table, prev_total):
+        level = real(table, prev_total)
+        if level.class_id != class_id or level.n < 20:
+            return level
+        b = (*level.b[:-2], level.b[-2] + 1, level.b[-1])
+        return recurrence.RecurrenceTable(level.class_id, level.n, level.a, b)
+
+    monkeypatch.setattr(recurrence, "advance", advance)
+    coeffs = list(series.gf_catalog("main", 50).coeffs)
+    assert recurrence.count_via_recurrence(class_id, 50) == coeffs
+    with pytest.raises(AssertionError, match=re.escape(f"('{class_id}', 20, ")):
         acceptance.criterion_4_recurrence_fidelity()
 
 

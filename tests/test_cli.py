@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import weaksort
-from weaksort import counting
+from weaksort import counting, series
 from weaksort.cli import main
 
 #: the package's source root, for child interpreters
@@ -389,8 +389,15 @@ def test_integer_options_exit_2_on_what_only_int_takes(capsys, option, text):
         (["count", "--class", "pi1", "--n", "12"], 10),
         (["sequence", "--n", "11"], 10),
         (["search", "--n", "9"], 8),
+        (["series", "--name", "class5_bivariate", "--n", "1001"], 1000),
+        (["recurrence", "--class", "pi2", "--n", "1001"], 1000),
+        (["class5", "--count", "301"], 300),
+        (["class5", "--indec", "10000"], 300),
     ],
-    ids=["count-patterns", "count-class", "sequence", "search"],
+    ids=[
+        "count-patterns", "count-class", "sequence", "search", "series", "recurrence",
+        "class5-count", "class5-indec",
+    ],
 )
 def test_size_limit_exits_2(capsys, argv, limit):
     with pytest.raises(SystemExit) as exc:
@@ -399,7 +406,7 @@ def test_size_limit_exits_2(capsys, argv, limit):
     assert exc.value.code == 2
     assert captured.out == ""
     assert captured.err == (
-        f"usage error: {argv[0]} --n {argv[-1]} exceeds the size limit {limit}; "
+        f"usage error: {argv[0]} {argv[-2]} {argv[-1]} exceeds the size limit {limit}; "
         "pass --limit-override\n"
     )
 
@@ -481,6 +488,14 @@ def test_guarded_n_with_override(capsys):
         capsys, "count", "--patterns", "1 2; 2 1", "--n", "12", "--limit-override"
     )
     assert (code, out.strip()) == (0, "0")
+    # one past the limit, against the series run within it
+    code, out, _ = run(capsys, "recurrence", "--class", "pi1", "--n", "1001", "--limit-override")
+    assert code == 0
+    want = series.gf_catalog("main", 1001).coeffs[-1]
+    assert out.splitlines()[-1] == f"1001,{want}"
+    # a permutation is its own size, so --decompose has no limit
+    code, out, _ = run(capsys, "class5", "--decompose", " ".join(map(str, range(400, 0, -1))))
+    assert code == 0 and out.startswith("{")
 
 
 def test_count_refuses_n_past_the_byte_columns(capsys):

@@ -1,5 +1,6 @@
 """Pruned enumeration, counting sequences, and the triple classification."""
 import functools
+import math
 import os
 import random
 import re
@@ -100,6 +101,90 @@ def test_counting_sequences_shared_level_equals_filter(forking, cpus):
         assert rows[sets.index(mixed)] == [1, 1, 1, 1, 1, 0, 0, 0]
 
 
+@pytest.mark.parametrize("nmax", range(8))
+def test_sets_longer_than_every_length_count_every_permutation(nmax):
+    # the shortest pattern is longer than nmax, so no level is built for a
+    # set in particular: every set counts n!, with a target of factorials
+    # too, and the empty set of patterns alongside
+    sets = [
+        frozenset({tuple(range(nmax + 1, 0, -1))}),
+        frozenset({tuple(range(1, nmax + 2)), (2, 1, *range(3, nmax + 3))}),
+        frozenset(),
+    ]
+    oracle = [[len(_filtered(n, patterns)) for n in range(nmax + 1)] for patterns in sets]
+    assert oracle == [[math.factorial(n) for n in range(nmax + 1)]] * 3
+    assert counting_sequences(sets, nmax) == oracle
+    assert counting._sweep(sets, nmax, target=oracle[0]) == oracle
+
+
+def test_one_letter_patterns_and_mixed_lengths_equal_filter(forking, cpus):
+    # the shortest pattern has one letter, so only length 0 is shared, and
+    # sets of longer patterns are flagged at length 1 with every prefix;
+    # then lengths 2 to 5 mixed in and across sets, one set twice, and the
+    # shortest pattern at length 2 in a sweep of its own
+    sets = [
+        frozenset({(1,)}),
+        frozenset({(1,), (2, 1)}),
+        frozenset({(2, 1), (1, 2, 3)}),
+        frozenset({(1, 3, 2), (2, 1, 3, 4, 5)}),
+        TRIPLES["pi1"],
+        frozenset({(2, 1), (1, 2, 3)}),
+        frozenset({(2, 4, 1, 5, 3)}),
+    ]
+    for processes in (1, *FORKED):
+        cpus(processes)
+        for chosen in (sets, sets[2:]):
+            rows = counting_sequences(chosen, 7)
+            for patterns, row in zip(chosen, rows):
+                assert row == [len(_filtered(n, patterns)) for n in range(8)], (patterns, processes)
+
+
+def test_sets_that_miss_the_target_at_the_shortest_length_stop_there():
+    # 4-letter sets counted against the weak sorting numbers: at length 4
+    # they count 24 less their patterns, so all but the 21 of three
+    # patterns stop there; a target off at length 2, below every pattern,
+    # stops every set there.  Each row is the oracle's, cut after its first
+    # count off the target
+    sets = [
+        frozenset({(1, 2, 3, 4)}),
+        SCHRODER_PAIR,
+        TRIPLES["pi1"],
+        TRIPLES["pi4"],
+        frozenset({(1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4), (2, 1, 3, 4)}),
+        frozenset({(1, 3, 2, 4), (1, 2, 3, 4, 5)}),
+    ]
+    for target in (TARGET, (1, 1, 3, 6, 21, 79, 309, 1237, 5026)):
+        rows = counting._sweep(sets, 7, target=target)
+        for patterns, row in zip(sets, rows):
+            oracle = [len(_filtered(n, patterns)) for n in range(8)]
+            miss = next((n for n in range(8) if oracle[n] != target[n]), 7)
+            assert row == oracle[: miss + 1], (patterns, target)
+    assert [len(row) for row in counting._sweep(sets, 7, target=TARGET)] == [5, 5, 8, 8, 5, 5]
+
+
+def test_wilf_search_builds_length_5_for_the_matching_orbits_only(monkeypatch):
+    # lengths 1 to 4 are built once for no set in particular, and length 5
+    # only for the 21 orbits that count A111279(4) = 21 and A111279(5) = 79;
+    # the other 296 are counted at length 5, not built
+    built = []
+    real = counting._next_level
+
+    def recorder(level, forbidden):
+        built.append((len(level.columns) + 1, set(level.flags)))
+        return real(level, forbidden)
+
+    monkeypatch.setattr(counting, "_next_level", recorder)
+    report = wilf_search(8, TARGET)
+    assert report.diverged == ((5, 296), (6, 16)) and len(report.matches) == 5
+    assert [length for length, _ in built] == [1, 2, 3, 4, 5, 6, 7]
+    assert all(flags == {counting._ALL} for _, flags in built[:4])
+    monkeypatch.undo()
+    sets = [frozenset(rep) for rep in triple_orbits()]
+    rows = counting_sequences(sets, 5)
+    assert built[4][1] == {i for i, row in enumerate(rows) if row[4:] == [21, 79]}
+    assert len(built[4][1]) == 21
+
+
 def test_forked_counts_equal_serial_for_the_five_classes(forking, cpus):
     # every split from the first (nmax = 4, a level of two prefixes) to the
     # deepest the command line runs by default; then the listed levels, a
@@ -195,6 +280,13 @@ def test_counting_sequence_guard():
     assert seq == [1, 1] + [0] * 11
     with pytest.raises(ValueError, match="nmax must be >= 0"):
         counting_sequence(TRIPLES["pi1"], -1)
+
+
+def test_no_set_builds_no_level(monkeypatch):
+    # the levels below the shortest pattern are built for every set at
+    # once, so with no set at all none is built
+    monkeypatch.setattr(counting, "_next_level", None)
+    assert counting_sequences([], 12) == []
 
 
 def _assert_pruned_equals_filter(patterns, cpus, processes=(1,)) -> list[int]:

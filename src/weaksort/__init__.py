@@ -5,6 +5,7 @@ the weak sorting numbers (OEIS A111279), with the machinery to verify it.
 Submodules
 ----------
 perms       permutations, pattern containment, the eight symmetries
+levels      the enumeration level: byte columns, bit-lanes, window kernel
 counting    pruned enumeration and the exhaustive triple classification
 recurrence  first-two-entry table recurrences for the first three triples
 series      exact integer power series and the generating-function catalog

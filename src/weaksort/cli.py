@@ -26,12 +26,13 @@ OEIS terms come only from the four bundled b-files; no command reaches the
 network or writes a file.
 
 Size policy: count, sequence, search, series, recurrence and class5
-(--count, --indec) refuse a size above SIZE_LIMITS with exit 2 and
-nothing on stdout unless --limit-override is given.  The three that
+(--count, --indec) refuse a size above SIZE_LIMITS (300 for series
+--name class5_bivariate, whose cost is cubic) with exit 2 and nothing on
+stdout unless --limit-override is given.  The three that
 enumerate permutations cost as much as the counting sequence, which may
 be factorial; an --n above 256 exits 1 with an error: line,
 --limit-override or not, since enumeration holds a permutation's entries
-in bytes and the library refuses it (`counting.MAX_ENTRY`).  The other
+in bytes and the library refuses it (`levels.MAX_ENTRY`).  The other
 three have polynomial cost, and their limits lie at or above every size
 that the tests, CI and the benchmark run.  bijection and class5
 --decompose have no limit: they read one permutation or path, written
@@ -64,6 +65,9 @@ SIZE_LIMITS = {
     "recurrence": 1000,
     "class5": 300,
 }
+#: `series --name class5_bivariate`'s own limit: its cost is cubic in the
+#: order, one series product per column
+_BIVARIATE_LIMIT = 300
 
 
 def _usage(message: str) -> "SystemExit":
@@ -359,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for cmd, limit in SIZE_LIMITS.items():
         sized = "--count or --indec" if cmd == "class5" else "--n"
+        limit = f"{limit} ({_BIVARIATE_LIMIT} for class5_bivariate)" if cmd == "series" else limit
         sub.choices[cmd].add_argument(
             "--limit-override", action="store_true", help=f"allow {sized} above {limit}"
         )
@@ -368,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     limit = SIZE_LIMITS.get(args.command)
+    if args.command == "series" and args.name == "class5_bivariate":
+        limit = _BIVARIATE_LIMIT
     size = None if limit is None or args.limit_override else _size(args)
     if size is not None and size[1] > limit:
         option, value = size

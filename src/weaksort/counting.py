@@ -10,45 +10,22 @@ exactly once.  A prefix is pruned as soon as it contains a forbidden pattern;
 since containment persists under extension, pruning is exact.  At depth n the
 standardized prefixes are precisely the avoiders of length n.
 
-`perms._windows` answers every pattern of a carried set once per level,
-with the ranks whose child ends an occurrence of it, one bit-lane per
-prefix, so a set's forbidden masks for the level are one integer, the OR
-of its patterns' windows, and only the ranks outside the mask are
-extended.
-
 Many pattern sets go through one shared level.  A prefix is a prefix of an
 avoider of several sets at once, so each level is one set of prefixes, and
 each prefix carries a flag for each set it avoids.  A child has exactly one
-parent, so no prefix is ever built twice.  A level of length m is a
-`_Level`: m byte columns, column j holding entry j of every prefix, and one
-column of 0/1 flags for each set that some prefix carries.  Every step
-runs in C over the whole level, with no loop per prefix:
-
-- The planes of `perms._windows` are translations of the columns, and a
-  set's carriers are its flags spread one to a lane.
-- The children of rank r are kept where some set is carried and r lies
-  outside its forbidden mask: for set i, the lanes carriers_i &
-  ~(forbidden_i >> r), read at bit 0 of each lane, and their OR selects
-  the parents.  Each column of the next level is the column with the
-  other parents' entries set to 0, through one `bytes.translate` that
-  deletes the 0s (no entry is 0) and maps v to v below r and to v + 1
-  from r up.  The new last column is r for each kept parent, and each
-  set's flags are compressed alike, 2 marking those to delete.  Children
-  therefore come grouped by rank, not by parent; no count depends on
-  their order, and `avoider_levels` sorts each level it lists.
-- An entry is one byte, so no level longer than MAX_ENTRY = 255 is built:
-  a counting sweep reaches nmax = 256, since it never builds its last
-  level, and a listing reaches 255.
-- A count needs no level, so a level's children are counted before they
-  are built, from the forbidden masks that building them reads too: a
-  set's count is the popcount of ranks 1..m+1 in the lanes of the
-  prefixes that carry it, less the popcount of its forbidden mask in
-  those lanes.  The last level of a counting sequence is never built, and
-  a built level's count for a set is the number of its flags that are 1.
-- The Wilf search drops a set as soon as its count at some length differs
-  from the target, before the level of that length is built: the level is
-  built without its flag column, and the prefixes that carry no other set
-  get no child, so the orbits that diverge early cost nothing further.
+parent, so no prefix is ever built twice.  `weaksort.levels` holds the
+level's format and every step over it: the forbidden masks of a level's
+children, one bit-lane per prefix, building them and counting them, all in
+C with no loop per prefix.  This module keeps the sweep's bookkeeping: which
+sets a level carries, which lengths are shared, which are split off, and
+the public API.  A level is counted before it is built, and the last level
+of a counting sequence is never built.  The Wilf search drops a set as soon
+as its count at some length differs from the target, before the level of
+that length is built: the level is built without its flag column, and the
+prefixes that carry no other set get no child, so the orbits that diverge
+early cost nothing further.  Children come grouped by rank, not by parent;
+no count depends on their order, and `avoider_levels` sorts each level it
+lists.
 
 Sets can differ only from their shortest pattern on.  With k the shortest
 pattern length of all the sets, every prefix shorter than k avoids every
@@ -57,20 +34,20 @@ flag column is `_ALL`'s, a set with no pattern, and one list holds their
 counts, m! at length m, for every set.  At length k the level is every
 permutation of length k, and a set's count is k! less its k-letter
 patterns, with no level built; a prefix carries the set unless it equals
-one of them, and `_flagged` finds those prefixes by matching the byte
-columns, one `bytes.translate` of each column per pattern, without
-listing the k! prefixes.  So the 317 orbits of `wilf_search` share
-lengths 0 to 4, all count 21 at length 4, and only the 21 that count 79
-at length 5 have that level built.  The shared levels stop at nmax - 2,
-where the last two lengths are split off (below).  The empty pattern has
-length 0, so k = 0: nothing is shared, and its set carries no prefix.
+one of them, and `levels._flagged` finds those prefixes by matching the
+byte columns, without listing the k! prefixes.  So the 317 orbits of
+`wilf_search` share lengths 0 to 4, all count 21 at length 4, and only
+the 21 that count 79 at length 5 have that level built.  The shared
+levels stop at nmax - 2, where the last two lengths are split off
+(below).  The empty pattern has length 0, so k = 0: nothing is shared,
+and its set carries no prefix.
 
 Nearly all of a sweep's work lies in its last two lengths, nmax - 1 (built)
 and nmax (counted), and a child has exactly one parent, so the subtrees
 below the prefixes of length nmax - 2 are disjoint and can be counted apart.
 `_tails` builds nmax - 1 below that level and counts nmax, giving one tally
 per length, by set.  With W > 1 processes, the level is split into
-interleaved chunks, each column and flag column sliced [w::W], so that
+interleaved chunks (`levels._chunks`, prefix i in chunk i mod W), so that
 neighbouring prefixes, which cost about the same, go to different
 processes: each chunk runs `_tails` in a child of `weaksort._fork`, and the
 tallies are summed.  A set dropped at nmax - 1 is still counted at nmax,
@@ -89,156 +66,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from collections import Counter
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _fork
-from .perms import (
-    SYMMETRIES,
-    PatternSet,
-    Perm,
-    _apply_word,
-    _lane_bytes,
-    _windows,
-    as_perm,
-)
-
-#: the largest entry a byte column holds, and so the longest level built
-MAX_ENTRY = 255
-
-
-class _Level(NamedTuple):
-    """The prefixes of one length m, held as byte columns."""
-
-    #: number of prefixes
-    count: int
-    #: m columns: column j holds entry j of every prefix, one byte each
-    columns: list[bytes]
-    #: set index -> one byte per prefix, 1 where the prefix carries the set;
-    #: only the sets that some prefix carries, or `_ALL` alone below the
-    #: shortest pattern
-    flags: dict[int, bytes]
-
-
-_EMPTY = _Level(0, [], {})
+from .levels import _EMPTY, MAX_ENTRY, _Level, _chunks, _child_counts, _flagged, _forbidden
+from .levels import _next_level, _root, _rows, _tally
+from .perms import SYMMETRIES, PatternSet, Perm, _apply_word, as_perm
 
 #: the flag of the levels below every set's shortest pattern, which every
 #: prefix carries: a set with no pattern, so its forbidden mask is 0
 _ALL = -1
-
-
-def _lanes(flags: bytes, nbytes: int) -> int:
-    """The 0/1 flags as one integer, flag i at bit 0 of lane i."""
-    lanes = bytearray(nbytes * len(flags))
-    lanes[::nbytes] = flags
-    return int.from_bytes(lanes, "little")
-
-
-def _forbidden(level: _Level, sets: Sequence[PatternSet]) -> dict[int, int]:
-    """
-    The forbidden masks of the level's prefixes, packed one lane per
-    prefix, for each set that some prefix carries: its index -> the OR of
-    the windows of its patterns, from one `perms._windows` call for the
-    level.
-    """
-    patterns = {tau for i in level.flags for tau in sets[i]}
-    windows = _windows(level.columns, level.count, patterns)
-    return {
-        i: functools.reduce(operator.or_, map(windows.__getitem__, sets[i]), 0)
-        for i in level.flags
-    }
-
-
-def _next_level(level: _Level, forbidden: dict[int, int]) -> _Level:
-    """The clean standardized extensions of the level's prefixes, grouped by
-    new last rank, each flagged for the sets it avoids, given the level's
-    forbidden masks of every set it carries."""
-    count, columns, flags = level
-    m = len(columns)
-    nbytes = _lane_bytes(m)
-    size = nbytes * count
-    carriers = {i: _lanes(f, nbytes) for i, f in flags.items()}
-    everyone = _lanes(b"\1" * count, nbytes)
-    entries = [int.from_bytes(column, "little") for column in columns]
-    out_columns: list[list[bytes]] = [[] for _ in range(m + 1)]
-    out_flags: dict[int, list[bytes]] = {i: [] for i in flags}
-    for r in range(1, m + 2):
-        # bit 0 of lane p: p carries set i and its child of rank r avoids it
-        keep = {i: lanes & ~(forbidden[i] >> r) for i, lanes in carriers.items()}
-        kept = functools.reduce(operator.or_, keep.values(), 0)
-        if not kept:
-            continue
-        # the prefixes without a child of rank r are compressed out by
-        # translate's delete: their entries become 0, which no entry is,
-        # and their flags 2
-        entry_mask = int.from_bytes(kept.to_bytes(size, "little")[::nbytes], "little") * 255
-        flag_drop = (everyone ^ kept) << 1
-        # entry v of a parent in its child of rank r: v below r, v + 1 from r up
-        bump = bytes(range(r)) + bytes(range(r + 1, 256)) + b"\xff"
-        for out, entry in zip(out_columns, entries):
-            out.append((entry & entry_mask).to_bytes(count, "little").translate(bump, b"\0"))
-        out_columns[m].append(bytes([r]) * kept.bit_count())
-        for i, lanes in keep.items():
-            own = (lanes | flag_drop).to_bytes(size, "little")[::nbytes]
-            out_flags[i].append(own.translate(None, b"\2"))
-    new_columns = [b"".join(parts) for parts in out_columns]
-    new_flags = {i: b"".join(parts) for i, parts in out_flags.items()}
-    return _Level(len(new_columns[m]), new_columns, _carried(new_flags))
-
-
-def _child_counts(level: _Level, forbidden: dict[int, int]) -> dict[int, int]:
-    """
-    The clean children of the level's prefixes, counted without being
-    built, given the level's forbidden masks of every set it carries: a
-    set's count is the m + 1 ranks of each prefix that carries it less the
-    popcount of its forbidden mask there, two popcounts on the packed
-    masks.  Totals are keyed by set index.
-    """
-    m = len(level.columns)
-    nbytes = _lane_bytes(m)
-    ranks = (1 << (m + 2)) - 2
-    tally: dict[int, int] = {}
-    for i, flags in level.flags.items():
-        # ranks 1..m + 1 in the lane of every prefix that carries the set
-        live = _lanes(flags, nbytes) * ranks
-        tally[i] = flags.count(1) * (m + 1) - (forbidden[i] & live).bit_count()
-    return tally
-
-
-def _flagged(level: _Level, sets: Sequence[PatternSet], keep: Collection[int]) -> _Level:
-    """
-    A level of every permutation of its length m, flagged for each set in
-    keep, none of which has a pattern shorter than m: the set is carried
-    by every prefix but those equal to one of its m-letter patterns.  A
-    pattern's prefix is found by matching the byte columns, one
-    `bytes.translate` of each, not by listing the prefixes.
-    """
-    count, columns, _ = level
-    m = len(columns)
-    everyone = int.from_bytes(b"\1" * count, "little")
-    hits: dict[Perm, int] = {}
-    for tau in {tau for i in keep for tau in sets[i] if len(tau) == m}:
-        # 1 in the byte of each prefix whose entry j is tau[j], for every j
-        match = everyone
-        for column, v in zip(columns, tau):
-            match &= int.from_bytes(column.translate(bytes(v) + b"\1" + bytes(255 - v)), "little")
-        hits[tau] = match
-    flags = {}
-    for i in keep:
-        found = functools.reduce(operator.or_, map(hits.__getitem__, hits.keys() & sets[i]), 0)
-        flags[i] = (everyone ^ found).to_bytes(count, "little")
-    return _Level(count, columns, _carried(flags))
-
-
-def _tally(level: _Level) -> dict[int, int]:
-    """How many prefixes of the level carry each set, by set index."""
-    return {i: flags.count(1) for i, flags in level.flags.items()}
-
-
-def _carried(flags: dict[int, bytes]) -> dict[int, bytes]:
-    """The flag columns of the sets that some prefix carries."""
-    return {i: f for i, f in flags.items() if 1 in f}
 
 
 #: fewest prefixes of the split level that a process is given; below twice
@@ -269,19 +107,12 @@ def _tails(level: _Level, sets: Sequence[PatternSet]) -> list[dict[int, int]]:
 
 def _split_tails(level: _Level, sets: Sequence[PatternSet]) -> list[dict[int, int]]:
     """`_tails` of the whole level: in this process, or, when `_processes`
-    allows several, as the sums of `_tails` of the interleaved chunks, each
-    column and flag column sliced [w::processes], each in a forked child."""
+    allows several, as the sums of `_tails` of the level's interleaved
+    chunks, each in a forked child."""
     processes = _processes(level.count)
     if processes == 1:
         return _tails(level, sets)
-    chunks = []
-    for w in range(processes):
-        chunk = _Level(
-            len(range(w, level.count, processes)),
-            [column[w::processes] for column in level.columns],
-            _carried({i: f[w::processes] for i, f in level.flags.items()}),
-        )
-        chunks.append(functools.partial(_tails, chunk, sets))
+    chunks = [functools.partial(_tails, chunk, sets) for chunk in _chunks(level, processes)]
     tallies: list[dict[int, int]] = [Counter(), Counter()]
     for part in _fork.run(chunks):
         for tally, counts in zip(tallies, part):
@@ -319,7 +150,7 @@ def _sweep(
     k = min(map(len, patterns), default=nmax + 1)
     # the last length built here: _split_tails gives nmax - 1 and nmax
     top = nmax - 2 if nmax > 1 else nmax
-    level = _Level(1, [], {_ALL: b"\1"})
+    level = _root(_ALL)
     common: list[int] = []
     for m in range(min(k, top + 1)):
         if m:
@@ -409,12 +240,12 @@ def avoider_levels(patterns: Iterable[Sequence[int]], nmax: int) -> list[list[Pe
         raise ValueError(f"nmax must be <= {MAX_ENTRY}: enumeration holds entries in bytes")
     pattern_set = frozenset(map(as_perm, patterns))
     # the empty pattern occurs in every permutation, the empty one included
-    level = _EMPTY if () in pattern_set else _Level(1, [], {0: b"\1"})
-    levels: list[list[Perm]] = [[()] * level.count]
+    level = _EMPTY if () in pattern_set else _root(0)
+    listed = [_rows(level.columns, level.count)]
     for _ in range(nmax):
         level = _next_level(level, _forbidden(level, [pattern_set]))
-        levels.append(sorted(zip(*level.columns)))
-    return levels
+        listed.append(sorted(_rows(level.columns, level.count)))
+    return listed
 
 
 def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import weaksort
-from weaksort import acceptance, class5, counting, oeis, perms, recurrence, series
+from weaksort import acceptance, class5, counting, levels, oeis, recurrence, series
 from weaksort.acceptance import CRITERIA
 from weaksort.cli import main
 from weaksort.perms import TRIPLES, all_perms, avoids
@@ -193,19 +193,19 @@ def test_criterion_4_catches_a_fault_in_b_n_minus_1(monkeypatch, class_id):
 
 
 def _faulty_middle_pass():
-    """A copy of `perms._middle_pass` whose coupled x < z branch keeps the
+    """A copy of `levels._middle_pass` whose coupled x < z branch keeps the
     x values below twice the largest z, not below it: a fault in one
     character that the five triples themselves count past."""
-    source = inspect.getsource(perms._middle_pass)
+    source = inspect.getsource(levels._middle_pass)
     faulty = source.replace("xs &= smear(zs) >> 1", "xs &= smear(zs) << 1")
     assert faulty != source
-    namespace = dict(vars(perms))
+    namespace = dict(vars(levels))
     exec(faulty, namespace)
     return namespace["_middle_pass"]
 
 
 def test_criterion_1_catches_a_faulty_middle_pass(monkeypatch, capsys):
-    monkeypatch.setattr(perms, "_middle_pass", _faulty_middle_pass())
+    monkeypatch.setattr(levels, "_middle_pass", _faulty_middle_pass())
     # the five triples as given still count right
     rows = counting.counting_sequences(TRIPLES.values(), 8)
     assert rows == [list(oeis.fetch("A111279").prefix(9))] * 5
@@ -218,7 +218,7 @@ def test_criterion_1_catches_a_faulty_middle_pass(monkeypatch, capsys):
 def test_criterion_3_catches_a_faulty_middle_pass(monkeypatch, capsys):
     # the same fault leaves the five matches alone but moves the split of
     # the other orbits' divergence from 296/16 to 300/12
-    monkeypatch.setattr(perms, "_middle_pass", _faulty_middle_pass())
+    monkeypatch.setattr(levels, "_middle_pass", _faulty_middle_pass())
     report = counting.wilf_search(8, oeis.fetch("A111279").prefix(9))
     assert len(report.matches) == 5
     assert report.diverged == ((5, 300), (6, 12))

@@ -389,14 +389,15 @@ def test_integer_options_exit_2_on_what_only_int_takes(capsys, option, text):
         (["count", "--class", "pi1", "--n", "12"], 10),
         (["sequence", "--n", "11"], 10),
         (["search", "--n", "9"], 8),
-        (["series", "--name", "class5_bivariate", "--n", "1001"], 1000),
+        (["series", "--name", "main", "--n", "1001"], 1000),
+        (["series", "--name", "class5_bivariate", "--n", "301"], 300),
         (["recurrence", "--class", "pi2", "--n", "1001"], 1000),
         (["class5", "--count", "301"], 300),
         (["class5", "--indec", "10000"], 300),
     ],
     ids=[
-        "count-patterns", "count-class", "sequence", "search", "series", "recurrence",
-        "class5-count", "class5-indec",
+        "count-patterns", "count-class", "sequence", "search", "series",
+        "series-bivariate", "recurrence", "class5-count", "class5-indec",
     ],
 )
 def test_size_limit_exits_2(capsys, argv, limit):
@@ -483,7 +484,7 @@ def test_closed_stdout_exits_1_quietly(argv):
     assert (proc.returncode, err) == (1, "")
 
 
-def test_guarded_n_with_override(capsys):
+def test_guarded_n_with_override(capsys, monkeypatch):
     code, out, _ = run(
         capsys, "count", "--patterns", "1 2; 2 1", "--n", "12", "--limit-override"
     )
@@ -493,6 +494,20 @@ def test_guarded_n_with_override(capsys):
     assert code == 0
     want = series.gf_catalog("main", 1001).coeffs[-1]
     assert out.splitlines()[-1] == f"1001,{want}"
+    # class5_bivariate's own limit is lifted too: the catalog is asked for
+    # order 301, and a stand-in answers with order 3 rather than build it
+    asked = []
+    real = series.gf_catalog
+
+    def gf_catalog(name, order):
+        asked.append((name, order))
+        return real(name, 3)
+
+    monkeypatch.setattr(series, "gf_catalog", gf_catalog)
+    argv = ("series", "--name", "class5_bivariate", "--n", "301", "--limit-override")
+    assert run(capsys, *argv)[0] == 0
+    assert asked == [("class5_bivariate", 301)]
+    monkeypatch.undo()
     # a permutation is its own size, so --decompose has no limit
     code, out, _ = run(capsys, "class5", "--decompose", " ".join(map(str, range(400, 0, -1))))
     assert code == 0 and out.startswith("{")

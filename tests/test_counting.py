@@ -467,7 +467,7 @@ def planted(forking, monkeypatch):
     """
     Replace the count of a chunk with plant(chunk), whose value or exception
     stands for it in the forked child that counts the chunk (the
-    `counting._Level` of the prefixes of the split level it was given); a
+    `levels._Level` of the prefixes of the split level it was given); a
     guard alarm turns a hang into an error.
     """
     real = counting._tails

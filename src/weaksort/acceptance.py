@@ -87,16 +87,16 @@ def criterion_4_recurrence_fidelity() -> None:
     three boundary entries b_n(n - 2), b_n(n - 1) and b_n(n) of every
     class are held to the boundary values of `weaksort.recurrence`, 3 <= n
     <= 50, with a_{n-2} the series' term."""
-    for class_id in recurrence.CLASS_IDS:
-        tabs = recurrence.tables_upto(class_id, 8)
+    tables = {cid: recurrence.tables_upto(cid, 50) for cid in recurrence.CLASS_IDS}
+    for class_id, tabs in tables.items():
         levels = counting.avoider_levels(TRIPLES[class_id], 8)
         for n, level in enumerate(levels):
             emp = recurrence.empirical_table(n, class_id, level)
             assert tabs[n].a == emp.a, (class_id, n, tabs[n].a, emp.a)
             assert tabs[n].b == emp.b, (class_id, n, tabs[n].b, emp.b)
     coeffs = list(series.gf_catalog("main", 50).coeffs)
-    for class_id in recurrence.CLASS_IDS:
-        for n, table in enumerate(recurrence.tables_upto(class_id, 50)):
+    for class_id, tabs in tables.items():
+        for n, table in enumerate(tabs):
             if class_id != "pi1":
                 assert table.total == coeffs[n], (class_id, n, table.total, coeffs[n])
             if n >= 3:

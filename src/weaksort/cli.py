@@ -25,12 +25,12 @@ digits (`perms.parse_int`).
 OEIS terms come only from the four bundled b-files; no command reaches the
 network or writes a file.
 
-Size policy: count, sequence, search, series, recurrence and class5
-(--count, --indec) refuse a size above SIZE_LIMITS (300 for series
---name class5_bivariate, whose cost is cubic) with exit 2 and nothing on
-stdout unless --limit-override is given.  The three that
-enumerate permutations cost as much as the counting sequence, which may
-be factorial; an --n above 256 exits 1 with an error: line,
+Size policy: each option that SIZE_LIMITS names refuses a value above
+its limit there, or above _BIVARIATE_LIMIT for series --name
+class5_bivariate, with exit 2 and nothing on stdout unless
+--limit-override is given.  The three commands that enumerate
+permutations cost as much as the counting sequence, which may be
+factorial; an --n above 256 exits 1 with an error: line,
 --limit-override or not, since enumeration holds a permutation's entries
 in bytes and the library refuses it (`levels.MAX_ENTRY`).  The other
 three have polynomial cost, and their limits lie at or above every size
@@ -55,15 +55,15 @@ from typing import Sequence
 from . import acceptance, class5, counting, oeis, recurrence, schroder, series
 from .perms import TRIPLES, format_perm, parse_int, parse_pattern_set, parse_perm
 
-#: largest size each command runs without --limit-override: its --n, or
-#: class5's --count or --indec (`_size`)
+#: the options each command bounds, and the largest value they take
+#: without --limit-override
 SIZE_LIMITS = {
-    "count": 10,
-    "sequence": 10,
-    "search": 8,
-    "series": 1000,
-    "recurrence": 1000,
-    "class5": 300,
+    "count": (("--n",), 10),
+    "sequence": (("--n",), 10),
+    "search": (("--n",), 8),
+    "series": (("--n",), 1000),
+    "recurrence": (("--n",), 1000),
+    "class5": (("--count", "--indec"), 300),
 }
 #: `series --name class5_bivariate`'s own limit: its cost is cubic in the
 #: order, one series product per column
@@ -73,18 +73,6 @@ _BIVARIATE_LIMIT = 300
 def _usage(message: str) -> "SystemExit":
     print(f"usage error: {message}", file=sys.stderr)
     return SystemExit(2)
-
-
-def _size(args: argparse.Namespace) -> tuple[str, int] | None:
-    """The option that SIZE_LIMITS bounds and its value: --n, or class5's
-    --count or --indec; None for class5 --decompose, which has no limit."""
-    if args.command != "class5":
-        return "--n", args.n
-    if args.count is not None:
-        return "--count", args.count
-    if args.indec is not None:
-        return "--indec", args.indec
-    return None
 
 
 def _emit_terms(
@@ -361,27 +349,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full verification suite")
     p.set_defaults(func=_cmd_verify)
 
-    for cmd, limit in SIZE_LIMITS.items():
-        sized = "--count or --indec" if cmd == "class5" else "--n"
+    for cmd, (options, limit) in SIZE_LIMITS.items():
         limit = f"{limit} ({_BIVARIATE_LIMIT} for class5_bivariate)" if cmd == "series" else limit
         sub.choices[cmd].add_argument(
-            "--limit-override", action="store_true", help=f"allow {sized} above {limit}"
+            "--limit-override", action="store_true",
+            help=f"allow {' or '.join(options)} above {limit}",
         )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    limit = SIZE_LIMITS.get(args.command)
+    options, limit = SIZE_LIMITS.get(args.command, ((), None))
     if args.command == "series" and args.name == "class5_bivariate":
         limit = _BIVARIATE_LIMIT
-    size = None if limit is None or args.limit_override else _size(args)
-    if size is not None and size[1] > limit:
-        option, value = size
-        raise _usage(
-            f"{args.command} {option} {value} exceeds the size limit {limit}; "
-            "pass --limit-override"
-        )
+    for option in options:
+        # class5 --decompose leaves --count and --indec None
+        value = getattr(args, option[2:])
+        if value is not None and value > limit and not args.limit_override:
+            raise _usage(
+                f"{args.command} {option} {value} exceeds the size limit {limit}; "
+                "pass --limit-override"
+            )
     try:
         code = args.func(args)
         # flush here, so that a closed stdout is met inside the handler below

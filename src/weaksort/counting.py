@@ -45,7 +45,7 @@ and its set carries no prefix.
 Nearly all of a sweep's work lies in its last two lengths, nmax - 1 (built)
 and nmax (counted), and a child has exactly one parent, so the subtrees
 below the prefixes of length nmax - 2 are disjoint and can be counted apart.
-`_tails` builds nmax - 1 below that level and counts nmax, giving one tally
+`_tails` counts nmax - 1 below that level, builds it and counts nmax: one tally
 per length, by set.  With W > 1 processes, the level is split into
 interleaved chunks (`levels._chunks`, prefix i in chunk i mod W), so that
 neighbouring prefixes, which cost about the same, go to different
@@ -71,7 +71,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import _fork
 from .levels import _EMPTY, MAX_ENTRY, _Level, _chunks, _child_counts, _flagged, _forbidden
-from .levels import _next_level, _root, _rows, _tally
+from .levels import _next_level, _root, _rows
 from .perms import SYMMETRIES, PatternSet, Perm, _apply_word, as_perm
 
 #: the flag of the levels below every set's shortest pattern, which every
@@ -99,10 +99,12 @@ def _processes(size: int) -> int:
 
 
 def _tails(level: _Level, sets: Sequence[PatternSet]) -> list[dict[int, int]]:
-    """The tallies of the two levels below the level: the first built, the
-    second counted."""
-    level = _next_level(level, _forbidden(level, sets))
-    return [_tally(level), _child_counts(level, _forbidden(level, sets))]
+    """The tallies of the two levels below the level, each counted by
+    `_child_counts` before it is built; the second is never built."""
+    forbidden = _forbidden(level, sets)
+    first = _child_counts(level, forbidden)
+    level = _next_level(level, forbidden)
+    return [first, _child_counts(level, _forbidden(level, sets))]
 
 
 def _split_tails(level: _Level, sets: Sequence[PatternSet]) -> list[dict[int, int]]:

@@ -67,8 +67,7 @@ the whole level, with no loop per prefix:
   before they are built, from the forbidden masks that building them
   reads too: a set's count is the popcount of ranks 1..m+1 in the lanes
   of the prefixes that carry it, less the popcount of its forbidden mask
-  in those lanes.  A built level's count for a set is the number of its
-  flags that are 1 (`_tally`).
+  in those lanes.
 - `_flagged` flags a level of every permutation of its length k for the
   sets none of whose patterns is shorter: a prefix carries a set unless it
   equals one of the set's k-letter patterns, found by matching the byte
@@ -445,11 +444,6 @@ def _flagged(level: _Level, sets: Sequence[PatternSet], keep: Collection[int]) -
         found = functools.reduce(operator.or_, map(hits.__getitem__, hits.keys() & sets[i]), 0)
         flags[i] = _low_bytes(everyone ^ found, count, 1)
     return _Level(count, columns, _carried(flags))
-
-
-def _tally(level: _Level) -> dict[int, int]:
-    """How many prefixes of the level carry each set, by set index."""
-    return {i: flags.count(1) for i, flags in level.flags.items()}
 
 
 def _carried(flags: dict[int, bytes]) -> dict[int, bytes]:

@@ -1,6 +1,9 @@
 """Command-line surface: formats, determinism, exit codes, imports."""
+import fnmatch
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +11,12 @@ from pathlib import Path
 import pytest
 
 import weaksort
-from weaksort import counting, series
+from weaksort import cli, counting, series
 from weaksort.cli import main
 
 #: the package's source root, for child interpreters
 SRC = str(Path(weaksort.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -306,139 +310,120 @@ def test_enumerating_commands_fork_one_process_per_cpu(capsys, monkeypatch, argv
     assert outputs[1:] == outputs[:1] * 3
 
 
-def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["nonsense"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--n", "4"])  # neither --class nor --patterns
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["class5"])  # none of the three actions
-    assert exc.value.code == 2
-    for flag in ("--online", "--offline"):  # bundled fixtures are the only source
-        with pytest.raises(SystemExit) as exc:
-            main(["oeis", "--id", "A006318", flag])
-        assert exc.value.code == 2
-    for fmt in ("table", "csv", "json"):  # one row per class
-        with pytest.raises(SystemExit) as exc:
-            main(["sequence", "--classes", "pi1, pi1", "--n", "3", "--format", fmt])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "'pi1' given twice" in captured.err
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--n", "6", "--format", "csv"])  # no csv form
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["class5", "--count", "3", "--indec", "3"])  # two actions
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--class", "pi1", "--patterns", "1 2", "--n", "3"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bijection", "--map", "psi", "--input", "1"])  # only phi
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        # --input and --path belong to opposite directions
-        main(["bijection", "--inverse", "--path", "NDE", "--input", "9 9"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bijection", "--input", "3 1 4 2", "--path", "XYZ"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bijection", "--inverse", "--input", "3 1 4 2"])  # no --path
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bijection", "--path", "NDE"])  # no --inverse
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+#: each integer option, after the options its command needs besides, and
+#: what the command says of -1.  Every one of them is bounded
+INTEGER_OPTIONS = [
+    (["count", "--class", "pi1", "--n"], "nmax must be >= 0"),
+    (["sequence", "--n"], "nmax must be >= 0"),
+    (["search", "--n"], "nmax must be >= 6 for a meaningful search"),
+    (["series", "--name", "main", "--n"], "order must be >= 0"),
+    (["recurrence", "--class", "pi1", "--n"], "nmax must be >= 0"),
+    (["class5", "--count"], "n must be >= 0"),
+    (["class5", "--indec"], "n must be >= 1"),
+]
 
-
-#: the command line up to each integer option, the other required options
-#: included
-INTEGER_OPTIONS = {
-    "count": ["count", "--class", "pi1", "--n"],
-    "sequence": ["sequence", "--n"],
-    "search": ["search", "--n"],
-    "series": ["series", "--name", "main", "--n"],
-    "recurrence": ["recurrence", "--class", "pi1", "--n"],
-    "class5-count": ["class5", "--count"],
-    "class5-indec": ["class5", "--indec"],
-}
-
-
-@pytest.mark.parametrize(
-    "text", ["1_0", "\u0663", "+5", " 5"], ids=["underscore", "arabic-indic", "plus", "blank"]
-)
-@pytest.mark.parametrize("option", INTEGER_OPTIONS)
-def test_integer_options_exit_2_on_what_only_int_takes(capsys, option, text):
+#: (argv, exit code, stderr) of inputs that the command line refuses, with
+#: nothing on stdout; * in stderr stands for any text.  README's exit-code
+#: table mirrors it
+CONTRACT = [
+    # argparse's usage errors: an unknown subcommand, option or choice
+    ([], 2, "usage: *"),
+    (["nonsense"], 2, "usage: *"),
+    # bundled fixtures are the only source
+    (["oeis", "--id", "A006318", "--online"], 2, "usage: *"),
+    (["oeis", "--id", "A006318", "--offline"], 2, "usage: *"),
+    (["search", "--n", "6", "--format", "csv"], 2, "usage: *"),  # no csv form
+    (["bijection", "--map", "psi", "--input", "1"], 2, "usage: *"),  # only phi
+    # a required option left out
+    (["count", "--n", "4"], 2, "usage: *"),  # neither --class nor --patterns
+    (["count", "--class", "pi1"], 2, "usage: *"),
+    (["series", "--n", "3"], 2, "usage: *"),
+    (["recurrence", "--n", "3"], 2, "usage: *"),
+    (["recurrence", "--class", "pi1"], 2, "usage: *"),
+    (["oeis"], 2, "usage: *"),
+    (["class5"], 2, "usage: *"),  # none of the three actions
+    # two options that exclude each other; --input and --path belong to
+    # opposite directions
+    (["class5", "--count", "3", "--indec", "3"], 2, "usage: *"),
+    (["count", "--class", "pi1", "--patterns", "1 2", "--n", "3"], 2, "usage: *"),
+    (["bijection", "--inverse", "--path", "NDE", "--input", "9 9"], 2, "usage: *"),
+    (["bijection", "--input", "3 1 4 2", "--path", "XYZ"], 2, "usage: *"),
+    # the command's own usage errors: a bijection runs one direction, and
+    # sequence prints one row per class
+    (["bijection"], 2, "usage error: *"),
+    (["bijection", "--inverse", "--input", "3 1 4 2"], 2, "usage error: *"),
+    (["bijection", "--path", "NDE"], 2, "usage error: *"),
+    *((["sequence", "--classes", "pi1, pi1", "--n", "3", "--format", fmt], 2,
+       "usage error: class 'pi1' given twice\n") for fmt in ("table", "csv", "json")),
     # int() takes each of these; an integer option takes only an optional
     # minus sign and ASCII digits, as a b-file line does
-    with pytest.raises(SystemExit) as exc:
-        main([*INTEGER_OPTIONS[option], text])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert f"invalid parse_int value: {text!r}" in captured.err
-
-
-@pytest.mark.parametrize(
-    "argv, limit",
-    [
-        (["count", "--patterns", "1 2; 2 1", "--n", "11"], 10),
-        (["count", "--class", "pi1", "--n", "12"], 10),
-        (["sequence", "--n", "11"], 10),
-        (["search", "--n", "9"], 8),
-        (["series", "--name", "main", "--n", "1001"], 1000),
-        (["series", "--name", "class5_bivariate", "--n", "301"], 300),
-        (["recurrence", "--class", "pi2", "--n", "1001"], 1000),
-        (["class5", "--count", "301"], 300),
-        (["class5", "--indec", "10000"], 300),
-    ],
-    ids=[
-        "count-patterns", "count-class", "sequence", "search", "series",
-        "series-bivariate", "recurrence", "class5-count", "class5-indec",
-    ],
-)
-def test_size_limit_exits_2(capsys, argv, limit):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert captured.err == (
-        f"usage error: {argv[0]} {argv[-2]} {argv[-1]} exceeds the size limit {limit}; "
-        "pass --limit-override\n"
-    )
-
-
-def test_data_errors_exit_1(capsys):
-    code, out, err = run(capsys, "oeis", "--id", "A000000")
-    assert (code, out) == (1, "")
+    *(([*option, text], 2, f"usage: *\nweaksort {option[0]}: error: argument {option[-1]}: "
+       f"invalid parse_int value: {text!r}\n")
+      for option, _ in INTEGER_OPTIONS for text in ("1_0", "\u0663", "+5", " 5")),
+    # -1 is an integer, and each command rejects it
+    *(([*option, "-1"], 1, f"error: {message}\n") for option, message in INTEGER_OPTIONS),
+    *((argv, 2, f"usage error: {argv[0]} {argv[-2]} {argv[-1]} exceeds the size limit "
+       f"{limit}; pass --limit-override\n")
+      for argv, limit in [
+          (["count", "--patterns", "1 2; 2 1", "--n", "11"], 10),
+          (["count", "--class", "pi1", "--n", "12"], 10),
+          (["sequence", "--n", "11"], 10),
+          (["search", "--n", "9"], 8),
+          (["series", "--name", "main", "--n", "1001"], 1000),
+          (["series", "--name", "class5_bivariate", "--n", "301"], 300),
+          (["recurrence", "--class", "pi2", "--n", "1001"], 1000),
+          (["class5", "--count", "301"], 300),
+          (["class5", "--indec", "10000"], 300),
+      ]),
     # the message of a KeyError, without the quotes of its repr
-    assert err == (
-        "error: no offline fixture for A000000; "
-        "bundled: A111279, A006318, A026671, A060693\n"
-    )
-    code, out, err = run(capsys, "series", "--name", "main", "--n", "-1")
-    assert (code, out, err) == (1, "", "error: order must be >= 0\n")
-
-
-@pytest.mark.parametrize(
-    "text", ["", ";", "  ", " ; ;"], ids=["empty", "semicolon", "blanks", "blank-parts"]
-)
-def test_count_rejects_empty_pattern_list(capsys, text):
+    (["oeis", "--id", "A000000"], 1, "error: no offline fixture for A000000; "
+     "bundled: A111279, A006318, A026671, A060693\n"),
     # an empty list would count every permutation; the library still takes
     # an empty set (test_enumerate_counts_match_trivial_cases)
-    code, out, err = run(capsys, "count", "--patterns", text, "--n", "4")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: no pattern in ")
+    *((["count", "--patterns", text, "--n", "4"], 1, "error: no pattern in *")
+      for text in ("", ";", "  ", " ; ;")),
+    (["bijection", "--input", "2 \u0661"], 1, "error: *"),
+]
 
 
-def test_bijection_rejects_non_ascii_digits(capsys):
-    code, out, err = run(capsys, "bijection", "--input", "2 \u0661")
-    assert (code, out) == (1, "")
-    assert err.startswith("error:")
+@pytest.mark.parametrize(
+    "argv, code, err", CONTRACT, ids=[shlex.join(["weaksort", *row[0]]) for row in CONTRACT]
+)
+def test_contract(capsys, argv, code, err):
+    # a usage error raises SystemExit; a rejected input is returned
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        got = exc.value.code
+    else:
+        got = main(argv)
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, "")
+    assert fnmatch.fnmatchcase(captured.err, err), captured.err
+
+
+def test_size_limits_agree_with_readme_and_help(capsys):
+    # README's size table and each --limit-override help name the limits
+    # that main enforces
+    lines = README.read_text(encoding="utf-8").splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("| command "))
+    listed = set()
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[head + 2 :]):
+        command, option, limit = (cell.strip(" `") for cell in line.strip("|").split("|"))
+        listed.add((command, option, int(limit)))
+    limits = {
+        (command, option, limit)
+        for command, (options, limit) in cli.SIZE_LIMITS.items()
+        for option in options
+    }
+    assert listed == limits | {("series --name class5_bivariate", "--n", cli._BIVARIATE_LIMIT)}
+    for command, (options, limit) in cli.SIZE_LIMITS.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        if command == "series":
+            limit = f"{limit} ({cli._BIVARIATE_LIMIT} for class5_bivariate)"
+        assert f"--limit-override allow {' or '.join(options)} above {limit}" in text, text
 
 
 def test_verify_exit_codes(capsys, monkeypatch):

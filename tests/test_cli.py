@@ -324,7 +324,7 @@ INTEGER_OPTIONS = [
 
 #: (argv, exit code, stderr) of inputs that the command line refuses, with
 #: nothing on stdout; * in stderr stands for any text.  README's exit-code
-#: table mirrors it
+#: table mirrors it and test_size_limit_exits_2
 CONTRACT = [
     # argparse's usage errors: an unknown subcommand, option or choice
     ([], 2, "usage: *"),
@@ -362,19 +362,6 @@ CONTRACT = [
       for option, _ in INTEGER_OPTIONS for text in ("1_0", "\u0663", "+5", " 5")),
     # -1 is an integer, and each command rejects it
     *(([*option, "-1"], 1, f"error: {message}\n") for option, message in INTEGER_OPTIONS),
-    *((argv, 2, f"usage error: {argv[0]} {argv[-2]} {argv[-1]} exceeds the size limit "
-       f"{limit}; pass --limit-override\n")
-      for argv, limit in [
-          (["count", "--patterns", "1 2; 2 1", "--n", "11"], 10),
-          (["count", "--class", "pi1", "--n", "12"], 10),
-          (["sequence", "--n", "11"], 10),
-          (["search", "--n", "9"], 8),
-          (["series", "--name", "main", "--n", "1001"], 1000),
-          (["series", "--name", "class5_bivariate", "--n", "301"], 300),
-          (["recurrence", "--class", "pi2", "--n", "1001"], 1000),
-          (["class5", "--count", "301"], 300),
-          (["class5", "--indec", "10000"], 300),
-      ]),
     # the message of a KeyError, without the quotes of its repr
     (["oeis", "--id", "A000000"], 1, "error: no offline fixture for A000000; "
      "bundled: A111279, A006318, A026671, A060693\n"),
@@ -400,6 +387,29 @@ def test_contract(capsys, argv, code, err):
     captured = capsys.readouterr()
     assert (got, captured.out) == (code, "")
     assert fnmatch.fnmatchcase(captured.err, err), captured.err
+
+
+@pytest.mark.parametrize("argv, limit", [
+    pytest.param(["count", "--patterns", "1 2; 2 1", "--n", "11"], 10, id="count-patterns"),
+    pytest.param(["count", "--class", "pi1", "--n", "12"], 10, id="count-class"),
+    pytest.param(["sequence", "--n", "11"], 10, id="sequence"),
+    pytest.param(["search", "--n", "9"], 8, id="search"),
+    pytest.param(["series", "--name", "main", "--n", "1001"], 1000, id="series"),
+    pytest.param(["series", "--name", "class5_bivariate", "--n", "301"], 300, id="series-bivariate"),
+    pytest.param(["recurrence", "--class", "pi2", "--n", "1001"], 1000, id="recurrence"),
+    pytest.param(["class5", "--count", "301"], 300, id="class5-count"),
+    pytest.param(["class5", "--indec", "10000"], 300, id="class5-indec"),
+])
+def test_size_limit_exits_2(capsys, argv, limit):
+    # the rows of the contract that README's size table lists
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err == (
+        f"usage error: {argv[0]} {argv[-2]} {argv[-1]} exceeds the size limit {limit}; "
+        "pass --limit-override\n"
+    )
 
 
 def test_size_limits_agree_with_readme_and_help(capsys):
